@@ -22,9 +22,7 @@ from .hybrid import (
 )
 from .lqr import GainMatrix, Weights, bryson_weights, design_mode_gains, solve_care
 from .numsim import (
-    StepPropagator,
     Trajectory,
-    build_propagator,
     matrix_exp,
     simulate_linear,
     simulate_nonlinear,
@@ -34,7 +32,6 @@ from .orbital import (
     OrbitalParams,
     closed_loop_matrix,
     cwh_matrices,
-    mean_motion,
     nonlinear_field,
 )
 from .starset import (
@@ -70,13 +67,11 @@ __all__ = [
     "SafetyProperty",
     "Scenario",
     "StarSet",
-    "StepPropagator",
     "Trajectory",
     "VerificationReport",
     "Weights",
     "bounding_box",
     "bryson_weights",
-    "build_propagator",
     "build_rendezvous_automaton",
     "closed_loop_matrix",
     "cwh_matrices",
@@ -88,7 +83,6 @@ __all__ = [
     "initial_thrust_box",
     "los_halfspaces",
     "matrix_exp",
-    "mean_motion",
     "monte_carlo_containment",
     "nonlinear_field",
     "octagon_halfspaces",

@@ -34,6 +34,7 @@ from .verifier import (
     Scenario,
     VerificationReport,
     falsify,
+    sample_abort_steps,
     sample_initial_points,
     simulate_scenario,
     sweep_passive_time,
@@ -569,10 +570,7 @@ def _cmd_simulate(args) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     pts = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), args.samples)
-    rng = np.random.default_rng(sc.seed)
-    k1 = int(math.ceil(sc.t1 / sc.h))
-    k2 = max(k1, int(math.floor(sc.t2 / sc.h)))
-    psteps = rng.integers(k1, k2 + 1, size=args.samples)
+    psteps = sample_abort_steps(sc, args.samples, np.random.default_rng(sc.seed))
     for i, (x0, pk) in enumerate(zip(pts, psteps)):
         traj = simulate_scenario(sc, x0, int(pk))
         out = os.path.join(args.out, f"trajectory_{i:03d}.csv")

@@ -63,42 +63,17 @@ class SafetyProperty:
 
 
 @dataclass(frozen=True)
-class Guard:
-    """Transition guard: spatial half-spaces, or a clock window, never both."""
-
-    halfspaces: tuple = ()
-    region_inside: bool = True  # guard region is the conjunction, else its complement
-    urgent: bool = False
-    clock_window: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.urgent and self.clock_window is not None:
-            raise ValueError("urgent guards carry no clock window")
-        if self.clock_window is not None and self.halfspaces:
-            raise ValueError("timed guards carry no spatial constraint")
-
-
-@dataclass(frozen=True)
-class Transition:
-    source: str
-    target: str
-    guard: Guard
-
-
-@dataclass(frozen=True)
 class Mode:
     """Mode with its flow matrix and the convex part of its invariant.
 
     ``invariant`` lists (a, b) half-spaces a.x <= b used to tighten sets that
     restart in this mode; the far-range mode's spatial invariant (outside the
-    octagon) is not convex and is left empty here.
+    octagon) is not convex and is left empty here.  The verifier and the
+    simulators code the switching itself.
     """
 
-    name: str
     flow: np.ndarray
     invariant: tuple = ()
-    clock_max: float | None = None
-    clock_min: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "flow", np.asarray(self.flow, dtype=float))
@@ -106,17 +81,12 @@ class Mode:
 
 @dataclass(frozen=True)
 class HybridAutomaton:
-    variant: str
     dim: int
-    params: OrbitalParams
     gains: tuple[GainMatrix, GainMatrix]
     modes: dict[str, Mode]
-    transitions: tuple[Transition, ...]
     guard_normals: np.ndarray     # octagon half-spaces embedded at self.dim
     guard_offsets: np.ndarray
     properties: tuple[SafetyProperty, ...]
-    t1: float
-    t2: float
 
 
 def octagon_halfspaces(radius: float):
@@ -239,8 +209,6 @@ def build_rendezvous_automaton(
     params: OrbitalParams,
     gains: tuple[GainMatrix, GainMatrix],
     variant: str,
-    t1: float,
-    t2: float,
     property_overrides: dict | None = None,
 ) -> HybridAutomaton:
     """Assemble the mission automaton for one model variant.
@@ -255,8 +223,6 @@ def build_rendezvous_automaton(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not (0.0 <= t1 <= t2):
-        raise ValueError(f"need 0 <= t1 <= t2, got [{t1}, {t2}]")
 
     model = cwh_matrices(params)
     A4 = model.A
@@ -285,30 +251,15 @@ def build_rendezvous_automaton(
     oct_n = np.stack([_embed(row, (0, 1), dim) for row in oct2_n])
     inside_hs = tuple((oct_n[k], float(oct_b[k])) for k in range(8))
 
-    modes = {
-        MODE_PROX_A: Mode(name=MODE_PROX_A, flow=flow_a, invariant=(), clock_max=t2),
-        MODE_PROX_B: Mode(name=MODE_PROX_B, flow=flow_b, invariant=inside_hs, clock_max=t2),
-        MODE_PASSIVE: Mode(name=MODE_PASSIVE, flow=flow_p, invariant=(), clock_min=t1),
-    }
-    timed = Guard(urgent=False, clock_window=(t1, t2))
-    transitions = (
-        Transition(MODE_PROX_A, MODE_PROX_B,
-                   Guard(halfspaces=inside_hs, region_inside=True, urgent=True)),
-        Transition(MODE_PROX_B, MODE_PROX_A,
-                   Guard(halfspaces=inside_hs, region_inside=False, urgent=True)),
-        Transition(MODE_PROX_A, MODE_PASSIVE, timed),
-        Transition(MODE_PROX_B, MODE_PASSIVE, timed),
-    )
     return HybridAutomaton(
-        variant=variant,
         dim=dim,
-        params=params,
         gains=gains,
-        modes=modes,
-        transitions=transitions,
+        modes={
+            MODE_PROX_A: Mode(flow=flow_a),
+            MODE_PROX_B: Mode(flow=flow_b, invariant=inside_hs),
+            MODE_PASSIVE: Mode(flow=flow_p),
+        },
         guard_normals=oct_n,
         guard_offsets=np.asarray(oct_b, dtype=float),
         properties=default_properties(variant, dim, property_overrides),
-        t1=float(t1),
-        t2=float(t2),
     )

@@ -7,6 +7,7 @@ flow there.  The nonlinear closed loop is integrated with fixed-step RK4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +19,14 @@ MODE_PROX_A = "prox_a"
 MODE_PROX_B = "prox_b"
 MODE_PASSIVE = "passive"
 
+# Slack on time comparisons, so that a time landing on a sample up to rounding
+# counts as reaching it.
+_TIME_EPS = 1e-9
 
-@dataclass(frozen=True)
-class StepPropagator:
-    """One-step transition matrix e^(A h) for a single mode flow."""
 
-    phi: np.ndarray
-    h: float
-    mode_tag: str = ""
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if not np.isfinite(phi).all():
-            raise ValueError("propagator matrix must be finite")
-        if not (self.h > 0.0):
-            raise ValueError(f"step size must be positive, got {self.h}")
-        object.__setattr__(self, "phi", phi)
+def steps_within(T: float, h: float) -> int:
+    """Number of whole steps of size h that fit in a span of length T."""
+    return int(math.floor(T / h + _TIME_EPS))
 
 
 @dataclass(frozen=True)
@@ -80,24 +73,18 @@ def matrix_exp(M) -> np.ndarray:
     return out
 
 
-def build_propagator(A, h: float, mode_tag: str = "") -> StepPropagator:
-    if not (h > 0.0):
-        raise ValueError(f"step size must be positive, got {h}")
-    return StepPropagator(phi=matrix_exp(np.asarray(A, dtype=float) * h), h=h, mode_tag=mode_tag)
-
-
-def simulate_linear(prop: StepPropagator, x0, steps: int) -> Trajectory:
-    """Propagate x0 for the given number of steps; states[k] = phi^k x0."""
+def simulate_linear(phi, h: float, x0, steps: int) -> Trajectory:
+    """Propagate x0 for the given number of steps of size h; states[k] = phi^k x0."""
+    phi = np.asarray(phi, dtype=float)
     x = np.asarray(x0, dtype=float)
-    if x.shape[0] != prop.phi.shape[0]:
-        raise ValueError(f"state dim {x.shape[0]} does not match propagator {prop.phi.shape}")
+    if x.shape[0] != phi.shape[0]:
+        raise ValueError(f"state dim {x.shape[0]} does not match one-step matrix {phi.shape}")
     out = np.empty((steps + 1, x.shape[0]))
     out[0] = x
     for k in range(steps):
-        x = prop.phi @ x
+        x = phi @ x
         out[k + 1] = x
-    times = prop.h * np.arange(steps + 1)
-    return Trajectory(times=times, states=out)
+    return Trajectory(times=h * np.arange(steps + 1), states=out)
 
 
 def constant_mode_logic(mode: str):
@@ -158,7 +145,7 @@ def simulate_nonlinear(params: OrbitalParams, gains, mode_logic, x0, h: float, T
         f = (0.0, 0.0) if Kf is None else -(Kf @ state)
         return nonlinear_field(params, state, f)
 
-    steps = int(round(T / h))
+    steps = steps_within(T, h)
     x = np.asarray(x0, dtype=float)
     mode = start_mode
     states = np.empty((steps + 1, 4))

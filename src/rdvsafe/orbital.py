@@ -79,13 +79,6 @@ class LinearModel:
         return self.A.shape[0]
 
 
-def mean_motion(params: OrbitalParams) -> float:
-    """Angular rate of the circular target orbit, sqrt(mu / r^3), rad/s."""
-    if not (params.mu > 0.0 and params.r > 0.0):
-        raise ValueError("mean motion requires positive mu and r")
-    return float(np.sqrt(params.mu / params.r**3))
-
-
 def cwh_matrices(params: OrbitalParams) -> LinearModel:
     """Clohessy-Wiltshire-Hill model of in-plane relative motion.
 

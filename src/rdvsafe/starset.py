@@ -82,14 +82,13 @@ def from_box(b: Box) -> StarSet:
     return StarSet(x0=b.mid(), V=np.diag(b.halfwidth()))
 
 
-def propagate(s: StarSet, prop) -> StarSet:
-    """Exact image of the star under the linear one-step map.
+def propagate(s: StarSet, phi) -> StarSet:
+    """Exact image of the star under the linear one-step map ``phi``.
 
-    ``prop`` may be a StepPropagator or a plain square matrix.  Equivalent to
-    simulating the center and center+generator points and differencing, by
-    superposition.
+    Equivalent to simulating the center and center+generator points and
+    differencing, by superposition.
     """
-    phi = np.asarray(getattr(prop, "phi", prop), dtype=float)
+    phi = np.asarray(phi, dtype=float)
     return StarSet(x0=phi @ s.x0, V=phi @ s.V)
 
 

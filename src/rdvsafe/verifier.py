@@ -44,13 +44,15 @@ from .lqr import (
     design_mode_gains,
 )
 from .numsim import (
+    _TIME_EPS,
     MODE_PASSIVE,
     MODE_PROX_A,
     MODE_PROX_B,
     Trajectory,
-    build_propagator,
+    matrix_exp,
     rendezvous_mode_logic,
     simulate_nonlinear,
+    steps_within,
 )
 from .orbital import OrbitalParams
 from .starset import Box, StarSet, clip_box_to_halfspace, from_box, hull_boxes
@@ -64,7 +66,6 @@ DEFAULT_STEP_S = 1.0
 DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
-_TIME_EPS = 1e-9
 
 _INSIDE = "inside"
 _OUTSIDE = "outside"
@@ -192,9 +193,7 @@ def gains_for_scenario(sc: Scenario) -> tuple[GainMatrix, GainMatrix]:
 
 def automaton_for_scenario(sc: Scenario) -> HybridAutomaton:
     gains = gains_for_scenario(sc)
-    return build_rendezvous_automaton(
-        sc.params, gains, sc.variant, sc.t1, sc.t2, sc.property_overrides
-    )
+    return build_rendezvous_automaton(sc.params, gains, sc.variant, sc.property_overrides)
 
 
 class _ModeChecker:
@@ -228,22 +227,20 @@ class _ModeChecker:
 
 
 class _VerifyContext:
-    def __init__(self, sc: Scenario, automaton: HybridAutomaton | None = None):
+    def __init__(self, sc: Scenario):
         self.sc = sc
-        self.aut = automaton if automaton is not None else automaton_for_scenario(sc)
+        self.aut = automaton_for_scenario(sc)
         self.h = sc.h
         self.checkers = {
             m: _ModeChecker(self.aut.properties, m, self.aut.dim)
             for m in (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
         }
-        self.phis = {
-            m: build_propagator(mode.flow, sc.h, mode_tag=m).phi
-            for m, mode in self.aut.modes.items()
-        }
+        self.phis = {m: matrix_exp(mode.flow * sc.h) for m, mode in self.aut.modes.items()}
         self.bloat = sc.intersample_bloat
 
-    def start_mode(self, box4: Box) -> str:
-        star = from_box(box4)
+    def start_mode(self, box: Box) -> str:
+        """Mode whose region holds the box's position part; a straddling box is an error."""
+        star = from_box(box)
         n2 = self.aut.guard_normals[:, :2]
         cls = _classify(star.x0[:2], np.diag(star.V.diagonal()[:2]), n2, self.aut.guard_offsets)
         if cls == _STRADDLE:
@@ -253,12 +250,17 @@ class _VerifyContext:
     def initial_star(self, start_mode: str) -> StarSet:
         box = self.sc.init
         if self.aut.dim == 6 and box.dim == 4:
-            gain = self.aut.gains[0] if start_mode == MODE_PROX_A else self.aut.gains[1]
-            tbox = initial_thrust_box(gain, self.sc.params.m_c, box)
-            box = Box(lo=np.concatenate([box.lo, tbox.lo]), hi=np.concatenate([box.hi, tbox.hi]))
+            box = _with_thrust(self, start_mode, box)
         elif box.dim != self.aut.dim:
             raise ValueError(f"initial box dim {box.dim} incompatible with variant {self.sc.variant}")
         return from_box(box)
+
+
+def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
+    """The 4-dim state box extended by the interval image of mode's commanded thrust."""
+    gain = ctx.aut.gains[0] if mode == MODE_PROX_A else ctx.aut.gains[1]
+    tbox = initial_thrust_box(gain, ctx.sc.params.m_c, box4)
+    return Box(lo=np.concatenate([box4.lo, tbox.lo]), hi=np.concatenate([box4.hi, tbox.hi]))
 
 
 def _classify(x0, V, normals, offsets) -> str:
@@ -281,20 +283,53 @@ def _restart_box(ctx: _VerifyContext, dest: str, boxes: list[Box]) -> Box | None
         # The commanded thrust re-derives from the destination gain the moment
         # the controller switches, so the thrust dims reset to its interval
         # image over the aggregated position/velocity box.
-        gain = ctx.aut.gains[0] if dest == MODE_PROX_A else ctx.aut.gains[1]
-        sub = Box(lo=hull.lo[:4], hi=hull.hi[:4])
-        tbox = initial_thrust_box(gain, ctx.sc.params.m_c, sub)
-        hull = Box(lo=np.concatenate([hull.lo[:4], tbox.lo]),
-                   hi=np.concatenate([hull.hi[:4], tbox.hi]))
+        hull = _with_thrust(ctx, dest, Box(lo=hull.lo[:4], hi=hull.hi[:4]))
     return hull
 
 
-def _rendezvous_pipes(ctx: _VerifyContext, init_star: StarSet, start_mode: str,
-                      t_end: float) -> list[FlowpipeSegment]:
-    """Run every rendezvous-mode pipe up to covered time t_end (the clock bound)."""
+def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
+                   t_lo0: float, t_hi0: float) -> FlowpipeSegment:
+    return FlowpipeSegment(mode=mode, lo=np.empty((n_steps, ctx.aut.dim)),
+                           hi=np.empty((n_steps, ctx.aut.dim)),
+                           t_lo0=t_lo0, t_hi0=t_hi0, h=ctx.h)
+
+
+def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, star: StarSet):
+    """Step the star through the flow of seg's mode, one sample at a time.
+
+    Step k's box goes into ``seg.lo[k]``/``seg.hi[k]`` and its property hits
+    into ``seg.violations`` before ``(k, c, V)`` is yielded; a caller that stops
+    early leaves the later rows unset.  Non-finite sets raise
+    :class:`InconclusiveError`.
+    """
+    phi, checker = ctx.phis[seg.mode], ctx.checkers[seg.mode]
+    flow = ctx.aut.modes[seg.mode].flow
+    where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
+    c, V = star.x0, star.V
+    for k in range(seg.n_steps):
+        if not (np.isfinite(c).all() and np.isfinite(V).all()):
+            raise InconclusiveError(f"numerical overflow in {where} at step {k}")
+        reach = np.abs(V).sum(axis=1)
+        seg.lo[k] = c - reach
+        seg.hi[k] = c + reach
+        bloat = None
+        if ctx.bloat:
+            bloat = ctx.h * (np.abs(flow) @ (np.abs(c) + reach))
+        for name in checker.check(c, V, seg.lo[k], seg.hi[k], bloat):
+            seg.violations.append((k, name))
+        yield k, c, V
+        c = phi @ c
+        V = phi @ V
+
+
+def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment]:
+    """Run every rendezvous-mode pipe from the scenario's initial box up to
+    covered time t_end (the clock bound)."""
     aut, h = ctx.aut, ctx.h
+    start = ctx.start_mode(ctx.sc.init)
     segments: list[FlowpipeSegment] = []
-    worklist: list[tuple[str, StarSet, float, float]] = [(start_mode, init_star, 0.0, 0.0)]
+    worklist: list[tuple[str, StarSet, float, float]] = [
+        (start, ctx.initial_star(start), 0.0, 0.0)]
     guard_n, guard_b = aut.guard_normals, aut.guard_offsets
 
     while worklist:
@@ -304,19 +339,14 @@ def _rendezvous_pipes(ctx: _VerifyContext, init_star: StarSet, start_mode: str,
         other = MODE_PROX_B if mode == MODE_PROX_A else MODE_PROX_A
         own_cls = _OUTSIDE if mode == MODE_PROX_A else _INSIDE
         crossed_cls = _INSIDE if mode == MODE_PROX_A else _OUTSIDE
-        phi = ctx.phis[mode]
-        checker = ctx.checkers[mode]
-        flow = aut.modes[mode].flow
 
-        n_steps = int(math.floor((t_end - t_lo0) / h + _TIME_EPS)) + 1
+        n_steps = steps_within(t_end - t_lo0, h) + 1
         if n_steps <= 0:
             continue
-        lo_arr = np.empty((n_steps, aut.dim))
-        hi_arr = np.empty((n_steps, aut.dim))
-        violations: list[tuple[int, str]] = []
+        seg = _empty_segment(ctx, mode, n_steps, t_lo0, t_hi0)
         collected: list[Box] = []
         collect_k0: int | None = None
-        crossed_at: int | None = None
+        crossed = False
         # A pipe restarted from an aggregated hull is born straddling the
         # octagon because re-boxing the clipped hull pokes past the diagonal
         # edges.  Until such a pipe has once been classified fully inside its
@@ -327,21 +357,7 @@ def _rendezvous_pipes(ctx: _VerifyContext, init_star: StarSet, start_mode: str,
         # happens from the settled state and is shed normally.
         settled = False
 
-        c = star.x0.copy()
-        V = star.V.copy()
-        last_k = -1
-        for k in range(n_steps):
-            if not (np.isfinite(c).all() and np.isfinite(V).all()):
-                raise InconclusiveError(f"numerical overflow in mode {mode} at step {k}")
-            reach = np.abs(V).sum(axis=1)
-            lo_arr[k] = c - reach
-            hi_arr[k] = c + reach
-            last_k = k
-            bloat = None
-            if ctx.bloat:
-                bloat = h * (np.abs(flow) @ (np.abs(c) + reach))
-            for name in checker.check(c, V, lo_arr[k], hi_arr[k], bloat):
-                violations.append((k, name))
+        for k, c, V in _advance(ctx, seg, star):
             cls = _classify(c, V, guard_n, guard_b)
             if cls == own_cls:
                 if settled and collected:
@@ -357,26 +373,20 @@ def _rendezvous_pipes(ctx: _VerifyContext, init_star: StarSet, start_mode: str,
             else:
                 if collect_k0 is None:
                     collect_k0 = k
-                collected.append(Box(lo=lo_arr[k].copy(), hi=hi_arr[k].copy()))
+                collected.append(seg.box(k))
                 if cls == crossed_cls:
-                    crossed_at = k
+                    crossed = True
                     break
-            c = phi @ c
-            V = phi @ V
 
-        n_done = last_k + 1
-        segments.append(FlowpipeSegment(
-            mode=mode, lo=lo_arr[:n_done], hi=hi_arr[:n_done],
-            t_lo0=t_lo0, t_hi0=t_hi0, h=h, violations=violations,
-        ))
-        if crossed_at is not None or (collected and settled):
+        seg.lo, seg.hi = seg.lo[:k + 1], seg.hi[:k + 1]
+        segments.append(seg)
+        if crossed or (collected and settled):
             # Either the set fully crossed, or a settled pipe hit the clock
             # bound mid-crossing; both restart from the aggregated hull.
-            end_k = crossed_at if crossed_at is not None else last_k
             box = _restart_box(ctx, other, collected)
             if box is not None:
                 worklist.append((other, from_box(box),
-                                 t_lo0 + collect_k0 * h, t_hi0 + end_k * h))
+                                 t_lo0 + collect_k0 * h, t_hi0 + k * h))
     return segments
 
 
@@ -401,32 +411,10 @@ def _passive_segment(ctx: _VerifyContext, segments: list[FlowpipeSegment],
         lo[4:] = 0.0
         hi[4:] = 0.0
         hull = Box(lo=lo, hi=hi)
-    star = from_box(hull)
-    phi = ctx.phis[MODE_PASSIVE]
-    checker = ctx.checkers[MODE_PASSIVE]
-    flow = ctx.aut.modes[MODE_PASSIVE].flow
-    h = ctx.h
-
-    n_steps = int(math.floor((horizon - t1) / h + _TIME_EPS)) + 1
-    lo_arr = np.empty((n_steps, ctx.aut.dim))
-    hi_arr = np.empty((n_steps, ctx.aut.dim))
-    violations: list[tuple[int, str]] = []
-    c, V = star.x0.copy(), star.V.copy()
-    for k in range(n_steps):
-        if not (np.isfinite(c).all() and np.isfinite(V).all()):
-            raise InconclusiveError(f"numerical overflow in passive pipe at step {k}")
-        reach = np.abs(V).sum(axis=1)
-        lo_arr[k] = c - reach
-        hi_arr[k] = c + reach
-        bloat = None
-        if ctx.bloat:
-            bloat = h * (np.abs(flow) @ (np.abs(c) + reach))
-        for name in checker.check(c, V, lo_arr[k], hi_arr[k], bloat):
-            violations.append((k, name))
-        c = phi @ c
-        V = phi @ V
-    return FlowpipeSegment(mode=MODE_PASSIVE, lo=lo_arr, hi=hi_arr,
-                           t_lo0=t1, t_hi0=t2, h=h, violations=violations)
+    seg = _empty_segment(ctx, MODE_PASSIVE, steps_within(horizon - t1, ctx.h) + 1, t1, t2)
+    for _ in _advance(ctx, seg, from_box(hull)):
+        pass
+    return seg
 
 
 def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
@@ -477,19 +465,9 @@ def verify(sc: Scenario) -> VerificationReport:
     clock invariant), the passive pipe from t1 to the horizon.  A safe verdict
     means no unsafe set was reached anywhere; an unsafe verdict reports
     over-approximation witnesses, to be confirmed with :func:`falsify`.
+    This is :func:`verify_windowed` with the single window [t1, t2].
     """
-    t0 = time.perf_counter()
-    if sc.variant == VARIANT_NONLINEAR:
-        raise ValueError("the nonlinear variant is simulation-only; use falsify or simulate")
-    ctx = _VerifyContext(sc)
-    start = ctx.start_mode(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]))
-    star = ctx.initial_star(start)
-    try:
-        segments = _rendezvous_pipes(ctx, star, start, t_end=sc.t2)
-        segments.append(_passive_segment(ctx, segments, sc.t1, sc.t2, sc.horizon))
-    except InconclusiveError as exc:
-        return _assemble(sc, ctx, [], t0, verdict="inconclusive", reason=str(exc))
-    return _assemble(sc, ctx, segments, t0)
+    return verify_windowed(sc, math.inf)
 
 
 def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]]:
@@ -498,7 +476,7 @@ def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]
         raise ValueError("window width must be positive")
     if t1 > t2:
         raise ValueError("window start exceeds end")
-    if t1 == t2:
+    if t2 - t1 <= _TIME_EPS:
         return [(t1, t2)]
     out = []
     a = t1
@@ -513,8 +491,10 @@ def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
     """Verify with the abort window split into subwindows of width at most w.
 
     The rendezvous pipes are shared across subwindows; each subwindow gets its
-    own passive pipe from the hull of the boxes it covers.  The verdict is the
-    conjunction, so a single subwindow reproduces :func:`verify` exactly.
+    own passive pipe, started from the hull of every box whose time range meets
+    the subwindow.  Those boxes come from the rendezvous pipes and from the
+    passive pipes of the earlier subwindows.  The verdict is the conjunction,
+    so a single subwindow reproduces :func:`verify` exactly.
     """
     t0 = time.perf_counter()
     if sc.variant == VARIANT_NONLINEAR:
@@ -522,12 +502,10 @@ def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
     w = sc.window_width if w is None else float(w)
     windows = partition_window(sc.t1, sc.t2, w)
     ctx = _VerifyContext(sc)
-    start = ctx.start_mode(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]))
-    star = ctx.initial_star(start)
     try:
-        segments = _rendezvous_pipes(ctx, star, start, t_end=sc.t2)
+        segments = _rendezvous_pipes(ctx, t_end=sc.t2)
         for a, b in windows:
-            segments.append(_passive_segment(ctx, segments[: len(segments)], a, b, sc.horizon))
+            segments.append(_passive_segment(ctx, segments, a, b, sc.horizon))
     except InconclusiveError as exc:
         return _assemble(sc, ctx, [], t0, verdict="inconclusive", reason=str(exc))
     return _assemble(sc, ctx, segments, t0)
@@ -548,9 +526,10 @@ def sample_initial_points(box: Box, count: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _passive_steps(sc: Scenario, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_abort_steps(sc: Scenario, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Abort step indices drawn uniformly from the samples inside [t1, t2]."""
     k1 = int(math.ceil(sc.t1 / sc.h - _TIME_EPS))
-    k2 = int(math.floor(sc.t2 / sc.h + _TIME_EPS))
+    k2 = steps_within(sc.t2, sc.h)
     if k1 > k2:
         # Window narrower than a step: pin the abort to the nearest sample.
         return np.full(count, int(round(sc.t1 / sc.h)))
@@ -573,7 +552,7 @@ def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int 
         return simulate_nonlinear(sc.params, ctx.aut.gains, logic, x0_4, sc.h, sc.horizon,
                                   start_mode=start)
 
-    steps = int(math.floor(sc.horizon / sc.h + _TIME_EPS))
+    steps = steps_within(sc.horizon, sc.h)
     dim = ctx.aut.dim
     k_a, k_b = ctx.aut.gains
     mc = sc.params.m_c
@@ -643,7 +622,7 @@ def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory |
     ctx = _VerifyContext(sc)
     points = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), samples)
     rng = np.random.default_rng(sc.seed if seed is None else seed)
-    psteps = _passive_steps(sc, samples, rng)
+    psteps = sample_abort_steps(sc, samples, rng)
     for x0, pk in zip(points, psteps):
         traj = _simulate_with_ctx(ctx, x0, int(pk))
         hit = _pointwise_violation(ctx, traj)
@@ -672,7 +651,7 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     ctx = _VerifyContext(sc)
     rng = np.random.default_rng(sc.seed if seed is None else seed)
     pts = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), n_samples)
-    psteps = _passive_steps(sc, n_samples, rng)
+    psteps = sample_abort_steps(sc, n_samples, rng)
 
     dim = ctx.aut.dim
     k_a, k_b = ctx.aut.gains
@@ -685,7 +664,7 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     n2 = ctx.aut.guard_normals[:, :2]
     b = ctx.aut.guard_offsets
 
-    total_steps = int(math.floor(sc.horizon / sc.h + _TIME_EPS))
+    total_steps = steps_within(sc.horizon, sc.h)
     cross = np.full(n_samples, -1, dtype=int)
     phase = np.zeros(n_samples, dtype=int)  # 0 initial, 1 crossed, 2 passive
     violations = 0
@@ -743,10 +722,8 @@ def _sweep_one(args) -> tuple[float, float, float]:
     sc_a = replace(sc, init=Box(lo=center - hw, hi=center + hw),
                    t1=0.0, t2=float(sc.horizon))
     ctx = _VerifyContext(sc_a)
-    start = ctx.start_mode(Box(lo=sc_a.init.lo[:4], hi=sc_a.init.hi[:4]))
-    star = ctx.initial_star(start)
     try:
-        segments = _rendezvous_pipes(ctx, star, start, t_end=sc_a.horizon)
+        segments = _rendezvous_pipes(ctx, t_end=sc_a.horizon)
     except InconclusiveError:
         return (angle_deg, radius, -1.0)
     flag_times = [seg.t_lo0 + k * seg.h for seg in segments for k, _ in seg.violations]

@@ -201,6 +201,19 @@ def test_cli_simulate_writes_trajectories(tmp_path):
     assert (out / "trajectory_001.csv").exists()
 
 
+def test_cli_simulate_abort_step_inside_window(tmp_path, capsys):
+    # t1/h is 7 only up to rounding; the abort must still land on step 7,
+    # the one sample inside the point window.
+    sc = _write(tmp_path, "sc.json",
+                {"t1_s": 2.1, "t2_s": 2.1, "step_s": 0.3, "horizon_s": 30})
+    out = tmp_path / "sims"
+    assert cli_main(["simulate", sc, "--out", str(out)]) == 0
+    assert "abort at t=2.1s" in capsys.readouterr().out
+    rows = (out / "trajectory_000.csv").read_text().splitlines()[1:]
+    modes = [row.rsplit(",", 1)[1] for row in rows]
+    assert modes.index("passive") == 7
+
+
 def test_cli_plot_from_report(tmp_path):
     sc = _write(tmp_path, "sc.json", QUICK)
     out = tmp_path / "out"

@@ -6,13 +6,14 @@ import pytest
 from rdvsafe import (
     Box,
     OrbitalParams,
-    build_propagator,
     build_rendezvous_automaton,
     closed_loop_matrix,
     cwh_matrices,
     design_mode_gains,
     initial_thrust_box,
+    default_scenario,
     los_halfspaces,
+    matrix_exp,
     octagon_halfspaces,
     separation_property,
     simulate_linear,
@@ -152,31 +153,25 @@ def test_unsafe_sets_exclude_nominal_target_state():
 
 
 def test_automaton_linear_variant_flows():
-    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox", 7200.0, 7500.0)
+    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox")
     model = cwh_matrices(GEO)
     expect = closed_loop_matrix(model, GEO.m_c * GAINS[0].K)
     assert np.array_equal(aut.modes[MODE_PROX_A].flow, expect)
     assert np.array_equal(aut.modes[MODE_PASSIVE].flow, model.A)
     assert aut.dim == 4
-    urgent = [t for t in aut.transitions if t.guard.urgent]
-    timed = [t for t in aut.transitions if t.guard.clock_window is not None]
-    assert {(t.source, t.target) for t in urgent} == {(MODE_PROX_A, MODE_PROX_B),
-                                                      (MODE_PROX_B, MODE_PROX_A)}
-    assert {(t.source, t.target) for t in timed} == {(MODE_PROX_A, MODE_PASSIVE),
-                                                     (MODE_PROX_B, MODE_PASSIVE)}
-    assert all(t.guard.clock_window == (7200.0, 7500.0) for t in timed)
 
 
 def test_automaton_window_and_variant_validation():
+    # The abort window is a scenario setting; the automaton carries no clock.
     with pytest.raises(ValueError):
-        build_rendezvous_automaton(GEO, GAINS, "lin_prox", 500.0, 400.0)
+        default_scenario(t1=500.0, t2=400.0)
     with pytest.raises(ValueError):
-        build_rendezvous_automaton(GEO, GAINS, "warp_drive", 0.0, 100.0)
+        build_rendezvous_automaton(GEO, GAINS, "warp_drive")
 
 
 def test_thrust_variants_same_trajectories_different_matrices():
-    aut_tr = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking", 7200.0, 7500.0)
-    aut_ex = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_explicit", 7200.0, 7500.0)
+    aut_tr = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking")
+    aut_ex = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_explicit")
     A_tr = aut_tr.modes[MODE_PROX_A].flow
     A_ex = aut_ex.modes[MODE_PROX_A].flow
     assert not np.allclose(A_tr, A_ex)
@@ -184,13 +179,13 @@ def test_thrust_variants_same_trajectories_different_matrices():
     x4 = np.array([-900.0, -400.0, 0.1, -0.05])
     u0 = -GEO.m_c * (GAINS[0].K @ x4)   # consistent initial thrust state
     x6 = np.concatenate([x4, u0])
-    traj_tr = simulate_linear(build_propagator(A_tr, 1.0), x6, 1000).states
-    traj_ex = simulate_linear(build_propagator(A_ex, 1.0), x6, 1000).states
+    traj_tr = simulate_linear(matrix_exp(A_tr * 1.0), 1.0, x6, 1000).states
+    traj_ex = simulate_linear(matrix_exp(A_ex * 1.0), 1.0, x6, 1000).states
     assert np.allclose(traj_tr, traj_ex, rtol=1e-6, atol=1e-6)
 
 
 def test_passive_flow_ignores_thrust_states():
-    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking", 7200.0, 7500.0)
+    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking")
     flow = aut.modes[MODE_PASSIVE].flow
     assert np.array_equal(flow[:, 4:], np.zeros((6, 2)))
     assert np.array_equal(flow[4:, :], np.zeros((2, 6)))
@@ -226,7 +221,7 @@ def test_initial_thrust_box_contains_corner_commands():
 
 
 def test_guard_octagon_radius_constant():
-    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox", 0.0, 100.0)
+    aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox")
     vertex = np.zeros(4)
     vertex[0] = GUARD_RADIUS_M
     vals = aut.guard_normals @ vertex

@@ -6,7 +6,6 @@ import pytest
 from rdvsafe import (
     OrbitalParams,
     Trajectory,
-    build_propagator,
     cwh_matrices,
     design_mode_gains,
     matrix_exp,
@@ -32,39 +31,40 @@ def test_matrix_exp_nilpotent_terminates_exactly():
 
 
 def test_propagator_identity_and_scalar_decay():
-    assert np.allclose(build_propagator(np.zeros((2, 2)), 5.0).phi, np.eye(2), atol=1e-16)
-    prop = build_propagator(np.diag([-1.0]), 1.0)
-    assert prop.phi[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+    assert np.allclose(matrix_exp(np.zeros((2, 2)) * 5.0), np.eye(2), atol=1e-16)
+    phi = matrix_exp(np.diag([-1.0]) * 1.0)
+    assert phi[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
 
 def test_propagator_semigroup_property():
     A = cwh_matrices(GEO).A
-    p1 = build_propagator(A, 30.0)
-    p2 = build_propagator(A, 60.0)
-    assert np.allclose(p2.phi, p1.phi @ p1.phi, rtol=1e-12, atol=1e-16)
+    p1 = matrix_exp(A * 30.0)
+    p2 = matrix_exp(A * 60.0)
+    assert np.allclose(p2, p1 @ p1, rtol=1e-12, atol=1e-16)
 
 
 def test_propagator_rejects_bad_step():
+    # A zero step would repeat sample times, which a trajectory refuses.
     with pytest.raises(ValueError):
-        build_propagator(np.zeros((2, 2)), 0.0)
+        simulate_linear(np.eye(2), 0.0, np.zeros(2), 3)
 
 
 def test_simulate_linear_zero_state():
-    prop = build_propagator(cwh_matrices(GEO).A, 1.0)
-    traj = simulate_linear(prop, np.zeros(4), 50)
+    phi = matrix_exp(cwh_matrices(GEO).A * 1.0)
+    traj = simulate_linear(phi, 1.0, np.zeros(4), 50)
     assert np.all(traj.states == 0.0)
     assert traj.times[-1] == 50.0
 
 
 def test_simulate_linear_superposition():
     rng = np.random.default_rng(11)
-    prop = build_propagator(cwh_matrices(GEO).A, 10.0)
+    phi = matrix_exp(cwh_matrices(GEO).A * 10.0)
     for _ in range(20):
         x0 = rng.normal(scale=100.0, size=4)
         v = rng.normal(scale=10.0, size=4)
-        a = simulate_linear(prop, x0 + v, 40).states
-        b = simulate_linear(prop, x0, 40).states
-        c = simulate_linear(prop, v, 40).states
+        a = simulate_linear(phi, 10.0, x0 + v, 40).states
+        b = simulate_linear(phi, 10.0, x0, 40).states
+        c = simulate_linear(phi, 10.0, v, 40).states
         assert np.allclose(a - b, c, rtol=1e-9, atol=1e-9)
 
 
@@ -87,8 +87,8 @@ def test_simulate_linear_matches_fine_rk4_over_one_orbit():
     period = 2 * np.pi / GEO.n
     steps = int(period / h)
     x0 = np.array([-100.0, 0.0, 0.0, 0.0])
-    prop = build_propagator(cwh_matrices(GEO).A, h)
-    end_exp = simulate_linear(prop, x0, steps).states[-1]
+    phi = matrix_exp(cwh_matrices(GEO).A * h)
+    end_exp = simulate_linear(phi, h, x0, steps).states[-1]
 
     A = cwh_matrices(GEO).A
     x = x0.copy()
@@ -105,8 +105,8 @@ def test_simulate_linear_matches_fine_rk4_over_one_orbit():
 def test_cwh_drift_equilibrium_line():
     # A purely along-track offset with zero velocity is an equilibrium of the
     # uncontrolled relative dynamics.
-    prop = build_propagator(cwh_matrices(GEO).A, 60.0)
-    traj = simulate_linear(prop, np.array([0.0, 750.0, 0.0, 0.0]), 200)
+    phi = matrix_exp(cwh_matrices(GEO).A * 60.0)
+    traj = simulate_linear(phi, 60.0, np.array([0.0, 750.0, 0.0, 0.0]), 200)
     assert np.allclose(traj.states, traj.states[0], rtol=0, atol=1e-9 * 750.0)
 
 

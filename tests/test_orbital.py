@@ -9,7 +9,6 @@ from rdvsafe import (
     OrbitalParams,
     closed_loop_matrix,
     cwh_matrices,
-    mean_motion,
     nonlinear_field,
 )
 
@@ -18,15 +17,15 @@ GEO = OrbitalParams()  # mu=3.698e14, r=4.2164e7, m_c=500
 
 def test_mean_motion_geo_constants():
     # 7.0238e-5 is the 5-digit rounding; the decimal oracle pins the rest.
-    assert mean_motion(GEO) == pytest.approx(7.0238e-5, rel=1e-5)
+    assert GEO.n == pytest.approx(7.0238e-5, rel=1e-5)
     getcontext().prec = 50
     oracle = float((Decimal(GEO.mu) / Decimal(GEO.r) ** 3).sqrt())
-    assert mean_motion(GEO) == pytest.approx(oracle, rel=1e-12)
+    assert GEO.n == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mean_motion_unit_cases():
-    assert mean_motion(OrbitalParams(mu=1.0, r=1.0, m_c=1.0)) == 1.0
-    assert mean_motion(OrbitalParams(mu=4.0, r=1.0, m_c=1.0)) == 2.0
+    assert OrbitalParams(mu=1.0, r=1.0, m_c=1.0).n == 1.0
+    assert OrbitalParams(mu=4.0, r=1.0, m_c=1.0).n == 2.0
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,11 +1,16 @@
 """Verification loop tests on step-coarsened scenarios (h=10 keeps them fast;
 the acceptance suite runs the full-resolution mission)."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rdvsafe import (
     Box,
+    cli,
+    verifier,
     default_scenario,
     falsify,
     monte_carlo_containment,
@@ -15,7 +20,32 @@ from rdvsafe import (
     verify_windowed,
 )
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
-from rdvsafe.verifier import sample_initial_points
+from rdvsafe.verifier import sample_initial_points, simulate_scenario
+
+# Close-range starts that leave and re-enter the guard octagon.  The 2 m/s
+# velocity maxima let the controller tolerate the outward speed long enough
+# for the set to cross or graze the octagon.
+BOUNCE_BRYSON = {
+    "prox_a": {"max_state": [1000.0, 1000.0, 2.0, 2.0]},
+    "prox_b": {"max_state": [100.0, 100.0, 2.0, 2.0]},
+}
+# Grazes the octagon from inside, restarts what may have crossed in prox_a,
+# which crosses back in full.
+GRAZE = {
+    "init_center": [10.296601713539001, 51.74966097477807,
+                    0.34792349703803466, 1.748627704342766],
+    "init_halfwidth": [1.3971501862221174, 1.0947376834781284, 0, 0],
+    "t1_s": 1500.0, "t2_s": 1800.0, "horizon_s": 1900.0, "step_s": 1.0,
+    "bryson": BOUNCE_BRYSON,
+}
+# Still crossing out of the octagon when the clock bound t2 stops the pipe.
+CLOCK_BOUND = {
+    "init_center": [-45.93945961576009, -39.87918448678439,
+                    -2.193178686797979, -1.903857341702277],
+    "init_halfwidth": [2.45990195968574, 1.632793298249826, 0, 0],
+    "t1_s": 0.0, "t2_s": 14.0, "horizon_s": 200.0, "step_s": 1.0,
+    "bryson": BOUNCE_BRYSON,
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +62,7 @@ def test_partition_window_examples():
     assert partition_window(0.0, 600.0, 300.0) == [(0.0, 300.0), (300.0, 600.0)]
     assert partition_window(0.0, 500.0, 300.0) == [(0.0, 300.0), (300.0, 500.0)]
     assert partition_window(42.0, 42.0, 300.0) == [(42.0, 42.0)]
+    assert partition_window(7200.0, 7200.0 + 1e-10, 300.0) == [(7200.0, 7200.0 + 1e-10)]
     with pytest.raises(ValueError):
         partition_window(10.0, 5.0, 300.0)
     with pytest.raises(ValueError):
@@ -96,6 +127,41 @@ def test_point_window_is_safe(quick):
     assert rep.verdict == "safe"
     passive = rep.segments[-1]
     assert passive.t_lo0 == passive.t_hi0 == 7200.0
+
+
+def test_window_narrower_than_time_eps_is_verified():
+    sc = default_scenario(h=10.0, t1=7200.0, t2=7200.0 + 1e-10,
+                          property_overrides={"separation_halfwidth_m": 50.0})
+    assert verify(sc).verdict == "unsafe"
+    rep = verify_windowed(sc, 300.0)
+    assert rep.verdict == "unsafe"
+    assert [seg.mode for seg in rep.segments].count(MODE_PASSIVE) == 1
+
+
+def test_graze_restart_pipes():
+    rep = verify(cli.scenario_from_dict(GRAZE))
+    assert [(seg.mode, seg.n_steps) for seg in rep.segments] == [
+        (MODE_PROX_B, 1801), (MODE_PROX_A, 119), (MODE_PROX_B, 1753), (MODE_PASSIVE, 401)]
+    assert [(seg.t_lo0, seg.t_hi0) for seg in rep.segments] == [
+        (0.0, 0.0), (48.0, 61.0), (48.0, 179.0), (1500.0, 1800.0)]
+
+
+def test_clock_bound_mid_crossing_restart_pipes():
+    rep = verify(cli.scenario_from_dict(CLOCK_BOUND))
+    assert [(seg.mode, seg.n_steps) for seg in rep.segments] == [
+        (MODE_PROX_B, 15), (MODE_PROX_A, 1), (MODE_PASSIVE, 201)]
+    assert [(seg.t_lo0, seg.t_hi0) for seg in rep.segments] == [
+        (0.0, 0.0), (14.0, 14.0), (0.0, 14.0)]
+
+
+def test_restart_cap_is_inconclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(verifier, "_MAX_SEGMENTS", 2)
+    rep = verify(cli.scenario_from_dict(GRAZE))
+    assert rep.verdict == "inconclusive"
+    assert rep.reason == "mode switching did not settle; too many pipe restarts"
+    path = tmp_path / "graze.json"
+    path.write_text(json.dumps(GRAZE))
+    assert cli.cli_main(["verify", str(path), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_windowed_single_window_identical_to_verify(quick, quick_report):
@@ -189,11 +255,21 @@ def test_sweep_rejects_bad_inputs(quick):
         sweep_passive_time(quick, [180.0], -1.0)
 
 
+def test_linear_and_nonlinear_runs_share_sample_times():
+    # 103 s is not a whole number of 2 s steps: both stop at the last sample
+    # inside the horizon.
+    lin = default_scenario(t1=0.0, t2=50.0, horizon=103.0, h=2.0)
+    x0 = lin.init.mid()[:4]
+    times = simulate_scenario(lin, x0, None).times
+    nl_times = simulate_scenario(replace(lin, variant="nlin_prox"), x0, None).times
+    assert times[-1] == 102.0
+    assert np.array_equal(times, nl_times)
+
+
 def test_nonlinear_run_approaches_and_enters_close_range():
     # Closed-loop nonlinear run: separation shrinks monotonically once the
     # startup transient settles, and the close-range mode is reached well
     # before the default abort window opens.
-    from rdvsafe.verifier import simulate_scenario
     sc = default_scenario(variant="nlin_prox", t1=7000.0, t2=7100.0, horizon=7200.0)
     traj = simulate_scenario(sc, sc.init.mid()[:4], None)
     rho = np.hypot(traj.states[:, 0], traj.states[:, 1])
