@@ -24,8 +24,8 @@ from .lqr import GainMatrix, Weights, bryson_weights, design_mode_gains, solve_c
 from .numsim import (
     Trajectory,
     matrix_exp,
-    simulate_linear,
     simulate_nonlinear,
+    simulate_switched,
 )
 from .orbital import (
     LinearModel,
@@ -89,8 +89,8 @@ __all__ = [
     "partition_window",
     "propagate",
     "separation_property",
-    "simulate_linear",
     "simulate_nonlinear",
+    "simulate_switched",
     "solve_care",
     "support",
     "sweep_passive_time",

@@ -254,8 +254,7 @@ def report_to_dict(report: VerificationReport, flowpipe_csv: str | None = None) 
         "violations": [
             {"property": v.property, "mode": v.mode, "time_s": v.time_s, "step": v.step,
              "witness_lo": [float(x) for x in v.witness_lo],
-             "witness_hi": [float(x) for x in v.witness_hi],
-             "confirmed": v.confirmed}
+             "witness_hi": [float(x) for x in v.witness_hi]}
             for v in report.violations
         ],
         "flowpipe_csv": flowpipe_csv,

@@ -68,8 +68,8 @@ class Mode:
 
     ``invariant`` lists (a, b) half-spaces a.x <= b used to tighten sets that
     restart in this mode; the far-range mode's spatial invariant (outside the
-    octagon) is not convex and is left empty here.  The verifier and the
-    simulators code the switching itself.
+    octagon) is not convex and is left empty here.  The switching rule is
+    coded once, in the verifier, for reach sets and simulated runs alike.
     """
 
     flow: np.ndarray

@@ -73,65 +73,36 @@ def matrix_exp(M) -> np.ndarray:
     return out
 
 
-def simulate_linear(phi, h: float, x0, steps: int) -> Trajectory:
-    """Propagate x0 for the given number of steps of size h; states[k] = phi^k x0."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    if x.shape[0] != phi.shape[0]:
-        raise ValueError(f"state dim {x.shape[0]} does not match one-step matrix {phi.shape}")
-    out = np.empty((steps + 1, x.shape[0]))
-    out[0] = x
-    for k in range(steps):
-        x = phi @ x
-        out[k + 1] = x
-    return Trajectory(times=h * np.arange(steps + 1), states=out)
+def simulate_switched(step, switch, x0, h: float, T: float) -> Trajectory:
+    """Sample a switched system at steps of size h over [0, T].
 
-
-def constant_mode_logic(mode: str):
-    """Mode logic that never switches."""
-
-    def logic(step, t, state, current):
-        return mode
-
-    return logic
-
-
-def rendezvous_mode_logic(guard_normals, guard_offsets, passive_step: int | None = None):
-    """Urgent switching on the guard octagon plus an optional timed abort.
-
-    The chaser switches to the close-range mode as soon as its position
-    satisfies every guard half-space, back when it strictly violates one, and
-    to the passive coast at the given step index regardless of position.
-    """
-    N = np.asarray(guard_normals, dtype=float)
-    b = np.asarray(guard_offsets, dtype=float)
-
-    def logic(step, t, state, current):
-        if current == MODE_PASSIVE:
-            return current
-        if passive_step is not None and step >= passive_step:
-            return MODE_PASSIVE
-        proj = N @ state[:2]
-        if current == MODE_PROX_A and np.all(proj <= b):
-            return MODE_PROX_B
-        if current == MODE_PROX_B and np.any(proj > b):
-            return MODE_PROX_A
-        return current
-
-    return logic
-
-
-def simulate_nonlinear(params: OrbitalParams, gains, mode_logic, x0, h: float, T: float,
-                       start_mode: str = MODE_PROX_A) -> Trajectory:
-    """Fixed-step RK4 on the nonlinear relative dynamics under switched feedback.
-
-    ``gains`` is the (prox_a, prox_b) gain pair; the commanded thrust is
-    F = -m_c K x in the rendezvous modes and zero in the passive mode.  The
-    mode is held constant across each step, so switches are located to within
-    one step.
+    At each sample k, ``switch(k, x, mode)`` takes the state and the mode of
+    the previous sample (None at k = 0) and returns the mode of this sample
+    and the state after any reset; that state is recorded, and the next one
+    is ``step(mode, x)``.
     """
     if not (h > 0.0):
         raise ValueError("step size must be positive")
+    steps = steps_within(T, h)
+    mode, x = switch(0, np.asarray(x0, dtype=float), None)
+    states = np.empty((steps + 1, x.shape[0]))
+    states[0] = x
+    modes = [mode]
+    for k in range(1, steps + 1):
+        mode, x = switch(k, step(mode, x), mode)
+        states[k] = x
+        modes.append(mode)
+    return Trajectory(times=h * np.arange(steps + 1), states=states, modes=tuple(modes))
+
+
+def simulate_nonlinear(params: OrbitalParams, gains, switch, x0, h: float, T: float) -> Trajectory:
+    """Fixed-step RK4 on the nonlinear relative dynamics under switched feedback.
+
+    ``gains`` is the (prox_a, prox_b) gain pair; the commanded thrust is
+    F = -m_c K x in the rendezvous modes and zero in the passive mode.
+    ``switch`` is as in :func:`simulate_switched`.  The mode is held constant
+    across each step, so switches are located to within one step.
+    """
     if T < h:
         raise ValueError("horizon must cover at least one step")
     k_a, k_b = gains
@@ -145,22 +116,12 @@ def simulate_nonlinear(params: OrbitalParams, gains, mode_logic, x0, h: float, T
         f = (0.0, 0.0) if Kf is None else -(Kf @ state)
         return nonlinear_field(params, state, f)
 
-    steps = steps_within(T, h)
-    x = np.asarray(x0, dtype=float)
-    mode = start_mode
-    states = np.empty((steps + 1, 4))
-    modes = []
-    states[0] = x
-    mode = mode_logic(0, 0.0, x, mode)
-    modes.append(mode)
-    for k in range(steps):
+    def rk4(mode, x):
         Kf = force_gain[mode]
         k1 = rhs(x, Kf)
         k2 = rhs(x + 0.5 * h * k1, Kf)
         k3 = rhs(x + 0.5 * h * k2, Kf)
         k4 = rhs(x + h * k3, Kf)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = x
-        mode = mode_logic(k + 1, (k + 1) * h, x, mode)
-        modes.append(mode)
-    return Trajectory(times=h * np.arange(steps + 1), states=states, modes=tuple(modes))
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return simulate_switched(rk4, switch, x0, h, T)

@@ -50,8 +50,8 @@ from .numsim import (
     MODE_PROX_B,
     Trajectory,
     matrix_exp,
-    rendezvous_mode_logic,
     simulate_nonlinear,
+    simulate_switched,
     steps_within,
 )
 from .orbital import OrbitalParams
@@ -66,6 +66,8 @@ DEFAULT_STEP_S = 1.0
 DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
+
+_MODES = (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
 
 _INSIDE = "inside"
 _OUTSIDE = "outside"
@@ -153,7 +155,6 @@ class Violation:
     step: int
     witness_lo: np.ndarray
     witness_hi: np.ndarray
-    confirmed: bool = False
 
 
 @dataclass
@@ -206,6 +207,7 @@ class _ModeChecker:
         self.offsets = np.array([p.offset for p in half], dtype=float)
         self.strict = np.array([p.strict for p in half], dtype=bool)
         self.conj = [p for p in props if mode in p.modes and p.unsafe_box is not None]
+        self.order = self.names + [p.name for p in self.conj]
 
     def check(self, x0, V, lo, hi, bloat=None) -> list[str]:
         fired: list[str] = []
@@ -225,6 +227,15 @@ class _ModeChecker:
                 fired.append(p.name)
         return fired
 
+    def point_hits(self, states) -> np.ndarray:
+        """Hits at each of the states (n, dim), one column per name in ``order``."""
+        vals = states @ self.normals.T
+        cols = [np.where(self.strict, vals > self.offsets, vals >= self.offsets)]
+        for p in self.conj:
+            pts = states[:, list(p.box_dims)]
+            cols.append(np.all((pts >= p.unsafe_box.lo) & (pts <= p.unsafe_box.hi), axis=1))
+        return np.column_stack(cols)
+
 
 class _VerifyContext:
     def __init__(self, sc: Scenario):
@@ -237,23 +248,23 @@ class _VerifyContext:
         }
         self.phis = {m: matrix_exp(mode.flow * sc.h) for m, mode in self.aut.modes.items()}
         self.bloat = sc.intersample_bloat
+        self.guard2 = self.aut.guard_normals[:, :2]
 
-    def start_mode(self, box: Box) -> str:
-        """Mode whose region holds the box's position part; a straddling box is an error."""
+    def initial(self) -> tuple[str, StarSet]:
+        """The mode whose region holds the initial box's position part, and the
+        box as a star; a box straddling the guard is an error."""
+        box = self.sc.init
         star = from_box(box)
-        n2 = self.aut.guard_normals[:, :2]
-        cls = _classify(star.x0[:2], np.diag(star.V.diagonal()[:2]), n2, self.aut.guard_offsets)
+        cls = _classify(star.x0[:2], np.diag(star.V.diagonal()[:2]), self.guard2,
+                        self.aut.guard_offsets)
         if cls == _STRADDLE:
             raise ValueError("initial box straddles the guard octagon; split the scenario")
-        return MODE_PROX_B if cls == _INSIDE else MODE_PROX_A
-
-    def initial_star(self, start_mode: str) -> StarSet:
-        box = self.sc.init
+        mode = MODE_PROX_B if cls == _INSIDE else MODE_PROX_A
         if self.aut.dim == 6 and box.dim == 4:
-            box = _with_thrust(self, start_mode, box)
+            star = from_box(_with_thrust(self, mode, box))
         elif box.dim != self.aut.dim:
             raise ValueError(f"initial box dim {box.dim} incompatible with variant {self.sc.variant}")
-        return from_box(box)
+        return mode, star
 
 
 def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
@@ -326,10 +337,8 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
     """Run every rendezvous-mode pipe from the scenario's initial box up to
     covered time t_end (the clock bound)."""
     aut, h = ctx.aut, ctx.h
-    start = ctx.start_mode(ctx.sc.init)
     segments: list[FlowpipeSegment] = []
-    worklist: list[tuple[str, StarSet, float, float]] = [
-        (start, ctx.initial_star(start), 0.0, 0.0)]
+    worklist: list[tuple[str, StarSet, float, float]] = [(*ctx.initial(), 0.0, 0.0)]
     guard_n, guard_b = aut.guard_normals, aut.guard_offsets
 
     while worklist:
@@ -531,9 +540,33 @@ def sample_abort_steps(sc: Scenario, count: int, rng: np.random.Generator) -> np
     k1 = int(math.ceil(sc.t1 / sc.h - _TIME_EPS))
     k2 = steps_within(sc.t2, sc.h)
     if k1 > k2:
-        # Window narrower than a step: pin the abort to the nearest sample.
-        return np.full(count, int(round(sc.t1 / sc.h)))
+        raise ValueError(f"abort window [{sc.t1}, {sc.t2}] holds no sample of step {sc.h}")
     return rng.integers(k1, k2 + 1, size=count)
+
+
+def _mode_index(ctx: _VerifyContext, k: int, X, abort):
+    """The switching rule at step k, as an index into ``_MODES``.
+
+    The mode is passive from the abort step on; before that it is prox_b when
+    the position meets every guard half-space and prox_a otherwise.  As the
+    guard is urgent both ways, the rule needs no memory of the previous mode.
+    X and abort are one state (dim,) and step, or a batch (dim, N) of each.
+    """
+    inside = ((ctx.guard2 @ X[:2]).T <= ctx.aut.guard_offsets).all(axis=-1)
+    return np.where(k >= abort, 2, inside)
+
+
+def _reset(ctx: _VerifyContext, mode: str, X):
+    """States X (4 or dim rows) on entering mode: the 6-dim variants' thrust
+    rows become the commanded thrust, zero in passive and -m_c K x otherwise."""
+    if ctx.aut.dim == 4:
+        return X
+    if mode == MODE_PASSIVE:
+        u = np.zeros((2,) + X.shape[1:])
+    else:
+        gain = ctx.aut.gains[0] if mode == MODE_PROX_A else ctx.aut.gains[1]
+        u = -ctx.sc.params.m_c * (gain.K @ X[:4])
+    return np.concatenate([X[:4], u])
 
 
 def simulate_scenario(sc: Scenario, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
@@ -544,69 +577,30 @@ def simulate_scenario(sc: Scenario, x0_4: np.ndarray, passive_step: int | None) 
 
 def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
     sc = ctx.sc
-    n2 = ctx.aut.guard_normals[:, :2]
-    b = ctx.aut.guard_offsets
+    abort = math.inf if passive_step is None else passive_step
+
+    def switch(k, x, prev):
+        if prev == MODE_PASSIVE:    # absorbing, as k only grows past the abort step
+            return prev, x
+        mode = _MODES[_mode_index(ctx, k, x, abort)]
+        return mode, (x if mode == prev else _reset(ctx, mode, x))
+
     if sc.variant == VARIANT_NONLINEAR:
-        logic = rendezvous_mode_logic(n2, b, passive_step)
-        start = ctx.start_mode(Box(lo=np.asarray(x0_4, float), hi=np.asarray(x0_4, float)))
-        return simulate_nonlinear(sc.params, ctx.aut.gains, logic, x0_4, sc.h, sc.horizon,
-                                  start_mode=start)
-
-    steps = steps_within(sc.horizon, sc.h)
-    dim = ctx.aut.dim
-    k_a, k_b = ctx.aut.gains
-    mc = sc.params.m_c
-
-    def command(mode, x4):
-        gain = k_a if mode == MODE_PROX_A else k_b
-        return -mc * (gain.K @ x4)
-
-    mode = ctx.start_mode(Box(lo=np.asarray(x0_4, float), hi=np.asarray(x0_4, float)))
-    x = np.asarray(x0_4, dtype=float)
-    if dim == 6:
-        x = np.concatenate([x, command(mode, x)])
-    states = np.empty((steps + 1, dim))
-    modes = []
-    for k in range(steps + 1):
-        new_mode = mode
-        if mode != MODE_PASSIVE:
-            if passive_step is not None and k >= passive_step:
-                new_mode = MODE_PASSIVE
-            else:
-                proj = n2 @ x[:2]
-                if mode == MODE_PROX_A and np.all(proj <= b):
-                    new_mode = MODE_PROX_B
-                elif mode == MODE_PROX_B and np.any(proj > b):
-                    new_mode = MODE_PROX_A
-        if new_mode != mode and dim == 6:
-            x = x.copy()
-            x[4:] = 0.0 if new_mode == MODE_PASSIVE else command(new_mode, x[:4])
-        mode = new_mode
-        states[k] = x
-        modes.append(mode)
-        if k < steps:
-            x = ctx.phis[mode] @ x
-    return Trajectory(times=sc.h * np.arange(steps + 1), states=states, modes=tuple(modes))
+        return simulate_nonlinear(sc.params, ctx.aut.gains, switch, x0_4, sc.h, sc.horizon)
+    return simulate_switched(lambda mode, x: ctx.phis[mode] @ x, switch, x0_4, sc.h, sc.horizon)
 
 
 def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, int] | None:
-    props = ctx.aut.properties
-    by_mode: dict[str, list[SafetyProperty]] = {}
-    for p in props:
-        for m in p.modes:
-            by_mode.setdefault(m, []).append(p)
-    for k, (state, mode) in enumerate(zip(traj.states, traj.modes)):
-        for p in by_mode.get(mode, ()):
-            if p.normal is not None:
-                ndim = p.normal.shape[0]
-                val = float(p.normal @ state[:ndim])
-                if (val > p.offset) if p.strict else (val >= p.offset):
-                    return (p.name, k)
-            else:
-                pt = state[list(p.box_dims)]
-                if p.unsafe_box.contains(pt):
-                    return (p.name, k)
-    return None
+    """Earliest (property, step) at which the run meets an unsafe set of its mode."""
+    modes = np.array(traj.modes)
+    best = None
+    for mode, checker in ctx.checkers.items():
+        ks = np.flatnonzero(modes == mode)
+        hits = checker.point_hits(traj.states[ks])
+        rows = np.flatnonzero(hits.any(axis=1))
+        if rows.size and (best is None or ks[rows[0]] < best[1]):
+            best = (checker.order[int(np.argmax(hits[rows[0]]))], int(ks[rows[0]]))
+    return best
 
 
 def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory | None:
@@ -635,77 +629,61 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
                             report: VerificationReport | None = None) -> dict:
     """Check sampled closed-loop trajectories against the reach boxes.
 
-    Every sample follows the urgent guard logic plus its own abort time; at
-    each step its state must lie in the box of the pipe step it maps to
-    (initial pipe by absolute step, restarted pipes by steps since the
-    sample's own switch).  Returns counts and the worst excess.
+    The samples follow the verifier's switching rule, each with its own abort
+    step, and are stepped as one batch.  A sample that entered mode m at step
+    e must at step k lie in box k - e of some mode-m pipe whose step-0 time
+    range [t_lo0, t_hi0] holds e h; a sample with no such box counts as an
+    escape.  This accepts any pipe structure: restarts, grazes and windowed
+    passive pipes.  Returns counts and the worst excess.
     """
     if report is None:
         report = verify(sc)
     if report.verdict == "inconclusive":
         raise ValueError("cannot check containment of an inconclusive run")
-    rend = [s for s in report.segments if s.mode != MODE_PASSIVE]
-    passive = next(s for s in report.segments if s.mode == MODE_PASSIVE)
-    if len(rend) != 2 or rend[0].mode == rend[1].mode:
-        raise ValueError("containment checker expects one crossing (two rendezvous pipes)")
     ctx = _VerifyContext(sc)
     rng = np.random.default_rng(sc.seed if seed is None else seed)
     pts = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), n_samples)
     psteps = sample_abort_steps(sc, n_samples, rng)
 
-    dim = ctx.aut.dim
-    k_a, k_b = ctx.aut.gains
-    mc = sc.params.m_c
-    start_gain = k_a if rend[0].mode == MODE_PROX_A else k_b
-    dest_gain = k_b if rend[1].mode == MODE_PROX_B else k_a
-    X = pts.T
-    if dim == 6:
-        X = np.vstack([X, -mc * (start_gain.K @ X)])
-    n2 = ctx.aut.guard_normals[:, :2]
-    b = ctx.aut.guard_offsets
-
+    X = np.zeros((ctx.aut.dim, n_samples))
+    X[:4] = pts.T
+    mode = np.full(n_samples, -1)
+    entry = np.zeros(n_samples, dtype=int)
     total_steps = steps_within(sc.horizon, sc.h)
-    cross = np.full(n_samples, -1, dtype=int)
-    phase = np.zeros(n_samples, dtype=int)  # 0 initial, 1 crossed, 2 passive
     violations = 0
     max_excess = 0.0
-    segs = [rend[0], rend[1], passive]
-    phi = [ctx.phis[rend[0].mode], ctx.phis[rend[1].mode], ctx.phis[MODE_PASSIVE]]
-
     for k in range(total_steps + 1):
-        go_passive = (phase != 2) & (psteps <= k)
-        if go_passive.any():
-            phase[go_passive] = 2
-            if dim == 6:
-                X[4:, go_passive] = 0.0
-        inb = np.all(n2 @ X[:2] <= b[:, None], axis=0)
-        newly = (phase == 0) & inb
-        if newly.any():
-            phase[newly] = 1
-            cross[newly] = k
-            if dim == 6:
-                X[4:, newly] = -mc * (dest_gain.K @ X[:4, newly])
-        local = np.where(phase == 2, k - psteps, np.where(phase == 1, k - cross, k))
-        for ph in (0, 1, 2):
-            sel = phase == ph
-            if not sel.any():
-                continue
-            ks = np.clip(local[sel], 0, segs[ph].n_steps - 1)
-            if np.any(local[sel] > segs[ph].n_steps - 1):
-                violations += int(np.sum(local[sel] > segs[ph].n_steps - 1))
-            lo = segs[ph].lo[ks]
-            hi = segs[ph].hi[ks]
-            slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            pts_now = X[:, sel].T
-            excess = np.maximum(lo - slack - pts_now, pts_now - hi - slack)
-            worst = excess.max(axis=1)
-            violations += int(np.sum(worst > 0.0))
-            max_excess = max(max_excess, float(worst.max()))
-        if k < total_steps:
-            for ph in (0, 1, 2):
-                sel = phase == ph
+        if k:
+            for m, name in enumerate(_MODES):
+                sel = mode == m
                 if sel.any():
-                    X[:, sel] = phi[ph] @ X[:, sel]
+                    X[:, sel] = ctx.phis[name] @ X[:, sel]
+        new = _mode_index(ctx, k, X, psteps)
+        changed = new != mode
+        if changed.any():
+            for m, name in enumerate(_MODES):
+                sel = changed & (new == m)
+                X[:, sel] = _reset(ctx, name, X[:, sel])
+            mode = new
+            entry[changed] = k
+            t_entry = entry * sc.h
+            # Samples each pipe may hold: its mode, entered within its start range.
+            held = [np.flatnonzero((mode == _MODES.index(seg.mode))
+                                   & (t_entry >= seg.t_lo0 - _TIME_EPS)
+                                   & (t_entry <= seg.t_hi0 + _TIME_EPS))
+                    for seg in report.segments]
+        best = np.full(n_samples, np.inf)
+        for seg, idx in zip(report.segments, held):
+            idx = idx[k - entry[idx] < seg.n_steps]
+            if not idx.size:
+                continue
+            lo, hi = seg.lo[k - entry[idx]], seg.hi[k - entry[idx]]
+            slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            pts_now = X[:, idx].T
+            excess = np.maximum(lo - slack - pts_now, pts_now - hi - slack).max(axis=1)
+            best[idx] = np.minimum(best[idx], excess)
+        violations += int(np.sum(best > 0.0))
+        max_excess = float(np.max(best, initial=max_excess, where=np.isfinite(best)))
     return {"samples": int(n_samples), "checked_steps": total_steps + 1,
             "violations": int(violations), "max_excess": float(max_excess)}
 

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rdvsafe import default_scenario, verify
+from rdvsafe import default_scenario, falsify, verify
 from rdvsafe.cli import (
     ScenarioError,
     cli_main,
@@ -212,6 +212,18 @@ def test_cli_simulate_abort_step_inside_window(tmp_path, capsys):
     rows = (out / "trajectory_000.csv").read_text().splitlines()[1:]
     modes = [row.rsplit(",", 1)[1] for row in rows]
     assert modes.index("passive") == 7
+
+
+def test_abort_window_without_sample_is_rejected(tmp_path):
+    # No sample of step 0.3 s lies in [2.2, 2.3] s: every command refuses the
+    # window, where falsify and simulate used to abort at 2.1 s.
+    doc = {"t1_s": 2.2, "t2_s": 2.3, "step_s": 0.3, "horizon_s": 30}
+    with pytest.raises(ValueError, match="holds no sample"):
+        falsify(scenario_from_dict(doc), 4)
+    sc = _write(tmp_path, "sc.json", doc)
+    for cmd in (["verify"], ["falsify", "--samples", "4"], ["simulate"]):
+        assert cli_main([*cmd, sc, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "counterexample.csv").exists()
 
 
 def test_cli_plot_from_report(tmp_path):

@@ -16,7 +16,7 @@ from rdvsafe import (
     matrix_exp,
     octagon_halfspaces,
     separation_property,
-    simulate_linear,
+    simulate_switched,
     thrust_properties,
     velocity_polytope,
 )
@@ -179,9 +179,13 @@ def test_thrust_variants_same_trajectories_different_matrices():
     x4 = np.array([-900.0, -400.0, 0.1, -0.05])
     u0 = -GEO.m_c * (GAINS[0].K @ x4)   # consistent initial thrust state
     x6 = np.concatenate([x4, u0])
-    traj_tr = simulate_linear(matrix_exp(A_tr * 1.0), 1.0, x6, 1000).states
-    traj_ex = simulate_linear(matrix_exp(A_ex * 1.0), 1.0, x6, 1000).states
-    assert np.allclose(traj_tr, traj_ex, rtol=1e-6, atol=1e-6)
+
+    def run(A):
+        phi = matrix_exp(A * 1.0)
+        return simulate_switched(lambda mode, x: phi @ x, lambda k, x, mode: (MODE_PROX_A, x),
+                                 x6, 1.0, 1000.0).states
+
+    assert np.allclose(run(A_tr), run(A_ex), rtol=1e-6, atol=1e-6)
 
 
 def test_passive_flow_ignores_thrust_states():

@@ -10,13 +10,22 @@ from rdvsafe import (
     design_mode_gains,
     matrix_exp,
     nonlinear_field,
-    simulate_linear,
     simulate_nonlinear,
+    simulate_switched,
 )
-from rdvsafe.numsim import MODE_PASSIVE, constant_mode_logic, rendezvous_mode_logic
-from rdvsafe.hybrid import octagon_halfspaces
+from rdvsafe.numsim import MODE_PASSIVE
+from rdvsafe.verifier import _VerifyContext, _mode_index, default_scenario
 
 GEO = OrbitalParams()
+
+
+def _passive(k, x, mode):
+    return MODE_PASSIVE, x
+
+
+def simulate_linear(phi, h, x0, steps):
+    """states[k] = phi^k x0, through the switched loop with one mode."""
+    return simulate_switched(lambda mode, x: phi @ x, _passive, x0, h, steps * h)
 
 
 def test_matrix_exp_zero_and_diagonal():
@@ -113,12 +122,11 @@ def test_cwh_drift_equilibrium_line():
 def test_rk4_fourth_order_convergence():
     params = GEO
     gains = design_mode_gains(params)
-    logic = constant_mode_logic(MODE_PASSIVE)
     x0 = np.array([-50000.0, 80000.0, 0.0, 0.0])
     T = 8000.0
 
     def endpoint(h):
-        return simulate_nonlinear(params, gains, logic, x0, h, T).states[-1]
+        return simulate_nonlinear(params, gains, _passive, x0, h, T).states[-1]
 
     ref = endpoint(125.0)
     e1 = np.linalg.norm(endpoint(1000.0) - ref)
@@ -128,21 +136,23 @@ def test_rk4_fourth_order_convergence():
 
 def test_simulate_nonlinear_origin_equilibrium():
     gains = design_mode_gains(GEO)
-    traj = simulate_nonlinear(GEO, gains, constant_mode_logic(MODE_PASSIVE),
-                              np.zeros(4), 1.0, 100.0)
+    traj = simulate_nonlinear(GEO, gains, _passive, np.zeros(4), 1.0, 100.0)
     assert np.all(np.abs(traj.states) <= 1e-9)
 
 
 def test_rendezvous_mode_logic_switches():
-    normals, offsets = octagon_halfspaces(100.0)
-    logic = rendezvous_mode_logic(normals, offsets, passive_step=50)
+    # The verifier's switching rule, as indices into (prox_a, prox_b, passive),
+    # on one state at a time and on the same states as one batch.
+    ctx = _VerifyContext(default_scenario())
     far = np.array([-900.0, -400.0, 0.0, 0.0])
     near = np.array([-50.0, 10.0, 0.0, 0.0])
-    assert logic(0, 0.0, far, "prox_a") == "prox_a"
-    assert logic(1, 1.0, near, "prox_a") == "prox_b"
-    assert logic(2, 2.0, far, "prox_b") == "prox_a"
-    assert logic(50, 50.0, near, "prox_b") == "passive"
-    assert logic(60, 60.0, far, "passive") == "passive"
+    cases = [(0, far, 0), (1, near, 1), (2, far, 0), (50, near, 2), (60, far, 2)]
+    for k, x, mode in cases:
+        assert _mode_index(ctx, k, x, 50) == mode
+    # The same cases as one batch at step 60: each abort step moves by 60 - k.
+    batch = np.stack([x for _, x, _ in cases], axis=1)
+    aborts = np.array([50 + 60 - k for k, _, _ in cases])
+    assert list(_mode_index(ctx, 60, batch, aborts)) == [m for _, _, m in cases]
 
 
 def test_trajectory_validation_and_csv(tmp_path):

@@ -2,10 +2,13 @@
 the acceptance suite runs the full-resolution mission)."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdvsafe import (
     Box,
@@ -232,9 +235,37 @@ def test_sample_points_corners_first():
 
 
 def test_monte_carlo_containment_zero_violations(quick, quick_report):
-    res = monte_carlo_containment(quick, 100, report=quick_report)
-    assert res["violations"] == 0
-    assert res["max_excess"] <= 1e-9
+    # One input per pipe structure: a single crossing, five passive pipes of a
+    # windowed run, a graze restart, and a start inside the octagon cut by the
+    # clock bound mid-crossing; plus a single crossing with thrust states,
+    # which escape their boxes unless the crossing resets them.
+    windowed = verify_windowed(quick, 60.0)
+    assert [seg.mode for seg in windowed.segments].count(MODE_PASSIVE) == 5
+    cases = [(quick, quick_report), (quick, windowed),
+             (cli.scenario_from_dict(GRAZE), None), (cli.scenario_from_dict(CLOCK_BOUND), None),
+             (replace(quick, variant="lin_prox_th_tracking"), None)]
+    for sc, report in cases:
+        res = monte_carlo_containment(sc, 100, report=report)
+        assert res["violations"] == 0
+        assert res["max_excess"] <= 1e-9
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(radius=st.floats(40.0, 85.0), bearing=st.floats(0.0, 2.0 * math.pi),
+       speed=st.floats(1.0, 4.0), hw_x=st.floats(0.5, 3.0), hw_y=st.floats(0.5, 3.0),
+       t2=st.sampled_from([14.0, 60.0]))
+def test_containment_of_bounce_starts(radius, bearing, speed, hw_x, hw_y, t2):
+    # Starts inside the octagon moving outward, which cross, graze or settle.
+    c, s = math.cos(bearing), math.sin(bearing)
+    sc = cli.scenario_from_dict({
+        "init_center": [radius * c, radius * s, speed * c, speed * s],
+        "init_halfwidth": [hw_x, hw_y, 0.0, 0.0],
+        "t1_s": 0.0, "t2_s": t2, "horizon_s": 200.0, "step_s": 1.0,
+        "bryson": BOUNCE_BRYSON,
+    })
+    report = verify(sc)
+    assume(report.verdict != "inconclusive")
+    assert monte_carlo_containment(sc, 30, report=report)["violations"] == 0
 
 
 def test_sweep_ordering_and_grid_order_invariance(quick):
