@@ -103,8 +103,6 @@ def simulate_nonlinear(params: OrbitalParams, gains, switch, x0, h: float, T: fl
     ``switch`` is as in :func:`simulate_switched`.  The mode is held constant
     across each step, so switches are located to within one step.
     """
-    if T < h:
-        raise ValueError("horizon must cover at least one step")
     k_a, k_b = gains
     force_gain = {
         MODE_PROX_A: params.m_c * np.asarray(k_a.K, dtype=float),

@@ -67,11 +67,16 @@ DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
 
+# Samples per propagation block: a power of two, so that the Φ^i table fills
+# by doubling.
+_BLOCK = 256
+
 _MODES = (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
 
 _INSIDE = "inside"
 _OUTSIDE = "outside"
 _STRADDLE = "straddle"
+_CLASSES = (_INSIDE, _OUTSIDE, _STRADDLE)
 
 
 class InconclusiveError(RuntimeError):
@@ -209,31 +214,25 @@ class _ModeChecker:
         self.conj = [p for p in props if mode in p.modes and p.unsafe_box is not None]
         self.order = self.names + [p.name for p in self.conj]
 
-    def check(self, x0, V, lo, hi, bloat=None) -> list[str]:
-        fired: list[str] = []
-        if self.names:
-            vals = self.normals @ x0 + np.abs(self.normals @ V).sum(axis=1)
-            if bloat is not None:
-                vals = vals + np.abs(self.normals) @ bloat
-            hit = np.where(self.strict, vals > self.offsets, vals >= self.offsets)
-            if hit.any():
-                fired.extend(name for name, f in zip(self.names, hit) if f)
-        for p in self.conj:
-            d = list(p.box_dims)
-            plo, phi = lo[d], hi[d]
-            if bloat is not None:
-                plo, phi = plo - bloat[d], phi + bloat[d]
-            if np.all(plo <= p.unsafe_box.hi) and np.all(phi >= p.unsafe_box.lo):
-                fired.append(p.name)
-        return fired
+    def check(self, C, V, lo, hi, bloat=None) -> np.ndarray:
+        """Hits of the sets c_k + V_k [-1, 1]^n, k < m, one column per name in
+        ``order``, as an (m, len(order)) array.
 
-    def point_hits(self, states) -> np.ndarray:
-        """Hits at each of the states (n, dim), one column per name in ``order``."""
-        vals = states @ self.normals.T
+        C is (m, dim), V (m, dim, dim) or None for points, lo/hi (m, dim) the
+        sets' boxes and bloat (m, dim) an optional widening of each set.
+        """
+        vals = C @ self.normals.T
+        if V is not None:
+            vals = vals + np.abs(np.matmul(self.normals, V)).sum(axis=2)
+        if bloat is not None:
+            vals = vals + bloat @ np.abs(self.normals).T
         cols = [np.where(self.strict, vals > self.offsets, vals >= self.offsets)]
         for p in self.conj:
-            pts = states[:, list(p.box_dims)]
-            cols.append(np.all((pts >= p.unsafe_box.lo) & (pts <= p.unsafe_box.hi), axis=1))
+            d = list(p.box_dims)
+            plo, phi = lo[:, d], hi[:, d]
+            if bloat is not None:
+                plo, phi = plo - bloat[:, d], phi + bloat[:, d]
+            cols.append(np.all((plo <= p.unsafe_box.hi) & (phi >= p.unsafe_box.lo), axis=1))
         return np.column_stack(cols)
 
 
@@ -249,6 +248,21 @@ class _VerifyContext:
         self.phis = {m: matrix_exp(mode.flow * sc.h) for m, mode in self.aut.modes.items()}
         self.bloat = sc.intersample_bloat
         self.guard2 = self.aut.guard_normals[:, :2]
+        self._powers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def powers(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """The table P of mode's one-step map Φ, P[i] = Φ^i for i < _BLOCK,
+        and Φ^_BLOCK; built on first use and shared by every pipe of mode."""
+        if mode not in self._powers:
+            phi = self.phis[mode]
+            P = np.empty((_BLOCK,) + phi.shape)
+            P[0] = np.eye(len(phi))
+            n = 1
+            while n < _BLOCK:
+                P[n:2 * n] = P[:n] @ (P[n - 1] @ phi)
+                n *= 2
+            self._powers[mode] = (P, P[-1] @ phi)
+        return self._powers[mode]
 
     def initial(self) -> tuple[str, StarSet]:
         """The mode whose region holds the initial box's position part, and the
@@ -274,14 +288,19 @@ def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
     return Box(lo=np.concatenate([box4.lo, tbox.lo]), hi=np.concatenate([box4.hi, tbox.hi]))
 
 
+def _classes(C, V, normals, offsets) -> list[str]:
+    """Class of each set c_k + V_k [-1, 1]^n against the polytope
+    normals . x <= offsets: inside it, outside it, or straddling it."""
+    spread = np.abs(np.matmul(normals, V)).sum(axis=2)
+    proj = C @ normals.T
+    code = np.where(np.all(proj + spread <= offsets, axis=1), 0,
+                    np.where(np.any(proj - spread > offsets, axis=1), 1, 2))
+    return [_CLASSES[i] for i in code.tolist()]
+
+
 def _classify(x0, V, normals, offsets) -> str:
-    spread = np.abs(normals @ V).sum(axis=1)
-    proj = normals @ x0
-    if np.all(proj + spread <= offsets):
-        return _INSIDE
-    if np.any(proj - spread > offsets):
-        return _OUTSIDE
-    return _STRADDLE
+    """Class of the one set x0 + V [-1, 1]^n, as in :func:`_classes`."""
+    return _classes(x0[None], V[None], normals, offsets)[0]
 
 
 def _restart_box(ctx: _VerifyContext, dest: str, boxes: list[Box]) -> Box | None:
@@ -306,31 +325,39 @@ def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
 
 
 def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, star: StarSet):
-    """Step the star through the flow of seg's mode, one sample at a time.
+    """Step the star through the flow of seg's mode, a block of samples at a time.
 
-    Step k's box goes into ``seg.lo[k]``/``seg.hi[k]`` and its property hits
-    into ``seg.violations`` before ``(k, c, V)`` is yielded; a caller that stops
-    early leaves the later rows unset.  Non-finite sets raise
-    :class:`InconclusiveError`.
+    A block holds up to ``_BLOCK`` steps from its head set M = [c | V]: the
+    set at step k0 + i is P[i] @ M with ``ctx.powers``' table P, and the next
+    head is Φ^_BLOCK @ M.  The block's boxes go into ``seg.lo``/``seg.hi`` and
+    its property hits into ``seg.violations`` before ``(k0, C, V)`` is yielded,
+    C (m, dim) and V (m, dim, dim) being the sets of steps k0..k0+m-1.  A
+    caller that stops at a step inside the block drops the later rows and hits.
+    A block ends before its first non-finite set, and resuming past it raises
+    :class:`InconclusiveError` at that step.
     """
-    phi, checker = ctx.phis[seg.mode], ctx.checkers[seg.mode]
-    flow = ctx.aut.modes[seg.mode].flow
+    P, phi_block = ctx.powers(seg.mode)
+    checker = ctx.checkers[seg.mode]
+    abs_flow_t = np.abs(ctx.aut.modes[seg.mode].flow).T
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
-    c, V = star.x0, star.V
-    for k in range(seg.n_steps):
-        if not (np.isfinite(c).all() and np.isfinite(V).all()):
-            raise InconclusiveError(f"numerical overflow in {where} at step {k}")
-        reach = np.abs(V).sum(axis=1)
-        seg.lo[k] = c - reach
-        seg.hi[k] = c + reach
-        bloat = None
-        if ctx.bloat:
-            bloat = ctx.h * (np.abs(flow) @ (np.abs(c) + reach))
-        for name in checker.check(c, V, seg.lo[k], seg.hi[k], bloat):
-            seg.violations.append((k, name))
-        yield k, c, V
-        c = phi @ c
-        V = phi @ V
+    dim = ctx.aut.dim
+    M = np.column_stack([star.x0, star.V])
+    for k0 in range(0, seg.n_steps, _BLOCK):
+        n = min(_BLOCK, seg.n_steps - k0)
+        S = (P[:n].reshape(-1, dim) @ M).reshape(n, dim, dim + 1)
+        finite = np.isfinite(S).all(axis=(1, 2))
+        m = n if finite.all() else int(np.argmin(finite))
+        C, V = S[:m, :, 0], S[:m, :, 1:]
+        reach = np.abs(V).sum(axis=2)
+        lo = seg.lo[k0:k0 + m] = C - reach
+        hi = seg.hi[k0:k0 + m] = C + reach
+        bloat = ctx.h * ((np.abs(C) + reach) @ abs_flow_t) if ctx.bloat else None
+        hits = checker.check(C, V, lo, hi, bloat)
+        seg.violations.extend((k0 + k, checker.order[j]) for k, j in np.argwhere(hits).tolist())
+        yield k0, C, V
+        if m < n:
+            raise InconclusiveError(f"numerical overflow in {where} at step {k0 + m}")
+        M = phi_block @ M
 
 
 def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment]:
@@ -366,28 +393,31 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         # happens from the settled state and is shed normally.
         settled = False
 
-        for k, c, V in _advance(ctx, seg, star):
-            cls = _classify(c, V, guard_n, guard_b)
-            if cls == own_cls:
-                if settled and collected:
-                    # Grazed the guard and retreated: restart what may have
-                    # crossed, keep going in this mode.
-                    box = _restart_box(ctx, other, collected)
-                    if box is not None:
-                        worklist.append((other, from_box(box),
-                                         t_lo0 + collect_k0 * h, t_hi0 + k * h))
-                collected = []
-                collect_k0 = None
-                settled = True
-            else:
-                if collect_k0 is None:
-                    collect_k0 = k
-                collected.append(seg.box(k))
-                if cls == crossed_cls:
-                    crossed = True
-                    break
+        for k0, C, V in _advance(ctx, seg, star):
+            for k, cls in enumerate(_classes(C, V, guard_n, guard_b), k0):
+                if cls == own_cls:
+                    if settled and collected:
+                        # Grazed the guard and retreated: restart what may have
+                        # crossed, keep going in this mode.
+                        box = _restart_box(ctx, other, collected)
+                        if box is not None:
+                            worklist.append((other, from_box(box),
+                                             t_lo0 + collect_k0 * h, t_hi0 + k * h))
+                    collected = []
+                    collect_k0 = None
+                    settled = True
+                else:
+                    if collect_k0 is None:
+                        collect_k0 = k
+                    collected.append(seg.box(k))
+                    if cls == crossed_cls:
+                        crossed = True
+                        break
+            if crossed:
+                break
 
         seg.lo, seg.hi = seg.lo[:k + 1], seg.hi[:k + 1]
+        seg.violations = [(j, name) for j, name in seg.violations if j <= k]
         segments.append(seg)
         if crossed or (collected and settled):
             # Either the set fully crossed, or a settled pipe hit the clock
@@ -400,11 +430,12 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
 
 
 def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float) -> list[Box]:
+    """Per pipe, the hull of its boxes whose time range meets [t1, t2]."""
     boxes: list[Box] = []
     for seg in segments:
         mask = (seg.times_hi() >= t1 - _TIME_EPS) & (seg.times_lo() <= t2 + _TIME_EPS)
-        for k in np.nonzero(mask)[0]:
-            boxes.append(seg.box(int(k)))
+        if mask.any():
+            boxes.append(Box(lo=seg.lo[mask].min(axis=0), hi=seg.hi[mask].max(axis=0)))
     return boxes
 
 
@@ -596,7 +627,8 @@ def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, in
     best = None
     for mode, checker in ctx.checkers.items():
         ks = np.flatnonzero(modes == mode)
-        hits = checker.point_hits(traj.states[ks])
+        states = traj.states[ks]
+        hits = checker.check(states, None, states, states)
         rows = np.flatnonzero(hits.any(axis=1))
         if rows.size and (best is None or ks[rows[0]] < best[1]):
             best = (checker.order[int(np.argmax(hits[rows[0]]))], int(ks[rows[0]]))

@@ -214,6 +214,16 @@ def test_cli_simulate_abort_step_inside_window(tmp_path, capsys):
     assert modes.index("passive") == 7
 
 
+def test_cli_simulate_horizon_shorter_than_a_step(tmp_path):
+    # The nonlinear variant used to refuse a horizon below one step.
+    for variant in ("lin_prox", "nlin_prox"):
+        sc = _write(tmp_path, f"{variant}.json", {"variant": variant, "t1_s": 0.0, "t2_s": 0.0,
+                                                  "horizon_s": 0.5, "step_s": 1.0})
+        out = tmp_path / variant
+        assert cli_main(["simulate", sc, "--out", str(out)]) == 0
+        assert len((out / "trajectory_000.csv").read_text().splitlines()) == 2
+
+
 def test_abort_window_without_sample_is_rejected(tmp_path):
     # No sample of step 0.3 s lies in [2.2, 2.3] s: every command refuses the
     # window, where falsify and simulate used to abort at 2.1 s.

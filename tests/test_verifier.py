@@ -22,6 +22,7 @@ from rdvsafe import (
     verify,
     verify_windowed,
 )
+from rdvsafe.hybrid import SafetyProperty
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
 from rdvsafe.verifier import sample_initial_points, simulate_scenario
 
@@ -297,6 +298,15 @@ def test_linear_and_nonlinear_runs_share_sample_times():
     assert np.array_equal(times, nl_times)
 
 
+def test_horizon_shorter_than_a_step_gives_one_sample():
+    # Both simulators keep the initial sample when no whole step fits.
+    for variant in ("lin_prox", "nlin_prox"):
+        sc = default_scenario(variant=variant, t1=0.0, t2=0.0, horizon=0.5, h=1.0)
+        traj = simulate_scenario(sc, sc.init.mid()[:4], 0)
+        assert traj.times.tolist() == [0.0]
+        assert traj.modes == (MODE_PASSIVE,)
+
+
 def test_nonlinear_run_approaches_and_enters_close_range():
     # Closed-loop nonlinear run: separation shrinks monotonically once the
     # startup transient settles, and the close-range mode is reached well
@@ -330,3 +340,156 @@ def test_intersample_bloat_option_runs():
     assert rep.verdict in ("safe", "unsafe")
     base = verify(default_scenario(h=10.0))
     assert base.verdict == "safe"
+
+
+# ---------------------------------------------------------------------------
+# blocked propagation against a one-sample-at-a-time reference
+
+
+def _stepwise_advance(ctx, seg, star):
+    """Reference for ``verifier._advance``: the Φ recurrence one sample at a
+    time, with each property's support or box test evaluated per step, and
+    every step yielded as a block of one."""
+    phi, chk = ctx.phis[seg.mode], ctx.checkers[seg.mode]
+    abs_flow = np.abs(ctx.aut.modes[seg.mode].flow)
+    where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
+    c, V = star.x0, star.V
+    for k in range(seg.n_steps):
+        if not (np.isfinite(c).all() and np.isfinite(V).all()):
+            raise verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
+        reach = np.abs(V).sum(axis=1)
+        seg.lo[k], seg.hi[k] = c - reach, c + reach
+        bloat = ctx.h * (abs_flow @ (np.abs(c) + reach)) if ctx.bloat else np.zeros_like(c)
+        for a, b, strict, name in zip(chk.normals, chk.offsets, chk.strict, chk.names):
+            support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
+            if support > b or (support == b and not strict):
+                seg.violations.append((k, name))
+        for p in chk.conj:
+            d = list(p.box_dims)
+            if (np.all(seg.lo[k][d] - bloat[d] <= p.unsafe_box.hi)
+                    and np.all(seg.hi[k][d] + bloat[d] >= p.unsafe_box.lo)):
+                seg.violations.append((k, p.name))
+        yield k, c[None], V[None]
+        c, V = phi @ c, phi @ V
+
+
+def _stepwise(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_advance", _stepwise_advance)
+        return run()
+
+
+def _assert_same_report(got, ref):
+    assert (got.verdict, got.reason) == (ref.verdict, ref.reason)
+    assert ([(s.mode, s.n_steps, s.t_lo0, s.t_hi0) for s in got.segments]
+            == [(s.mode, s.n_steps, s.t_lo0, s.t_hi0) for s in ref.segments])
+    for a, b in zip(got.segments, ref.segments):
+        assert a.violations == b.violations
+        scale = np.maximum(1.0, np.maximum(np.abs(b.lo), np.abs(b.hi)).max(axis=0))
+        assert np.all(np.abs(a.lo - b.lo) <= 1e-9 * scale)
+        assert np.all(np.abs(a.hi - b.hi) <= 1e-9 * scale)
+    assert ([(v.property, v.mode, v.step) for v in got.violations]
+            == [(v.property, v.mode, v.step) for v in ref.violations])
+
+
+def _patch_context(monkeypatch, edit):
+    """Apply edit(ctx) to every verification context right after it is built."""
+    init = verifier._VerifyContext.__init__
+
+    def patched(self, sc):
+        init(self, sc)
+        edit(self)
+
+    monkeypatch.setattr(verifier._VerifyContext, "__init__", patched)
+
+
+@pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking", "lin_prox_th_explicit"])
+@pytest.mark.parametrize("bloat", [False, True])
+def test_blocked_propagation_matches_stepwise_reference(monkeypatch, variant, bloat):
+    sc = default_scenario(h=10.0, variant=variant,
+                          property_overrides={"intersample_bloat": bloat})
+    for run in (lambda: verify(sc), lambda: verify_windowed(sc, 60.0)):
+        _assert_same_report(run(), _stepwise(monkeypatch, run))
+
+
+def test_blocked_propagation_at_block_edge_lengths(monkeypatch, quick, quick_report):
+    # The close-range pipe runs from t_start to t2 = t_start + (n - 1) h and
+    # the passive pipe from t1 = t2 to the horizon t2 + (n - 1) h: n samples each.
+    h, t_start = quick.h, quick_report.segments[1].t_lo0
+    lengths = set()
+    for n in (1, verifier._BLOCK - 1, verifier._BLOCK, verifier._BLOCK + 1):
+        t2 = t_start + (n - 1) * h
+        sc = replace(quick, t1=t2, t2=t2, horizon=t2 + (n - 1) * h)
+        rep = verify(sc)
+        _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(sc)))
+        lengths.update(seg.n_steps for seg in rep.segments)
+    assert {1, verifier._BLOCK - 1, verifier._BLOCK, verifier._BLOCK + 1} <= lengths
+
+
+def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick, quick_report):
+    prox_a = quick_report.segments[0]
+    crossing = prox_a.n_steps - 1
+    assert 0 < crossing % verifier._BLOCK < verifier._BLOCK - 1
+    # A prox_a property first met one step after the crossing, in the same
+    # block: the blocked pipe computes that hit and must drop it.
+    ctx = verifier._VerifyContext(quick)
+    _, star = ctx.initial()
+    a = np.array([1.0, 0.0, 0.0, 0.0])
+    c, V, support = star.x0, star.V, []
+    for _ in range(crossing + 2):
+        support.append(a @ c + np.abs(a @ V).sum())
+        c, V = ctx.phis[MODE_PROX_A] @ c, ctx.phis[MODE_PROX_A] @ V
+    assert max(support[:-1]) < support[-1]
+    late = SafetyProperty(name="late", modes=(MODE_PROX_A,), normal=a,
+                          offset=0.5 * (max(support[:-1]) + support[-1]))
+
+    def add_late(ctx):
+        ctx.checkers[MODE_PROX_A] = verifier._ModeChecker(
+            ctx.aut.properties + (late,), MODE_PROX_A, ctx.aut.dim)
+
+    _patch_context(monkeypatch, add_late)
+    rep = verify(quick)
+    _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(quick)))
+    assert rep.segments[0].n_steps == crossing + 1
+    assert rep.segments[0].violations == []
+    assert rep.verdict == "safe"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode, where", [(MODE_PASSIVE, "passive pipe"),
+                                         (MODE_PROX_A, "mode prox_a")])
+def test_overflow_is_inconclusive_at_its_step(monkeypatch, quick, mode, where):
+    def blow_up(ctx):
+        ctx.phis[mode] = 1e200 * np.eye(ctx.aut.dim)
+
+    _patch_context(monkeypatch, blow_up)
+    rep = verify(quick)
+    assert rep.verdict == "inconclusive"
+    assert rep.reason == f"numerical overflow in {where} at step 2"
+    assert rep.segments == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflow_after_a_crossing_is_not_reached(monkeypatch, quick):
+    # prox_a shrinks positions tenfold a step, so the set crosses into the
+    # octagon at step 2, while the 1e-290 m/s velocity grows 1e10-fold a
+    # step and overflows at step 60, in the same block.
+    phi = np.diag([0.1, 0.1, 1e10, 1e10])
+    lo, hi = quick.init.lo.copy(), quick.init.hi.copy()
+    lo[2:] = hi[2:] = 1e-290
+    sc = replace(quick, init=Box(lo=lo, hi=hi))
+    speed = 1e-290
+    for _ in range(59):
+        speed *= 1e10
+    assert math.isfinite(speed) and not math.isfinite(speed * 1e10)
+
+    def shrink(ctx):
+        ctx.phis[MODE_PROX_A] = phi
+
+    _patch_context(monkeypatch, shrink)
+    rep = verify(sc)
+    assert rep.verdict != "inconclusive"
+    assert (rep.segments[0].mode, rep.segments[0].n_steps) == (MODE_PROX_A, 3)
+    _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(sc)))
