@@ -17,15 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hybrid import (
-    GUARD_RADIUS_M,
-    LOS_BASE_X_M,
-    LOS_HALF_ANGLE_DEG,
-    SEPARATION_HALFWIDTH_M,
-    THRUST_LIMIT_N,
-    VELOCITY_LIMIT_MPS,
-)
-from .lqr import DEFAULT_MAX_INPUT, PROXA_MAX_STATE, PROXB_MAX_STATE
+from .hybrid import GUARD_RADIUS_M, PROPERTY_DEFAULTS, property_settings
+from .lqr import bryson_maxima
 from .numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
 from .orbital import OrbitalParams
 from .starset import Box
@@ -40,16 +33,6 @@ from .verifier import (
     sweep_passive_time,
     verify,
     verify_windowed,
-)
-
-_SCENARIO_KEYS = (
-    "variant", "mu", "r_orbit", "m_c", "init_center", "init_halfwidth",
-    "t1_s", "t2_s", "horizon_s", "step_s", "window_width_s",
-    "bryson", "properties", "seed",
-)
-_PROPERTY_KEYS = (
-    "separation_halfwidth_m", "velocity_limit_mps", "thrust_limit_n",
-    "los_base_x_m", "los_half_angle_deg", "intersample_bloat",
 )
 
 _PLANES = {"xy": (0, 1), "vxvy": (2, 3), "uxuy": (4, 5)}
@@ -108,9 +91,9 @@ def _parse_properties(raw, pointer: str) -> dict:
         raise ScenarioError(pointer, "expected an object")
     out = {}
     for key, val in raw.items():
-        if key not in _PROPERTY_KEYS:
+        if key not in PROPERTY_DEFAULTS:
             raise ScenarioError(f"{pointer}/{key}", "unknown key")
-        if key == "intersample_bloat":
+        if isinstance(PROPERTY_DEFAULTS[key], bool):
             if not isinstance(val, bool):
                 raise ScenarioError(f"{pointer}/{key}", "expected a boolean")
             out[key] = val
@@ -120,32 +103,34 @@ def _parse_properties(raw, pointer: str) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a document whose keys override the echo of the default
+    scenario, ``scenario_to_dict(Scenario())``; a key the echo lacks is an error."""
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario document must be a JSON object")
+    defaults = scenario_to_dict(Scenario())
     for key in doc:
-        if key not in _SCENARIO_KEYS:
+        if key not in defaults:
             raise ScenarioError(f"/{key}", "unknown key")
+    doc = {**defaults, **doc}
 
-    variant = doc.get("variant", "lin_prox")
+    variant = doc["variant"]
     if not isinstance(variant, str):
         raise ScenarioError("/variant", "expected a string")
-    mu = _require_number(doc.get("mu", OrbitalParams().mu), "/mu")
-    r_orbit = _require_number(doc.get("r_orbit", OrbitalParams().r), "/r_orbit")
-    m_c = _require_number(doc.get("m_c", OrbitalParams().m_c), "/m_c")
-    center = _require_vector(doc.get("init_center", list(np.array([-900.0, -400.0, 0.0, 0.0]))),
-                             "/init_center", lengths=(4, 6))
-    halfwidth = _require_vector(doc.get("init_halfwidth", [25.0, 25.0, 0.0, 0.0]),
-                                "/init_halfwidth", lengths=(len(center),))
-    t1 = _require_number(doc.get("t1_s", 7200.0), "/t1_s")
-    t2 = _require_number(doc.get("t2_s", 7500.0), "/t2_s")
-    horizon = _require_number(doc.get("horizon_s", 16200.0), "/horizon_s")
-    step = _require_number(doc.get("step_s", 1.0), "/step_s")
-    window = _require_number(doc.get("window_width_s", 300.0), "/window_width_s")
-    seed = doc.get("seed", 0)
+    mu = _require_number(doc["mu"], "/mu")
+    r_orbit = _require_number(doc["r_orbit"], "/r_orbit")
+    m_c = _require_number(doc["m_c"], "/m_c")
+    center = _require_vector(doc["init_center"], "/init_center", lengths=(4, 6))
+    halfwidth = _require_vector(doc["init_halfwidth"], "/init_halfwidth", lengths=(len(center),))
+    t1 = _require_number(doc["t1_s"], "/t1_s")
+    t2 = _require_number(doc["t2_s"], "/t2_s")
+    horizon = _require_number(doc["horizon_s"], "/horizon_s")
+    step = _require_number(doc["step_s"], "/step_s")
+    window = _require_number(doc["window_width_s"], "/window_width_s")
+    seed = doc["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("/seed", "expected an integer")
-    bryson = _parse_bryson(doc["bryson"], "/bryson") if "bryson" in doc else None
-    props = _parse_properties(doc["properties"], "/properties") if "properties" in doc else None
+    bryson = _parse_bryson(doc["bryson"], "/bryson")
+    props = _parse_properties(doc["properties"], "/properties")
 
     if mu <= 0.0:
         raise ScenarioError("/mu", "must be positive")
@@ -190,8 +175,7 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical fully-populated form of a scenario (the config echo)."""
-    br = sc.bryson or {}
-    props = dict(sc.property_overrides or {})
+    prox_a, prox_b, max_input = bryson_maxima(sc.bryson)
     return {
         "variant": sc.variant,
         "mu": sc.params.mu,
@@ -206,18 +190,11 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "window_width_s": sc.window_width,
         "seed": sc.seed,
         "bryson": {
-            "prox_a": {"max_state": [float(v) for v in br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE)]},
-            "prox_b": {"max_state": [float(v) for v in br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE)]},
-            "max_input": [float(v) for v in br.get("max_input", DEFAULT_MAX_INPUT)],
+            "prox_a": {"max_state": [float(v) for v in prox_a]},
+            "prox_b": {"max_state": [float(v) for v in prox_b]},
+            "max_input": [float(v) for v in max_input],
         },
-        "properties": {
-            "separation_halfwidth_m": float(props.get("separation_halfwidth_m", SEPARATION_HALFWIDTH_M)),
-            "velocity_limit_mps": float(props.get("velocity_limit_mps", VELOCITY_LIMIT_MPS)),
-            "thrust_limit_n": float(props.get("thrust_limit_n", THRUST_LIMIT_N)),
-            "los_base_x_m": float(props.get("los_base_x_m", LOS_BASE_X_M)),
-            "los_half_angle_deg": float(props.get("los_half_angle_deg", LOS_HALF_ANGLE_DEG)),
-            "intersample_bloat": bool(props.get("intersample_bloat", False)),
-        },
+        "properties": property_settings(sc.property_overrides),
     }
 
 
@@ -337,27 +314,26 @@ _MAX_RECTS_PER_PIPE = 2000
 
 
 def _plane_overlays(plane: str, sc: Scenario):
-    props = sc.property_overrides or {}
+    props = property_settings(sc.property_overrides)
     shapes = []
     if plane == "xy":
         verts = [(GUARD_RADIUS_M * math.cos(math.radians(45 * k)),
                   GUARD_RADIUS_M * math.sin(math.radians(45 * k))) for k in range(8)]
         shapes.append(("polygon", verts, "#d08030", "guard octagon"))
-        base = float(props.get("los_base_x_m", LOS_BASE_X_M))
-        ang = math.radians(float(props.get("los_half_angle_deg", LOS_HALF_ANGLE_DEG)))
-        t = math.tan(ang)
+        base = props["los_base_x_m"]
+        t = math.tan(math.radians(props["los_half_angle_deg"]))
         shapes.append(("polygon", [(0.0, 0.0), (base, -base * t), (base, base * t)],
                        "#c04040", "line of sight"))
-        hw = float(props.get("separation_halfwidth_m", SEPARATION_HALFWIDTH_M))
+        hw = props["separation_halfwidth_m"]
         shapes.append(("polygon", [(-hw, -hw), (hw, -hw), (hw, hw), (-hw, hw)],
                        "#000000", "separation box"))
     elif plane == "vxvy":
-        lim = float(props.get("velocity_limit_mps", VELOCITY_LIMIT_MPS))
+        lim = props["velocity_limit_mps"]
         verts = [(lim * math.cos(math.radians(22.5 + 45 * k)),
                   lim * math.sin(math.radians(22.5 + 45 * k))) for k in range(8)]
         shapes.append(("polygon", verts, "#c04040", "velocity bound"))
     elif plane == "uxuy":
-        lim = float(props.get("thrust_limit_n", THRUST_LIMIT_N))
+        lim = props["thrust_limit_n"]
         shapes.append(("limits", lim, "#c04040", "thrust limit"))
     return shapes
 

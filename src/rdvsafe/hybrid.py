@@ -38,6 +38,17 @@ VELOCITY_LIMIT_MPS = 0.05
 THRUST_LIMIT_N = 10.0
 SEPARATION_HALFWIDTH_M = 0.1 / math.sqrt(2.0)  # box of 0.1 m circumradius
 
+# The scenario's ``properties`` settings and their defaults.  The verifier
+# reads ``intersample_bloat``; the others bound the unsafe sets.
+PROPERTY_DEFAULTS = {
+    "separation_halfwidth_m": SEPARATION_HALFWIDTH_M,
+    "velocity_limit_mps": VELOCITY_LIMIT_MPS,
+    "thrust_limit_n": THRUST_LIMIT_N,
+    "los_base_x_m": LOS_BASE_X_M,
+    "los_half_angle_deg": LOS_HALF_ANGLE_DEG,
+    "intersample_bloat": False,
+}
+
 
 @dataclass(frozen=True)
 class SafetyProperty:
@@ -63,27 +74,14 @@ class SafetyProperty:
 
 
 @dataclass(frozen=True)
-class Mode:
-    """Mode with its flow matrix and the convex part of its invariant.
-
-    ``invariant`` lists (a, b) half-spaces a.x <= b used to tighten sets that
-    restart in this mode; the far-range mode's spatial invariant (outside the
-    octagon) is not convex and is left empty here.  The switching rule is
-    coded once, in the verifier, for reach sets and simulated runs alike.
-    """
-
-    flow: np.ndarray
-    invariant: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "flow", np.asarray(self.flow, dtype=float))
-
-
-@dataclass(frozen=True)
 class HybridAutomaton:
+    """Per-mode flow matrices A (x' = A x), the guard octagon a.x <= b, which
+    is also prox_b's invariant, and the registered properties.  The switching
+    rule is coded once, in the verifier, for reach sets and simulated runs."""
+
     dim: int
     gains: tuple[GainMatrix, GainMatrix]
-    modes: dict[str, Mode]
+    flows: dict[str, np.ndarray]
     guard_normals: np.ndarray     # octagon half-spaces embedded at self.dim
     guard_offsets: np.ndarray
     properties: tuple[SafetyProperty, ...]
@@ -165,33 +163,34 @@ def separation_property(halfwidth: float = SEPARATION_HALFWIDTH_M) -> SafetyProp
     )
 
 
-def default_properties(variant: str, dim: int, overrides: dict | None = None):
-    ov = dict(overrides or {})
-    los_base = float(ov.pop("los_base_x_m", LOS_BASE_X_M))
-    los_angle = float(ov.pop("los_half_angle_deg", LOS_HALF_ANGLE_DEG))
-    vel_limit = float(ov.pop("velocity_limit_mps", VELOCITY_LIMIT_MPS))
-    thrust_limit = float(ov.pop("thrust_limit_n", THRUST_LIMIT_N))
-    sep_halfwidth = float(ov.pop("separation_halfwidth_m", SEPARATION_HALFWIDTH_M))
-    ov.pop("intersample_bloat", None)  # consumed by the verifier
-    if ov:
-        raise ValueError(f"unknown property overrides: {sorted(ov)}")
+def property_settings(overrides: dict | None = None) -> dict:
+    """``PROPERTY_DEFAULTS`` with ``overrides`` applied, each value cast to its
+    default's type; an unknown key is a ValueError."""
+    ov = overrides or {}
+    unknown = sorted(set(ov) - set(PROPERTY_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown property overrides: {unknown}")
+    return {key: type(val)(ov.get(key, val)) for key, val in PROPERTY_DEFAULTS.items()}
 
+
+def default_properties(variant: str, dim: int, overrides: dict | None = None):
+    s = property_settings(overrides)
     props: list[SafetyProperty] = []
     los_names = ("los_range", "los_cone_upper", "los_cone_lower")
-    for name, (a, b) in zip(los_names, los_halfspaces(los_base, los_angle)):
+    for name, (a, b) in zip(los_names, los_halfspaces(s["los_base_x_m"], s["los_half_angle_deg"])):
         props.append(SafetyProperty(
             name=name, modes=(MODE_PROX_B,),
             normal=_embed(a, (0, 1), dim), offset=b, strict=True,
         ))
-    vel_normals, vel_offsets = velocity_polytope(vel_limit)
+    vel_normals, vel_offsets = velocity_polytope(s["velocity_limit_mps"])
     for k in range(8):
         props.append(SafetyProperty(
             name=f"velocity_{45 * k:03d}", modes=(MODE_PROX_B,),
             normal=_embed(vel_normals[k], (2, 3), dim), offset=float(vel_offsets[k]), strict=True,
         ))
     if variant in (VARIANT_TRACKING, VARIANT_EXPLICIT):
-        props.extend(thrust_properties(variant, thrust_limit))
-    props.append(separation_property(sep_halfwidth))
+        props.extend(thrust_properties(variant, s["thrust_limit_n"]))
+    props.append(separation_property(s["separation_halfwidth_m"]))
     return tuple(props)
 
 
@@ -248,18 +247,11 @@ def build_rendezvous_automaton(
         flow_p = np.block([[A4, zeros], [np.zeros((2, 6))]])
 
     oct2_n, oct_b = octagon_halfspaces(GUARD_RADIUS_M)
-    oct_n = np.stack([_embed(row, (0, 1), dim) for row in oct2_n])
-    inside_hs = tuple((oct_n[k], float(oct_b[k])) for k in range(8))
-
     return HybridAutomaton(
         dim=dim,
         gains=gains,
-        modes={
-            MODE_PROX_A: Mode(flow=flow_a),
-            MODE_PROX_B: Mode(flow=flow_b, invariant=inside_hs),
-            MODE_PASSIVE: Mode(flow=flow_p),
-        },
-        guard_normals=oct_n,
-        guard_offsets=np.asarray(oct_b, dtype=float),
+        flows={MODE_PROX_A: flow_a, MODE_PROX_B: flow_b, MODE_PASSIVE: flow_p},
+        guard_normals=np.stack([_embed(row, (0, 1), dim) for row in oct2_n]),
+        guard_offsets=oct_b,
         properties=default_properties(variant, dim, property_overrides),
     )

@@ -69,6 +69,17 @@ def bryson_weights(max_state, max_input) -> Weights:
     return Weights(Q=np.diag(1.0 / ms**2), R=np.diag(1.0 / mi**2))
 
 
+def bryson_maxima(bryson: dict | None = None) -> tuple:
+    """The three Bryson vectors of a scenario's ``bryson`` settings, defaults
+    filled in: (prox_a max state, prox_b max state, max input)."""
+    br = bryson or {}
+    return (
+        br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE),
+        br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE),
+        br.get("max_input", DEFAULT_MAX_INPUT),
+    )
+
+
 def care_residual(A, B, weights: Weights, P) -> float:
     """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
     RinvBt = np.linalg.solve(weights.R, B.T)

@@ -35,14 +35,9 @@ from .hybrid import (
     SafetyProperty,
     build_rendezvous_automaton,
     initial_thrust_box,
+    property_settings,
 )
-from .lqr import (
-    DEFAULT_MAX_INPUT,
-    PROXA_MAX_STATE,
-    PROXB_MAX_STATE,
-    GainMatrix,
-    design_mode_gains,
-)
+from .lqr import GainMatrix, bryson_maxima, design_mode_gains
 from .numsim import (
     _TIME_EPS,
     MODE_PASSIVE,
@@ -117,10 +112,6 @@ class Scenario:
         if self.init.dim not in (4, 6):
             raise ValueError(f"initial box must be 4- or 6-dimensional, got {self.init.dim}")
 
-    @property
-    def intersample_bloat(self) -> bool:
-        return bool((self.property_overrides or {}).get("intersample_bloat", False))
-
 
 @dataclass
 class FlowpipeSegment:
@@ -147,9 +138,6 @@ class FlowpipeSegment:
 
     def times_hi(self) -> np.ndarray:
         return self.t_hi0 + self.h * np.arange(self.n_steps)
-
-    def box(self, k: int) -> Box:
-        return Box(lo=self.lo[k], hi=self.hi[k])
 
 
 @dataclass
@@ -188,13 +176,7 @@ def default_scenario(**overrides) -> Scenario:
 
 
 def gains_for_scenario(sc: Scenario) -> tuple[GainMatrix, GainMatrix]:
-    br = sc.bryson or {}
-    return design_mode_gains(
-        sc.params,
-        prox_a_max_state=br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE),
-        prox_b_max_state=br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE),
-        max_input=br.get("max_input", DEFAULT_MAX_INPUT),
-    )
+    return design_mode_gains(sc.params, *bryson_maxima(sc.bryson))
 
 
 def automaton_for_scenario(sc: Scenario) -> HybridAutomaton:
@@ -245,8 +227,9 @@ class _VerifyContext:
             m: _ModeChecker(self.aut.properties, m, self.aut.dim)
             for m in (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
         }
-        self.phis = {m: matrix_exp(mode.flow * sc.h) for m, mode in self.aut.modes.items()}
-        self.bloat = sc.intersample_bloat
+        self.phis = {m: matrix_exp(flow * sc.h) for m, flow in self.aut.flows.items()}
+        self.settings = property_settings(sc.property_overrides)
+        self.bloat = self.settings["intersample_bloat"]
         self.guard2 = self.aut.guard_normals[:, :2]
         self._powers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -303,12 +286,15 @@ def _classify(x0, V, normals, offsets) -> str:
     return _classes(x0[None], V[None], normals, offsets)[0]
 
 
-def _restart_box(ctx: _VerifyContext, dest: str, boxes: list[Box]) -> Box | None:
-    hull = hull_boxes(boxes)
-    for a, b in ctx.aut.modes[dest].invariant:
-        hull = clip_box_to_halfspace(hull, a, b)
-        if hull is None:
-            return None
+def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
+    """The hull of the boxes lo[i]..hi[i] as a start box of mode dest, clipped
+    to the guard octagon (prox_b's invariant) when dest is prox_b."""
+    hull = Box(lo=lo.min(axis=0), hi=hi.max(axis=0))
+    if dest == MODE_PROX_B:
+        for a, b in zip(ctx.aut.guard_normals, ctx.aut.guard_offsets):
+            hull = clip_box_to_halfspace(hull, a, b)
+            if hull is None:
+                return None
     if ctx.aut.dim == 6:
         # The commanded thrust re-derives from the destination gain the moment
         # the controller switches, so the thrust dims reset to its interval
@@ -338,7 +324,7 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, star: StarSet):
     """
     P, phi_block = ctx.powers(seg.mode)
     checker = ctx.checkers[seg.mode]
-    abs_flow_t = np.abs(ctx.aut.modes[seg.mode].flow).T
+    abs_flow_t = np.abs(ctx.aut.flows[seg.mode]).T
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     dim = ctx.aut.dim
     M = np.column_stack([star.x0, star.V])
@@ -380,7 +366,7 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         if n_steps <= 0:
             continue
         seg = _empty_segment(ctx, mode, n_steps, t_lo0, t_hi0)
-        collected: list[Box] = []
+        # First of the rows collected while the set straddles or crosses.
         collect_k0: int | None = None
         crossed = False
         # A pipe restarted from an aggregated hull is born straddling the
@@ -393,23 +379,25 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         # happens from the settled state and is shed normally.
         settled = False
 
+        def restart(stop: int, k: int):
+            """Restart the hull of rows collect_k0..stop-1 in the other mode,
+            from the start times t_lo0 + collect_k0 h .. t_hi0 + k h."""
+            box = _restart_box(ctx, other, seg.lo[collect_k0:stop], seg.hi[collect_k0:stop])
+            if box is not None:
+                worklist.append((other, from_box(box), t_lo0 + collect_k0 * h, t_hi0 + k * h))
+
         for k0, C, V in _advance(ctx, seg, star):
             for k, cls in enumerate(_classes(C, V, guard_n, guard_b), k0):
                 if cls == own_cls:
-                    if settled and collected:
+                    if settled and collect_k0 is not None:
                         # Grazed the guard and retreated: restart what may have
                         # crossed, keep going in this mode.
-                        box = _restart_box(ctx, other, collected)
-                        if box is not None:
-                            worklist.append((other, from_box(box),
-                                             t_lo0 + collect_k0 * h, t_hi0 + k * h))
-                    collected = []
+                        restart(k, k)
                     collect_k0 = None
                     settled = True
                 else:
                     if collect_k0 is None:
                         collect_k0 = k
-                    collected.append(seg.box(k))
                     if cls == crossed_cls:
                         crossed = True
                         break
@@ -419,13 +407,10 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         seg.lo, seg.hi = seg.lo[:k + 1], seg.hi[:k + 1]
         seg.violations = [(j, name) for j, name in seg.violations if j <= k]
         segments.append(seg)
-        if crossed or (collected and settled):
+        if crossed or (collect_k0 is not None and settled):
             # Either the set fully crossed, or a settled pipe hit the clock
             # bound mid-crossing; both restart from the aggregated hull.
-            box = _restart_box(ctx, other, collected)
-            if box is not None:
-                worklist.append((other, from_box(box),
-                                 t_lo0 + collect_k0 * h, t_hi0 + k * h))
+            restart(k + 1, k)
     return segments
 
 
@@ -470,26 +455,22 @@ def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
     return sorted(best.values(), key=lambda v: (v.time_s, v.property))
 
 
-def _thrust_stats(aut: HybridAutomaton, segments: list[FlowpipeSegment]):
-    if aut.dim != 6:
+def _thrust_stats(ctx: _VerifyContext, segments: list[FlowpipeSegment]):
+    if ctx.aut.dim != 6:
         return None, None
-    limit = None
-    for p in aut.properties:
-        if p.name == "thrust_x_hi":
-            limit = float(p.offset)
     peak = 0.0
     for seg in segments:
         if seg.mode == MODE_PASSIVE:
             continue
         peak = max(peak, float(np.abs(seg.lo[:, 4:]).max()), float(np.abs(seg.hi[:, 4:]).max()))
-    return peak, (None if limit is None else limit - peak)
+    return peak, ctx.settings["thrust_limit_n"] - peak
 
 
 def _assemble(sc, ctx, segments, t0, verdict=None, reason=None) -> VerificationReport:
     violations = _first_violations(segments)
     if verdict is None:
         verdict = "unsafe" if violations else "safe"
-    peak, margin = _thrust_stats(ctx.aut, segments)
+    peak, margin = _thrust_stats(ctx, segments)
     return VerificationReport(
         verdict=verdict, scenario=sc, gains=ctx.aut.gains, segments=segments,
         violations=violations, reason=reason,

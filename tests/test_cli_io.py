@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rdvsafe import default_scenario, falsify, verify
+from rdvsafe import default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
     ScenarioError,
     cli_main,
@@ -20,6 +20,7 @@ from rdvsafe.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from rdvsafe.hybrid import PROPERTY_DEFAULTS
 
 QUICK = {"step_s": 30.0}  # coarse step keeps CLI runs fast
 
@@ -80,6 +81,41 @@ def test_scenario_roundtrip_is_canonical_and_exact(tmp_path):
     out2 = tmp_path / "canon2.json"
     save_scenario(sc2, out2)
     assert out.read_text() == out2.read_text()
+
+
+# The registered properties each setting moves.
+_MOVES = {
+    "separation_halfwidth_m": {"separation"},
+    "velocity_limit_mps": {f"velocity_{45 * k:03d}" for k in range(8)},
+    "thrust_limit_n": {"thrust_x_hi", "thrust_x_lo", "thrust_y_hi", "thrust_y_lo"},
+    "los_base_x_m": {"los_range"},
+    "los_half_angle_deg": {"los_cone_upper", "los_cone_lower"},
+    "intersample_bloat": set(),
+}
+
+
+def _unsafe_set(p):
+    box = p.unsafe_box
+    return (None if p.normal is None else p.normal.tolist(), p.offset,
+            None if box is None else (box.lo.tolist(), box.hi.tolist()))
+
+
+@pytest.mark.parametrize("key", sorted(PROPERTY_DEFAULTS))
+def test_each_property_setting_reaches_the_engine(tmp_path, key):
+    default = PROPERTY_DEFAULTS[key]
+    value = (not default) if isinstance(default, bool) else 1.25 * default
+    doc = {**QUICK, "variant": "lin_prox_th_tracking"}
+    base = load_scenario(_write(tmp_path, "base.json", doc))
+    sc = load_scenario(_write(tmp_path, "sc.json", {**doc, "properties": {key: value}}))
+    assert scenario_to_dict(sc)["properties"] == {**PROPERTY_DEFAULTS, key: value}
+    ctx, ref = verifier._VerifyContext(sc), verifier._VerifyContext(base)
+    moved = {p.name for p, q in zip(ctx.aut.properties, ref.aut.properties)
+             if _unsafe_set(p) != _unsafe_set(q)}
+    assert moved == _MOVES[key]
+    assert ctx.bloat is (key == "intersample_bloat")
+    if key == "thrust_limit_n":
+        report = verify(sc)
+        assert report.thrust_margin_n == value - report.max_thrust_n
 
 
 def test_report_json_contents(tmp_path, quick_report):

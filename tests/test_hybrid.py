@@ -26,6 +26,7 @@ from rdvsafe.hybrid import (
     MODE_PROX_A,
     MODE_PROX_B,
     default_properties,
+    property_settings,
 )
 
 GEO = OrbitalParams()
@@ -140,6 +141,13 @@ def test_property_inventory_counts():
     assert len(default_properties("lin_prox_th_explicit", 6)) == 16
 
 
+def test_unknown_property_setting_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        property_settings({"bogus": 1})
+    with pytest.raises(ValueError, match="bogus"):
+        default_properties("lin_prox", 4, {"bogus": 1})
+
+
 def test_unsafe_sets_exclude_nominal_target_state():
     # The origin with zero velocity violates nothing except the collision box,
     # which contains the target by construction.
@@ -156,8 +164,8 @@ def test_automaton_linear_variant_flows():
     aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox")
     model = cwh_matrices(GEO)
     expect = closed_loop_matrix(model, GEO.m_c * GAINS[0].K)
-    assert np.array_equal(aut.modes[MODE_PROX_A].flow, expect)
-    assert np.array_equal(aut.modes[MODE_PASSIVE].flow, model.A)
+    assert np.array_equal(aut.flows[MODE_PROX_A], expect)
+    assert np.array_equal(aut.flows[MODE_PASSIVE], model.A)
     assert aut.dim == 4
 
 
@@ -172,8 +180,8 @@ def test_automaton_window_and_variant_validation():
 def test_thrust_variants_same_trajectories_different_matrices():
     aut_tr = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking")
     aut_ex = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_explicit")
-    A_tr = aut_tr.modes[MODE_PROX_A].flow
-    A_ex = aut_ex.modes[MODE_PROX_A].flow
+    A_tr = aut_tr.flows[MODE_PROX_A]
+    A_ex = aut_ex.flows[MODE_PROX_A]
     assert not np.allclose(A_tr, A_ex)
 
     x4 = np.array([-900.0, -400.0, 0.1, -0.05])
@@ -190,7 +198,7 @@ def test_thrust_variants_same_trajectories_different_matrices():
 
 def test_passive_flow_ignores_thrust_states():
     aut = build_rendezvous_automaton(GEO, GAINS, "lin_prox_th_tracking")
-    flow = aut.modes[MODE_PASSIVE].flow
+    flow = aut.flows[MODE_PASSIVE]
     assert np.array_equal(flow[:, 4:], np.zeros((6, 2)))
     assert np.array_equal(flow[4:, :], np.zeros((2, 6)))
 

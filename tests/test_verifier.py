@@ -280,6 +280,15 @@ def test_sweep_ordering_and_grid_order_invariance(quick):
     assert rows == rows_rev
 
 
+def test_sweep_worker_pool_matches_serial():
+    # Slower far-range gains give one bearing a safe deadline and one none.
+    sc = default_scenario(h=10.0, bryson={"prox_a": {"max_state": [1000.0, 1000.0, 0.1, 0.1]}})
+    args = (sc, [180.0, 230.0], 950.0, None, [600.0, 2400.0, 9600.0])
+    rows = sweep_passive_time(*args, jobs=1)
+    assert [t for _a, _r, t in rows] == [9600.0, -1.0]
+    assert sweep_passive_time(*args, jobs=2) == rows
+
+
 def test_sweep_rejects_bad_inputs(quick):
     with pytest.raises(ValueError):
         sweep_passive_time(quick, [400.0], 950.0)
@@ -351,7 +360,7 @@ def _stepwise_advance(ctx, seg, star):
     time, with each property's support or box test evaluated per step, and
     every step yielded as a block of one."""
     phi, chk = ctx.phis[seg.mode], ctx.checkers[seg.mode]
-    abs_flow = np.abs(ctx.aut.modes[seg.mode].flow)
+    abs_flow = np.abs(ctx.aut.flows[seg.mode])
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     c, V = star.x0, star.V
     for k in range(seg.n_steps):
