@@ -25,7 +25,6 @@ from .numsim import (
     Trajectory,
     matrix_exp,
     simulate_nonlinear,
-    simulate_switched,
 )
 from .orbital import (
     LinearModel,
@@ -90,7 +89,6 @@ __all__ = [
     "propagate",
     "separation_property",
     "simulate_nonlinear",
-    "simulate_switched",
     "solve_care",
     "support",
     "sweep_passive_time",

@@ -26,10 +26,10 @@ from .verifier import (
     FlowpipeSegment,
     Scenario,
     VerificationReport,
+    _simulate_with_ctx,
+    _VerifyContext,
     falsify,
-    sample_abort_steps,
-    sample_initial_points,
-    simulate_scenario,
+    sample_runs,
     sweep_passive_time,
     verify,
     verify_windowed,
@@ -544,13 +544,12 @@ def _cmd_simulate(args) -> int:
         print("need at least one sample", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    pts = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), args.samples)
-    psteps = sample_abort_steps(sc, args.samples, np.random.default_rng(sc.seed))
-    for i, (x0, pk) in enumerate(zip(pts, psteps)):
-        traj = simulate_scenario(sc, x0, int(pk))
+    ctx = _VerifyContext(sc)
+    for i, (x0, abort) in enumerate(zip(*sample_runs(sc, args.samples))):
+        traj = _simulate_with_ctx(ctx, x0, int(abort))
         out = os.path.join(args.out, f"trajectory_{i:03d}.csv")
         traj.to_csv(out)
-        print(f"sample {i}: abort at t={pk * sc.h:g}s -> {out}")
+        print(f"sample {i}: abort at t={abort * sc.h:g}s -> {out}")
     return 0
 
 
@@ -576,7 +575,11 @@ def _cmd_sweep(args) -> int:
         print(f"cannot parse --angles {args.angles!r}; expected start:stop:step",
               file=sys.stderr)
         return 2
-    angles = list(np.arange(a, b, step))
+    angles = list(np.arange(a, b, step)) if step else []
+    if not angles:
+        print(f"--angles {args.angles!r} selects no angle; the step must be nonzero"
+              " and lead from start toward stop", file=sys.stderr)
+        return 2
     rows = sweep_passive_time(sc, angles, args.radius, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     _emit_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
@@ -590,9 +593,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_plot(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "config" not in doc:
+        print("report is not a JSON object with a config; nothing to plot", file=sys.stderr)
+        return 2
     sc = scenario_from_dict(doc["config"])
     csv_name = doc.get("flowpipe_csv")
-    if not csv_name:
+    if not isinstance(csv_name, str) or not csv_name:
         print("report carries no flowpipe reference; nothing to plot", file=sys.stderr)
         return 2
     csv_path = os.path.join(os.path.dirname(os.path.abspath(args.report)), csv_name)

@@ -73,53 +73,27 @@ def matrix_exp(M) -> np.ndarray:
     return out
 
 
-def simulate_switched(step, switch, x0, h: float, T: float) -> Trajectory:
-    """Sample a switched system at steps of size h over [0, T].
+def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) -> Trajectory:
+    """n fixed steps of RK4 on the nonlinear relative dynamics from x0.
 
-    At each sample k, ``switch(k, x, mode)`` takes the state and the mode of
-    the previous sample (None at k = 0) and returns the mode of this sample
-    and the state after any reset; that state is recorded, and the next one
-    is ``step(mode, x)``.
+    The commanded thrust is F = -force_gain x, or zero when ``force_gain`` is
+    None; a mode's force gain is m_c K.  The gain is held over the run, so a
+    caller that switches modes starts a new run at each switch.
     """
     if not (h > 0.0):
         raise ValueError("step size must be positive")
-    steps = steps_within(T, h)
-    mode, x = switch(0, np.asarray(x0, dtype=float), None)
-    states = np.empty((steps + 1, x.shape[0]))
-    states[0] = x
-    modes = [mode]
-    for k in range(1, steps + 1):
-        mode, x = switch(k, step(mode, x), mode)
-        states[k] = x
-        modes.append(mode)
-    return Trajectory(times=h * np.arange(steps + 1), states=states, modes=tuple(modes))
 
-
-def simulate_nonlinear(params: OrbitalParams, gains, switch, x0, h: float, T: float) -> Trajectory:
-    """Fixed-step RK4 on the nonlinear relative dynamics under switched feedback.
-
-    ``gains`` is the (prox_a, prox_b) gain pair; the commanded thrust is
-    F = -m_c K x in the rendezvous modes and zero in the passive mode.
-    ``switch`` is as in :func:`simulate_switched`.  The mode is held constant
-    across each step, so switches are located to within one step.
-    """
-    k_a, k_b = gains
-    force_gain = {
-        MODE_PROX_A: params.m_c * np.asarray(k_a.K, dtype=float),
-        MODE_PROX_B: params.m_c * np.asarray(k_b.K, dtype=float),
-        MODE_PASSIVE: None,
-    }
-
-    def rhs(state, Kf):
-        f = (0.0, 0.0) if Kf is None else -(Kf @ state)
+    def rhs(state):
+        f = (0.0, 0.0) if force_gain is None else -(force_gain @ state)
         return nonlinear_field(params, state, f)
 
-    def rk4(mode, x):
-        Kf = force_gain[mode]
-        k1 = rhs(x, Kf)
-        k2 = rhs(x + 0.5 * h * k1, Kf)
-        k3 = rhs(x + 0.5 * h * k2, Kf)
-        k4 = rhs(x + h * k3, Kf)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return simulate_switched(rk4, switch, x0, h, T)
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((n + 1, len(x)))
+    states[0] = x
+    for k in range(1, n + 1):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = states[k] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Trajectory(times=h * np.arange(n + 1), states=states)

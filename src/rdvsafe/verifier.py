@@ -22,7 +22,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 from scipy.stats import qmc
@@ -46,7 +46,6 @@ from .numsim import (
     Trajectory,
     matrix_exp,
     simulate_nonlinear,
-    simulate_switched,
     steps_within,
 )
 from .orbital import OrbitalParams
@@ -547,38 +546,41 @@ def sample_initial_points(box: Box, count: int) -> np.ndarray:
     return np.array(pts)
 
 
-def sample_abort_steps(sc: Scenario, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Abort step indices drawn uniformly from the samples inside [t1, t2]."""
+def sample_runs(sc: Scenario, count: int,
+                seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Initial 4-states and abort steps of count sampled runs: the initial box's
+    corners and then Halton points, and abort steps drawn uniformly from the
+    samples inside [t1, t2] with the seed (the scenario's by default)."""
     k1 = int(math.ceil(sc.t1 / sc.h - _TIME_EPS))
     k2 = steps_within(sc.t2, sc.h)
     if k1 > k2:
         raise ValueError(f"abort window [{sc.t1}, {sc.t2}] holds no sample of step {sc.h}")
-    return rng.integers(k1, k2 + 1, size=count)
+    points = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), count)
+    rng = np.random.default_rng(sc.seed if seed is None else seed)
+    return points, rng.integers(k1, k2 + 1, size=count)
 
 
-def _mode_index(ctx: _VerifyContext, k: int, X, abort):
+def _mode_index(ctx: _VerifyContext, k, X, abort):
     """The switching rule at step k, as an index into ``_MODES``.
 
     The mode is passive from the abort step on; before that it is prox_b when
     the position meets every guard half-space and prox_a otherwise.  As the
     guard is urgent both ways, the rule needs no memory of the previous mode.
-    X and abort are one state (dim,) and step, or a batch (dim, N) of each.
+    k, X and abort are one step, state (dim,) and abort step, or arrays that
+    broadcast over a batch, X being (dim, N).
     """
     inside = ((ctx.guard2 @ X[:2]).T <= ctx.aut.guard_offsets).all(axis=-1)
     return np.where(k >= abort, 2, inside)
 
 
-def _reset(ctx: _VerifyContext, mode: str, X):
-    """States X (4 or dim rows) on entering mode: the 6-dim variants' thrust
-    rows become the commanded thrust, zero in passive and -m_c K x otherwise."""
+def _reset(ctx: _VerifyContext, mode: int, x):
+    """The state x (4 or dim entries) on entering ``_MODES[mode]``: the 6-dim
+    variants' thrust entries become the commanded thrust, zero in passive and
+    -m_c K x otherwise."""
     if ctx.aut.dim == 4:
-        return X
-    if mode == MODE_PASSIVE:
-        u = np.zeros((2,) + X.shape[1:])
-    else:
-        gain = ctx.aut.gains[0] if mode == MODE_PROX_A else ctx.aut.gains[1]
-        u = -ctx.sc.params.m_c * (gain.K @ X[:4])
-    return np.concatenate([X[:4], u])
+        return x
+    u = np.zeros(2) if mode == 2 else -ctx.sc.params.m_c * (ctx.aut.gains[mode].K @ x[:4])
+    return np.concatenate([x[:4], u])
 
 
 def simulate_scenario(sc: Scenario, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
@@ -588,32 +590,69 @@ def simulate_scenario(sc: Scenario, x0_4: np.ndarray, passive_step: int | None) 
 
 
 def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
+    """The run from x0_4 under the switching rule, aborting at passive_step
+    (None: never), sampled at every step up to the horizon.
+
+    The run advances its mode by blocks of n < ``_BLOCK`` steps: a linear
+    flow as one product of the rows P[1..n] of ``ctx.powers``' table with the
+    state, nlin_prox by RK4 under the mode's force gain.  The switching rule
+    is applied to the whole block, which is cut at its first mode change; the
+    state there is reset and stepping goes on in the new mode.  A rendezvous
+    block stops at the abort step, and passive is absorbing.
+    """
     sc = ctx.sc
     abort = math.inf if passive_step is None else passive_step
+    n_steps = steps_within(sc.horizon, sc.h)
+    mode = int(_mode_index(ctx, 0, x0_4, abort))
+    states = np.empty((n_steps + 1, ctx.aut.dim))
+    states[0] = _reset(ctx, mode, np.asarray(x0_4, dtype=float))
+    switches = [(0, mode)]          # (step, mode entered there)
+    k = 0
+    while k < n_steps:
+        n = min(_BLOCK - 1, n_steps - k, math.inf if mode == 2 else abort - k)
+        if sc.variant == VARIANT_NONLINEAR:
+            gain = None if mode == 2 else sc.params.m_c * np.asarray(ctx.aut.gains[mode].K)
+            block = simulate_nonlinear(sc.params, gain, states[k], sc.h, n).states[1:]
+        else:
+            P = ctx.powers(_MODES[mode])[0]
+            block = (P[1:n + 1].reshape(-1, len(P[0])) @ states[k]).reshape(n, -1)
+        new = mode
+        if mode != 2:
+            idx = _mode_index(ctx, np.arange(k + 1, k + n + 1), block.T, abort)
+            changed = np.flatnonzero(idx != mode)
+            if changed.size:
+                n = int(changed[0]) + 1
+                new = int(idx[n - 1])
+        states[k + 1:k + n + 1] = block[:n]
+        k += n
+        if new != mode:
+            mode = new
+            states[k] = _reset(ctx, mode, states[k])
+            switches.append((k, mode))
+    stops = [k for k, _ in switches[1:]] + [n_steps + 1]
+    modes = sum(((_MODES[m],) * (stop - k) for (k, m), stop in zip(switches, stops)), ())
+    return Trajectory(times=sc.h * np.arange(n_steps + 1), states=states, modes=modes)
 
-    def switch(k, x, prev):
-        if prev == MODE_PASSIVE:    # absorbing, as k only grows past the abort step
-            return prev, x
-        mode = _MODES[_mode_index(ctx, k, x, abort)]
-        return mode, (x if mode == prev else _reset(ctx, mode, x))
 
-    if sc.variant == VARIANT_NONLINEAR:
-        return simulate_nonlinear(sc.params, ctx.aut.gains, switch, x0_4, sc.h, sc.horizon)
-    return simulate_switched(lambda mode, x: ctx.phis[mode] @ x, switch, x0_4, sc.h, sc.horizon)
+def _mode_runs(traj: Trajectory):
+    """(mode, first step, end step) of each run of equal modes, in time order."""
+    start = 0
+    for mode, run in groupby(traj.modes):
+        stop = start + len(list(run))
+        yield mode, start, stop
+        start = stop
 
 
 def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, int] | None:
     """Earliest (property, step) at which the run meets an unsafe set of its mode."""
-    modes = np.array(traj.modes)
-    best = None
-    for mode, checker in ctx.checkers.items():
-        ks = np.flatnonzero(modes == mode)
-        states = traj.states[ks]
+    for mode, start, stop in _mode_runs(traj):
+        checker = ctx.checkers[mode]
+        states = traj.states[start:stop]
         hits = checker.check(states, None, states, states)
         rows = np.flatnonzero(hits.any(axis=1))
-        if rows.size and (best is None or ks[rows[0]] < best[1]):
-            best = (checker.order[int(np.argmax(hits[rows[0]]))], int(ks[rows[0]]))
-    return best
+        if rows.size:
+            return checker.order[int(np.argmax(hits[rows[0]]))], start + int(rows[0])
+    return None
 
 
 def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory | None:
@@ -627,11 +666,8 @@ def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory |
     if samples < 1:
         raise ValueError("need at least one sample")
     ctx = _VerifyContext(sc)
-    points = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), samples)
-    rng = np.random.default_rng(sc.seed if seed is None else seed)
-    psteps = sample_abort_steps(sc, samples, rng)
-    for x0, pk in zip(points, psteps):
-        traj = _simulate_with_ctx(ctx, x0, int(pk))
+    for x0, abort in zip(*sample_runs(sc, samples, seed)):
+        traj = _simulate_with_ctx(ctx, x0, int(abort))
         hit = _pointwise_violation(ctx, traj)
         if hit is not None:
             return replace(traj, violation=hit)
@@ -642,63 +678,40 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
                             report: VerificationReport | None = None) -> dict:
     """Check sampled closed-loop trajectories against the reach boxes.
 
-    The samples follow the verifier's switching rule, each with its own abort
-    step, and are stepped as one batch.  A sample that entered mode m at step
-    e must at step k lie in box k - e of some mode-m pipe whose step-0 time
-    range [t_lo0, t_hi0] holds e h; a sample with no such box counts as an
-    escape.  This accepts any pipe structure: restarts, grazes and windowed
-    passive pipes.  Returns counts and the worst excess.
+    The samples are the runs of :func:`falsify`, each with its own abort step.
+    A run that entered mode m at step e must at step k lie in box k - e of
+    some mode-m pipe whose step-0 time range [t_lo0, t_hi0] holds e h; a step
+    with no such box counts as an escape.  This accepts any pipe structure:
+    restarts, grazes and windowed passive pipes.  Returns counts and the worst
+    excess.
     """
     if report is None:
         report = verify(sc)
     if report.verdict == "inconclusive":
         raise ValueError("cannot check containment of an inconclusive run")
     ctx = _VerifyContext(sc)
-    rng = np.random.default_rng(sc.seed if seed is None else seed)
-    pts = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), n_samples)
-    psteps = sample_abort_steps(sc, n_samples, rng)
-
-    X = np.zeros((ctx.aut.dim, n_samples))
-    X[:4] = pts.T
-    mode = np.full(n_samples, -1)
-    entry = np.zeros(n_samples, dtype=int)
-    total_steps = steps_within(sc.horizon, sc.h)
+    # Each pipe's boxes with their slack: (pipe, lo - slack, hi, slack).
+    pipes = []
+    for seg in report.segments:
+        slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(seg.lo), np.abs(seg.hi)))
+        pipes.append((seg, seg.lo - slack, seg.hi, slack))
     violations = 0
     max_excess = 0.0
-    for k in range(total_steps + 1):
-        if k:
-            for m, name in enumerate(_MODES):
-                sel = mode == m
-                if sel.any():
-                    X[:, sel] = ctx.phis[name] @ X[:, sel]
-        new = _mode_index(ctx, k, X, psteps)
-        changed = new != mode
-        if changed.any():
-            for m, name in enumerate(_MODES):
-                sel = changed & (new == m)
-                X[:, sel] = _reset(ctx, name, X[:, sel])
-            mode = new
-            entry[changed] = k
-            t_entry = entry * sc.h
-            # Samples each pipe may hold: its mode, entered within its start range.
-            held = [np.flatnonzero((mode == _MODES.index(seg.mode))
-                                   & (t_entry >= seg.t_lo0 - _TIME_EPS)
-                                   & (t_entry <= seg.t_hi0 + _TIME_EPS))
-                    for seg in report.segments]
-        best = np.full(n_samples, np.inf)
-        for seg, idx in zip(report.segments, held):
-            idx = idx[k - entry[idx] < seg.n_steps]
-            if not idx.size:
-                continue
-            lo, hi = seg.lo[k - entry[idx]], seg.hi[k - entry[idx]]
-            slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            pts_now = X[:, idx].T
-            excess = np.maximum(lo - slack - pts_now, pts_now - hi - slack).max(axis=1)
-            best[idx] = np.minimum(best[idx], excess)
-        violations += int(np.sum(best > 0.0))
-        max_excess = float(np.max(best, initial=max_excess, where=np.isfinite(best)))
-    return {"samples": int(n_samples), "checked_steps": total_steps + 1,
-            "violations": int(violations), "max_excess": float(max_excess)}
+    for x0, abort in zip(*sample_runs(sc, n_samples, seed)):
+        traj = _simulate_with_ctx(ctx, x0, int(abort))
+        for mode, entry, stop in _mode_runs(traj):
+            best = np.full(stop - entry, np.inf)
+            for seg, lo, hi, slack in pipes:
+                if seg.mode == mode and (seg.t_lo0 - _TIME_EPS <= entry * sc.h
+                                         <= seg.t_hi0 + _TIME_EPS):
+                    m = min(stop - entry, seg.n_steps)
+                    x = traj.states[entry:entry + m]
+                    excess = np.maximum(lo[:m] - x, x - hi[:m] - slack[:m]).max(axis=1)
+                    best[:m] = np.minimum(best[:m], excess)
+            violations += int(np.sum(best > 0.0))
+            max_excess = float(np.max(best, initial=max_excess, where=np.isfinite(best)))
+    return {"samples": int(n_samples), "checked_steps": steps_within(sc.horizon, sc.h) + 1,
+            "violations": violations, "max_excess": max_excess}
 
 
 # ---------------------------------------------------------------------------

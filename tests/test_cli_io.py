@@ -308,6 +308,23 @@ def test_cli_sweep_outputs(tmp_path, capsys):
     assert cli_main(["sweep", sc, "--angles", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("angles", ["0:360:0", "0:360:-5", "90:90:5"])
+def test_cli_sweep_empty_angle_grid_is_usage_error(tmp_path, capsys, angles):
+    sc = _write(tmp_path, "sc.json", QUICK)
+    assert cli_main(["sweep", sc, "--angles", angles, "--out", str(tmp_path / "w")]) == 2
+    assert "selects no angle" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("doc", [[], "report", {}, {"flowpipe_csv": "flowpipe.csv"},
+                                 {"config": []}, {"config": {}, "flowpipe_csv": 5}])
+def test_cli_plot_rejects_malformed_report(tmp_path, capsys, doc):
+    report = _write(tmp_path, "report.json", doc)
+    assert cli_main(["plot", report, "--plane", "xy"]) == 2
+    assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "plot_xy.svg").exists()
+
+
 def test_report_dict_round_trips_config(quick_report):
     doc = report_to_dict(quick_report)
     sc = scenario_from_dict(doc["config"])

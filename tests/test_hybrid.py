@@ -13,10 +13,8 @@ from rdvsafe import (
     initial_thrust_box,
     default_scenario,
     los_halfspaces,
-    matrix_exp,
     octagon_halfspaces,
     separation_property,
-    simulate_switched,
     thrust_properties,
     velocity_polytope,
 )
@@ -28,6 +26,7 @@ from rdvsafe.hybrid import (
     default_properties,
     property_settings,
 )
+from rdvsafe.verifier import simulate_scenario
 
 GEO = OrbitalParams()
 GAINS = design_mode_gains(GEO)
@@ -184,16 +183,18 @@ def test_thrust_variants_same_trajectories_different_matrices():
     A_ex = aut_ex.flows[MODE_PROX_A]
     assert not np.allclose(A_tr, A_ex)
 
+    # Runs of both variants from the same state, which enter prox_a with the
+    # consistent thrust state -m_c K x.
     x4 = np.array([-900.0, -400.0, 0.1, -0.05])
-    u0 = -GEO.m_c * (GAINS[0].K @ x4)   # consistent initial thrust state
-    x6 = np.concatenate([x4, u0])
 
-    def run(A):
-        phi = matrix_exp(A * 1.0)
-        return simulate_switched(lambda mode, x: phi @ x, lambda k, x, mode: (MODE_PROX_A, x),
-                                 x6, 1.0, 1000.0).states
+    def run(variant):
+        sc = default_scenario(variant=variant, t1=1000.0, t2=1000.0, horizon=1000.0)
+        traj = simulate_scenario(sc, x4, None)
+        assert set(traj.modes) == {MODE_PROX_A}
+        return traj.states
 
-    assert np.allclose(run(A_tr), run(A_ex), rtol=1e-6, atol=1e-6)
+    assert np.allclose(run("lin_prox_th_tracking"), run("lin_prox_th_explicit"),
+                       rtol=1e-6, atol=1e-6)
 
 
 def test_passive_flow_ignores_thrust_states():

@@ -1,5 +1,7 @@
 """Propagation engine tests: matrix exponential, linear stepping, RK4."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,21 +13,26 @@ from rdvsafe import (
     matrix_exp,
     nonlinear_field,
     simulate_nonlinear,
-    simulate_switched,
 )
-from rdvsafe.numsim import MODE_PASSIVE
-from rdvsafe.verifier import _VerifyContext, _mode_index, default_scenario
+from rdvsafe.verifier import (
+    _mode_index,
+    _simulate_with_ctx,
+    _VerifyContext,
+    default_scenario,
+)
 
 GEO = OrbitalParams()
 
 
-def _passive(k, x, mode):
-    return MODE_PASSIVE, x
+@functools.cache
+def _coast_context(h, steps):
+    return _VerifyContext(default_scenario(t1=0.0, t2=0.0, horizon=steps * h, h=h))
 
 
-def simulate_linear(phi, h, x0, steps):
-    """states[k] = phi^k x0, through the switched loop with one mode."""
-    return simulate_switched(lambda mode, x: phi @ x, _passive, x0, h, steps * h)
+def simulate_linear(h, x0, steps):
+    """states[k] = Φ^k x0 for the CWH map Φ over h: a lin_prox run through the
+    sample engine that aborts into the passive mode at step 0."""
+    return _simulate_with_ctx(_coast_context(h, steps), x0, 0)
 
 
 def test_matrix_exp_zero_and_diagonal():
@@ -55,25 +62,25 @@ def test_propagator_semigroup_property():
 def test_propagator_rejects_bad_step():
     # A zero step would repeat sample times, which a trajectory refuses.
     with pytest.raises(ValueError):
-        simulate_linear(np.eye(2), 0.0, np.zeros(2), 3)
+        simulate_linear(0.0, np.zeros(4), 3)
+    with pytest.raises(ValueError):
+        simulate_nonlinear(GEO, None, np.zeros(4), 0.0, 3)
 
 
 def test_simulate_linear_zero_state():
-    phi = matrix_exp(cwh_matrices(GEO).A * 1.0)
-    traj = simulate_linear(phi, 1.0, np.zeros(4), 50)
+    traj = simulate_linear(1.0, np.zeros(4), 50)
     assert np.all(traj.states == 0.0)
     assert traj.times[-1] == 50.0
 
 
 def test_simulate_linear_superposition():
     rng = np.random.default_rng(11)
-    phi = matrix_exp(cwh_matrices(GEO).A * 10.0)
     for _ in range(20):
         x0 = rng.normal(scale=100.0, size=4)
         v = rng.normal(scale=10.0, size=4)
-        a = simulate_linear(phi, 10.0, x0 + v, 40).states
-        b = simulate_linear(phi, 10.0, x0, 40).states
-        c = simulate_linear(phi, 10.0, v, 40).states
+        a = simulate_linear(10.0, x0 + v, 40).states
+        b = simulate_linear(10.0, x0, 40).states
+        c = simulate_linear(10.0, v, 40).states
         assert np.allclose(a - b, c, rtol=1e-9, atol=1e-9)
 
 
@@ -96,8 +103,7 @@ def test_simulate_linear_matches_fine_rk4_over_one_orbit():
     period = 2 * np.pi / GEO.n
     steps = int(period / h)
     x0 = np.array([-100.0, 0.0, 0.0, 0.0])
-    phi = matrix_exp(cwh_matrices(GEO).A * h)
-    end_exp = simulate_linear(phi, h, x0, steps).states[-1]
+    end_exp = simulate_linear(h, x0, steps).states[-1]
 
     A = cwh_matrices(GEO).A
     x = x0.copy()
@@ -114,19 +120,16 @@ def test_simulate_linear_matches_fine_rk4_over_one_orbit():
 def test_cwh_drift_equilibrium_line():
     # A purely along-track offset with zero velocity is an equilibrium of the
     # uncontrolled relative dynamics.
-    phi = matrix_exp(cwh_matrices(GEO).A * 60.0)
-    traj = simulate_linear(phi, 60.0, np.array([0.0, 750.0, 0.0, 0.0]), 200)
+    traj = simulate_linear(60.0, np.array([0.0, 750.0, 0.0, 0.0]), 200)
     assert np.allclose(traj.states, traj.states[0], rtol=0, atol=1e-9 * 750.0)
 
 
 def test_rk4_fourth_order_convergence():
-    params = GEO
-    gains = design_mode_gains(params)
     x0 = np.array([-50000.0, 80000.0, 0.0, 0.0])
     T = 8000.0
 
     def endpoint(h):
-        return simulate_nonlinear(params, gains, _passive, x0, h, T).states[-1]
+        return simulate_nonlinear(GEO, None, x0, h, int(T / h)).states[-1]
 
     ref = endpoint(125.0)
     e1 = np.linalg.norm(endpoint(1000.0) - ref)
@@ -135,9 +138,11 @@ def test_rk4_fourth_order_convergence():
 
 
 def test_simulate_nonlinear_origin_equilibrium():
-    gains = design_mode_gains(GEO)
-    traj = simulate_nonlinear(GEO, gains, _passive, np.zeros(4), 1.0, 100.0)
-    assert np.all(np.abs(traj.states) <= 1e-9)
+    # Coasting, and under prox_a's feedback force.
+    for force_gain in (None, GEO.m_c * design_mode_gains(GEO)[0].K):
+        traj = simulate_nonlinear(GEO, force_gain, np.zeros(4), 1.0, 100)
+        assert traj.times[-1] == 100.0
+        assert np.all(np.abs(traj.states) <= 1e-9)
 
 
 def test_rendezvous_mode_logic_switches():

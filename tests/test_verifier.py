@@ -4,6 +4,7 @@ the acceptance suite runs the full-resolution mission)."""
 import json
 import math
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from rdvsafe import (
     default_scenario,
     falsify,
     monte_carlo_containment,
+    nonlinear_field,
     partition_window,
     sweep_passive_time,
     verify,
     verify_windowed,
 )
 from rdvsafe.hybrid import SafetyProperty
-from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
+from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
 from rdvsafe.verifier import sample_initial_points, simulate_scenario
 
 # Close-range starts that leave and re-enter the guard octagon.  The 2 m/s
@@ -502,3 +504,83 @@ def test_overflow_after_a_crossing_is_not_reached(monkeypatch, quick):
     assert rep.verdict != "inconclusive"
     assert (rep.segments[0].mode, rep.segments[0].n_steps) == (MODE_PROX_A, 3)
     _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(sc)))
+
+
+# ---------------------------------------------------------------------------
+# block sample engine against a one-step-at-a-time reference
+
+
+def _stepwise_run(ctx, x0, abort):
+    """Reference for ``verifier._simulate_with_ctx``: one step of the mode's
+    map at a time (Φ, or RK4 for nlin_prox), with the switching rule and the
+    reset applied at every sample.  Returns the states and the mode names."""
+    sc = ctx.sc
+    abort = math.inf if abort is None else abort
+
+    def rk4(mode, x):
+        kf = None if mode == 2 else sc.params.m_c * ctx.aut.gains[mode].K
+
+        def rhs(s):
+            return nonlinear_field(sc.params, s, (0.0, 0.0) if kf is None else -(kf @ s))
+
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * sc.h * k1)
+        k3 = rhs(x + 0.5 * sc.h * k2)
+        k4 = rhs(x + sc.h * k3)
+        return x + (sc.h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def phi(mode, x):
+        return ctx.phis[verifier._MODES[mode]] @ x
+
+    step = rk4 if sc.variant == "nlin_prox" else phi
+    mode, x = None, np.asarray(x0, dtype=float)
+    states, modes = [], []
+    for k in range(steps_within(sc.horizon, sc.h) + 1):
+        if k:
+            x = step(mode, x)
+        if mode != 2:
+            new = int(verifier._mode_index(ctx, k, x, abort))
+            if new != mode:
+                mode, x = new, verifier._reset(ctx, new, x)
+        states.append(x)
+        modes.append(verifier._MODES[mode])
+    return np.array(states), tuple(modes)
+
+
+def _mode_runs(modes):
+    return [m for m, _ in groupby(modes)]
+
+
+# (scenario, initial state, abort step, expected mode sequence)
+_ENGINE_CASES = {
+    "lin_prox": (default_scenario(), None, 7300, [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]),
+    "tracking": (default_scenario(variant="lin_prox_th_tracking"), None, 7300,
+                 [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]),
+    # The box's upper corner leaves the octagon and comes back.
+    "bounce": (cli.scenario_from_dict(GRAZE), "hi", 1700,
+               [MODE_PROX_B, MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+def test_sample_engine_matches_stepwise_reference(case):
+    sc, corner, abort, expected = _ENGINE_CASES[case]
+    x0 = (sc.init.hi if corner == "hi" else sc.init.mid())[:4]
+    ctx = verifier._VerifyContext(sc)
+    ref_states, ref_modes = _stepwise_run(ctx, x0, abort)
+    traj = verifier._simulate_with_ctx(ctx, x0, abort)
+    assert _mode_runs(ref_modes) == expected
+    assert traj.modes == ref_modes
+    scale = np.maximum(1.0, np.abs(ref_states).max(axis=0))
+    assert np.all(np.abs(traj.states - ref_states) <= 1e-9 * scale)
+
+
+def test_nonlinear_sample_engine_is_bit_identical():
+    sc = default_scenario(variant="nlin_prox", horizon=8000.0)
+    x0 = sc.init.mid()[:4]
+    ctx = verifier._VerifyContext(sc)
+    ref_states, ref_modes = _stepwise_run(ctx, x0, 7300)
+    traj = verifier._simulate_with_ctx(ctx, x0, 7300)
+    assert _mode_runs(ref_modes) == [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]
+    assert traj.modes == ref_modes
+    assert np.array_equal(traj.states, ref_states)
