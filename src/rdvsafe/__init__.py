@@ -33,16 +33,7 @@ from .orbital import (
     cwh_matrices,
     nonlinear_field,
 )
-from .starset import (
-    Box,
-    StarSet,
-    bounding_box,
-    from_box,
-    hull_boxes,
-    propagate,
-    support,
-    violates_halfspace,
-)
+from .starset import Box, hull_boxes, supports
 from .verifier import (
     FlowpipeSegment,
     Scenario,
@@ -65,11 +56,9 @@ __all__ = [
     "OrbitalParams",
     "SafetyProperty",
     "Scenario",
-    "StarSet",
     "Trajectory",
     "VerificationReport",
     "Weights",
-    "bounding_box",
     "bryson_weights",
     "build_rendezvous_automaton",
     "closed_loop_matrix",
@@ -77,7 +66,6 @@ __all__ = [
     "default_scenario",
     "design_mode_gains",
     "falsify",
-    "from_box",
     "hull_boxes",
     "initial_thrust_box",
     "los_halfspaces",
@@ -86,15 +74,13 @@ __all__ = [
     "nonlinear_field",
     "octagon_halfspaces",
     "partition_window",
-    "propagate",
     "separation_property",
     "simulate_nonlinear",
     "solve_care",
-    "support",
+    "supports",
     "sweep_passive_time",
     "thrust_properties",
     "velocity_polytope",
     "verify",
     "verify_windowed",
-    "violates_halfspace",
 ]

@@ -274,9 +274,13 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
     reconstructed segments carry a degenerate step-0 time range.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
-    header = rows[0].split(",")
+        rows = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: empty flowpipe CSV, expected a header line")
+    header = rows[0][1].split(",")
     dim = (len(header) - 4) // 2
+    if dim < 1 or len(header) != 2 * dim + 4:
+        raise ValueError(f"{path}, line {rows[0][0]}: not a flowpipe CSV header")
     segments: list[FlowpipeSegment] = []
     cur: list[tuple[str, float, list[float], str]] = []
 
@@ -296,13 +300,19 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
             violations=viol,
         ))
 
-    for line in rows[1:]:
+    for n, line in rows[1:]:
         parts = line.split(",")
-        if int(parts[0]) == 0:
+        try:
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
+            step, t = int(parts[0]), float(parts[1])
+            vals = [float(v) for v in parts[3:3 + 2 * dim]]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: {exc}") from None
+        if step == 0:
             close()
             cur = []
-        cur.append((parts[2], float(parts[1]),
-                    [float(v) for v in parts[3:3 + 2 * dim]], parts[3 + 2 * dim]))
+        cur.append((parts[2], t, vals, parts[3 + 2 * dim]))
     close()
     return segments
 

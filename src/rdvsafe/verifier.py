@@ -49,7 +49,7 @@ from .numsim import (
     steps_within,
 )
 from .orbital import OrbitalParams
-from .starset import Box, StarSet, clip_box_to_halfspace, from_box, hull_boxes
+from .starset import Box, clip_box_to_halfspace, hull_boxes, supports
 
 DEFAULT_INIT_CENTER = (-900.0, -400.0, 0.0, 0.0)
 DEFAULT_INIT_HALFWIDTH = (25.0, 25.0, 0.0, 0.0)
@@ -195,16 +195,14 @@ class _ModeChecker:
         self.conj = [p for p in props if mode in p.modes and p.unsafe_box is not None]
         self.order = self.names + [p.name for p in self.conj]
 
-    def check(self, C, V, lo, hi, bloat=None) -> np.ndarray:
-        """Hits of the sets c_k + V_k [-1, 1]^n, k < m, one column per name in
-        ``order``, as an (m, len(order)) array.
+    def check(self, vals, lo, hi, bloat=None) -> np.ndarray:
+        """Hits of m sets, one column per name in ``order``, as an
+        (m, len(order)) array.
 
-        C is (m, dim), V (m, dim, dim) or None for points, lo/hi (m, dim) the
-        sets' boxes and bloat (m, dim) an optional widening of each set.
+        vals (m, len(names)) holds the sets' supports in the directions
+        ``normals``, lo/hi (m, dim) their boxes and bloat (m, dim) an optional
+        widening of each set.
         """
-        vals = C @ self.normals.T
-        if V is not None:
-            vals = vals + np.abs(np.matmul(self.normals, V)).sum(axis=2)
         if bloat is not None:
             vals = vals + bloat @ np.abs(self.normals).T
         cols = [np.where(self.strict, vals > self.offsets, vals >= self.offsets)]
@@ -231,6 +229,7 @@ class _VerifyContext:
         self.bloat = self.settings["intersample_bloat"]
         self.guard2 = self.aut.guard_normals[:, :2]
         self._powers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._directions: dict[str, np.ndarray] = {}
 
     def powers(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         """The table P of mode's one-step map Φ, P[i] = Φ^i for i < _BLOCK,
@@ -246,21 +245,30 @@ class _VerifyContext:
             self._powers[mode] = (P, P[-1] @ phi)
         return self._powers[mode]
 
-    def initial(self) -> tuple[str, StarSet]:
+    def directions(self, mode: str) -> np.ndarray:
+        """The rows L of the supports that one block of mode needs, built on
+        first use: [I; -I] for the box, [G; -G] for the guard normals G (prox
+        modes only), then the normals of mode's checker."""
+        if mode not in self._directions:
+            eye, G = np.eye(self.aut.dim), self.aut.guard_normals
+            guard = [] if mode == MODE_PASSIVE else [G, -G]
+            self._directions[mode] = np.vstack([eye, -eye, *guard, self.checkers[mode].normals])
+        return self._directions[mode]
+
+    def initial(self) -> tuple[str, Box]:
         """The mode whose region holds the initial box's position part, and the
-        box as a star; a box straddling the guard is an error."""
+        box in that mode's state space; a box straddling the guard is an error."""
         box = self.sc.init
-        star = from_box(box)
-        cls = _classify(star.x0[:2], np.diag(star.V.diagonal()[:2]), self.guard2,
-                        self.aut.guard_offsets)
+        cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
+                        np.vstack([self.guard2, -self.guard2]), self.aut.guard_offsets)
         if cls == _STRADDLE:
             raise ValueError("initial box straddles the guard octagon; split the scenario")
         mode = MODE_PROX_B if cls == _INSIDE else MODE_PROX_A
         if self.aut.dim == 6 and box.dim == 4:
-            star = from_box(_with_thrust(self, mode, box))
+            box = _with_thrust(self, mode, box)
         elif box.dim != self.aut.dim:
             raise ValueError(f"initial box dim {box.dim} incompatible with variant {self.sc.variant}")
-        return mode, star
+        return mode, box
 
 
 def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
@@ -270,19 +278,20 @@ def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
     return Box(lo=np.concatenate([box4.lo, tbox.lo]), hi=np.concatenate([box4.hi, tbox.hi]))
 
 
-def _classes(C, V, normals, offsets) -> list[str]:
-    """Class of each set c_k + V_k [-1, 1]^n against the polytope
-    normals . x <= offsets: inside it, outside it, or straddling it."""
-    spread = np.abs(np.matmul(normals, V)).sum(axis=2)
-    proj = C @ normals.T
-    code = np.where(np.all(proj + spread <= offsets, axis=1), 0,
-                    np.where(np.any(proj - spread > offsets, axis=1), 1, 2))
+def _classes(vals, offsets) -> list[str]:
+    """Class of each set against the polytope G x <= offsets, from its
+    supports vals = [rho(G) | rho(-G)]: inside it (every rho(g) <= b),
+    outside it (some -rho(-g) > b), or straddling it."""
+    g = len(offsets)
+    code = np.where(np.all(vals[:, :g] <= offsets, axis=1), 0,
+                    np.where(np.any(-vals[:, g:] > offsets, axis=1), 1, 2))
     return [_CLASSES[i] for i in code.tolist()]
 
 
-def _classify(x0, V, normals, offsets) -> str:
-    """Class of the one set x0 + V [-1, 1]^n, as in :func:`_classes`."""
-    return _classes(x0[None], V[None], normals, offsets)[0]
+def _classify(c, V, rows, offsets) -> str:
+    """Class of the one set c + V [-1, 1]^n, as in :func:`_classes`, rows
+    being [G; -G]."""
+    return _classes(supports(c[None], V[None], rows), offsets)[0]
 
 
 def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
@@ -309,37 +318,45 @@ def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
                            t_lo0=t_lo0, t_hi0=t_hi0, h=ctx.h)
 
 
-def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, star: StarSet):
-    """Step the star through the flow of seg's mode, a block of samples at a time.
+def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
+    """Step the box's star [c | V] = [mid | diag(halfwidth)] through the flow
+    of seg's mode, a block of samples at a time.
 
     A block holds up to ``_BLOCK`` steps from its head set M = [c | V]: the
     set at step k0 + i is P[i] @ M with ``ctx.powers``' table P, and the next
-    head is Φ^_BLOCK @ M.  The block's boxes go into ``seg.lo``/``seg.hi`` and
-    its property hits into ``seg.violations`` before ``(k0, C, V)`` is yielded,
-    C (m, dim) and V (m, dim, dim) being the sets of steps k0..k0+m-1.  A
-    caller that stops at a step inside the block drops the later rows and hits.
-    A block ends before its first non-finite set, and resuming past it raises
+    head is Φ^_BLOCK @ M.  One :func:`supports` call in ``ctx.directions``
+    gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
+    property hits, which go into ``seg.violations``, and in a prox mode the
+    guard class of each set.  Then ``(k0, classes)`` is yielded, classes
+    being the class per step k0..k0+m-1 (None in passive).  A caller that
+    stops at a step inside the block drops the later rows and hits.  A block
+    ends before its first non-finite set, and resuming past it raises
     :class:`InconclusiveError` at that step.
     """
     P, phi_block = ctx.powers(seg.mode)
+    L = ctx.directions(seg.mode)
     checker = ctx.checkers[seg.mode]
     abs_flow_t = np.abs(ctx.aut.flows[seg.mode]).T
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     dim = ctx.aut.dim
-    M = np.column_stack([star.x0, star.V])
+    guard = slice(2 * dim, len(L) - len(checker.names))
+    M = np.column_stack([box.mid(), np.diag(box.halfwidth())])
     for k0 in range(0, seg.n_steps, _BLOCK):
         n = min(_BLOCK, seg.n_steps - k0)
         S = (P[:n].reshape(-1, dim) @ M).reshape(n, dim, dim + 1)
         finite = np.isfinite(S).all(axis=(1, 2))
         m = n if finite.all() else int(np.argmin(finite))
-        C, V = S[:m, :, 0], S[:m, :, 1:]
-        reach = np.abs(V).sum(axis=2)
-        lo = seg.lo[k0:k0 + m] = C - reach
-        hi = seg.hi[k0:k0 + m] = C + reach
-        bloat = ctx.h * ((np.abs(C) + reach) @ abs_flow_t) if ctx.bloat else None
-        hits = checker.check(C, V, lo, hi, bloat)
+        vals = supports(S[:m, :, 0], S[:m, :, 1:], L)
+        hi = seg.hi[k0:k0 + m] = vals[:, :dim]
+        neg_lo = vals[:, dim:2 * dim]
+        # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
+        lo = seg.lo[k0:k0 + m] = 0.0 - neg_lo
+        # The bloat's |c| + reach is max(hi, -lo) exactly.
+        bloat = ctx.h * (np.maximum(hi, neg_lo) @ abs_flow_t) if ctx.bloat else None
+        hits = checker.check(vals[:, guard.stop:], lo, hi, bloat)
         seg.violations.extend((k0 + k, checker.order[j]) for k, j in np.argwhere(hits).tolist())
-        yield k0, C, V
+        yield k0, (None if seg.mode == MODE_PASSIVE else
+                   _classes(vals[:, guard], ctx.aut.guard_offsets))
         if m < n:
             raise InconclusiveError(f"numerical overflow in {where} at step {k0 + m}")
         M = phi_block @ M
@@ -348,15 +365,14 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, star: StarSet):
 def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment]:
     """Run every rendezvous-mode pipe from the scenario's initial box up to
     covered time t_end (the clock bound)."""
-    aut, h = ctx.aut, ctx.h
+    h = ctx.h
     segments: list[FlowpipeSegment] = []
-    worklist: list[tuple[str, StarSet, float, float]] = [(*ctx.initial(), 0.0, 0.0)]
-    guard_n, guard_b = aut.guard_normals, aut.guard_offsets
+    worklist: list[tuple[str, Box, float, float]] = [(*ctx.initial(), 0.0, 0.0)]
 
     while worklist:
         if len(segments) >= _MAX_SEGMENTS:
             raise InconclusiveError("mode switching did not settle; too many pipe restarts")
-        mode, star, t_lo0, t_hi0 = worklist.pop(0)
+        mode, box, t_lo0, t_hi0 = worklist.pop(0)
         other = MODE_PROX_B if mode == MODE_PROX_A else MODE_PROX_A
         own_cls = _OUTSIDE if mode == MODE_PROX_A else _INSIDE
         crossed_cls = _INSIDE if mode == MODE_PROX_A else _OUTSIDE
@@ -381,12 +397,12 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         def restart(stop: int, k: int):
             """Restart the hull of rows collect_k0..stop-1 in the other mode,
             from the start times t_lo0 + collect_k0 h .. t_hi0 + k h."""
-            box = _restart_box(ctx, other, seg.lo[collect_k0:stop], seg.hi[collect_k0:stop])
-            if box is not None:
-                worklist.append((other, from_box(box), t_lo0 + collect_k0 * h, t_hi0 + k * h))
+            start = _restart_box(ctx, other, seg.lo[collect_k0:stop], seg.hi[collect_k0:stop])
+            if start is not None:
+                worklist.append((other, start, t_lo0 + collect_k0 * h, t_hi0 + k * h))
 
-        for k0, C, V in _advance(ctx, seg, star):
-            for k, cls in enumerate(_classes(C, V, guard_n, guard_b), k0):
+        for k0, classes in _advance(ctx, seg, box):
+            for k, cls in enumerate(classes, k0):
                 if cls == own_cls:
                     if settled and collect_k0 is not None:
                         # Grazed the guard and retreated: restart what may have
@@ -436,7 +452,7 @@ def _passive_segment(ctx: _VerifyContext, segments: list[FlowpipeSegment],
         hi[4:] = 0.0
         hull = Box(lo=lo, hi=hi)
     seg = _empty_segment(ctx, MODE_PASSIVE, steps_within(horizon - t1, ctx.h) + 1, t1, t2)
-    for _ in _advance(ctx, seg, from_box(hull)):
+    for _ in _advance(ctx, seg, hull):
         pass
     return seg
 
@@ -648,7 +664,7 @@ def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, in
     for mode, start, stop in _mode_runs(traj):
         checker = ctx.checkers[mode]
         states = traj.states[start:stop]
-        hits = checker.check(states, None, states, states)
+        hits = checker.check(supports(states, None, checker.normals), states, states)
         rows = np.flatnonzero(hits.any(axis=1))
         if rows.size:
             return checker.order[int(np.argmax(hits[rows[0]]))], start + int(rows[0])
@@ -765,7 +781,8 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
     For each angle the initial box is re-centered at radius * (cos, sin) with
     the base half-widths and zero velocity, and the largest T in the grid with
     ``verify_windowed`` safe on the abort window [0, T] is recorded; -1 means
-    no tested T was safe.  Rows come back in the input angle order.
+    no tested T was safe.  Rows come back in the input angle order.  With
+    jobs > 1 the angles run in a pool of at most one worker per angle.
     """
     angles = [float(a) for a in angles_deg]
     for a in angles:
@@ -773,12 +790,15 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
             raise ValueError(f"angles must lie in [0, 360), got {a}")
     if not (radius > 0.0):
         raise ValueError("sweep radius must be positive")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
     w = sc.window_width if w is None else float(w)
     if t_grid is None:
         t_grid = np.arange(600.0, sc.horizon + _TIME_EPS, 600.0)
     t_grid = sorted(float(t) for t in t_grid)
     tasks = [(sc, a, float(radius), w, t_grid) for a in angles]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]

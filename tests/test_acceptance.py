@@ -6,24 +6,21 @@ nonlinear falsification batch and the robustness sweep.
 """
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from rdvsafe import (
-    StarSet,
-    bounding_box,
     cwh_matrices,
     default_scenario,
     design_mode_gains,
     falsify,
     monte_carlo_containment,
-    propagate,
     solve_care,
-    support,
+    supports,
     sweep_passive_time,
     verify,
-    violates_halfspace,
 )
 from rdvsafe.cli import cli_main
 from rdvsafe.lqr import (
@@ -109,25 +106,32 @@ def test_criterion_4_robustness_sweep_shape():
             + f" ({wall:.1f}s)")
 
 
+def _corners(c, V):
+    """Every extreme point c + V a, a in {-1, 1}^n, of the star c + V [-1, 1]^n."""
+    return c + np.array(list(product((-1.0, 1.0), repeat=V.shape[1]))) @ V.T
+
+
 def test_criterion_5_star_exactness_suite():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
-        star = StarSet(x0=rng.normal(scale=5.0, size=4), V=rng.normal(size=(4, 4)))
+        c, V = rng.normal(scale=5.0, size=4), rng.normal(size=(4, 4))
         phi = rng.normal(scale=0.6, size=(4, 4))
-        moved = propagate(star, phi)
-        corners = moved.corners()
+        # The engine's propagation: one product with the stacked [c | V].
+        moved = phi @ np.column_stack([c, V])
+        c, V = moved[:, 0], moved[:, 1:]
         a = rng.normal(size=4)
         b = rng.normal(scale=4.0)
-        oracle = float((corners @ a).max())
-        got = support(moved, a)
+        oracle = float((_corners(c, V) @ a).max())
+        got = float(supports(c[None], V[None], a[None])[0, 0])
         worst = max(worst, abs(got - oracle) / max(1.0, abs(oracle)))
         assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
         if abs(oracle - b) > 1e-9 * max(1.0, abs(b)):
-            assert violates_halfspace(moved, a, b) == (oracle >= b)
-    box = bounding_box(StarSet(x0=np.array([1.0, 2.0]),
-                               V=np.array([[1.0, 1.0], [0.0, 1.0]])))
-    worked = (np.array_equal(box.lo, [-1.0, 1.0]) and np.array_equal(box.hi, [3.0, 3.0]))
+            assert (got >= b) == (oracle >= b)
+    # The worked box example through the rows [I; -I]: hi = (3, 3), -lo = (1, -1).
+    rows = np.vstack([np.eye(2), -np.eye(2)])
+    box = supports(np.array([[1.0, 2.0]]), np.array([[[1.0, 1.0], [0.0, 1.0]]]), rows)
+    worked = np.array_equal(box, [[3.0, 3.0, 1.0, -1.0]])
     _report(5, worked,
             f"1000 random propagated stars match the corner oracle "
             f"(worst support deviation {worst:.2e}); worked box example exact")

@@ -23,6 +23,7 @@ from rdvsafe.cli import (
 from rdvsafe.hybrid import PROPERTY_DEFAULTS
 
 QUICK = {"step_s": 30.0}  # coarse step keeps CLI runs fast
+HEADER_4D = "step,time_s,mode,lo_1,lo_2,lo_3,lo_4,hi_1,hi_2,hi_3,hi_4,flags\n"
 
 
 def _write(tmp_path, name, doc):
@@ -148,6 +149,9 @@ def test_flowpipe_rows_and_lossless_roundtrip(tmp_path, quick_report):
                        ",".join(f"lo_{i}" for i in range(1, 5)) + "," +
                        ",".join(f"hi_{i}" for i in range(1, 5)) + ",flags")
     assert len(lines) - 1 == quick_report.steps_total
+    # The start box's velocity dims have zero width: their lower bounds are
+    # written as 0, not -0.
+    assert lines[1].split(",")[5:7] == ["0", "0"]
     back = load_flowpipe_csv(path)
     assert len(back) == len(quick_report.segments)
     for orig, rest in zip(quick_report.segments, back):
@@ -306,6 +310,11 @@ def test_cli_sweep_outputs(tmp_path, capsys):
     assert len(csv) == 3  # angles 180, 230
     assert (out / "sweep.svg").exists()
     assert cli_main(["sweep", sc, "--angles", "nonsense"]) == 2
+    capsys.readouterr()
+    assert cli_main(["sweep", sc, "--angles", "180:231:50", "--jobs", "0",
+                     "--out", str(tmp_path / "nojobs")]) == 2
+    assert "at least one job" in capsys.readouterr().err
+    assert not (tmp_path / "nojobs").exists()
 
 
 @pytest.mark.parametrize("angles", ["0:360:0", "0:360:-5", "90:90:5"])
@@ -322,6 +331,19 @@ def test_cli_plot_rejects_malformed_report(tmp_path, capsys, doc):
     report = _write(tmp_path, "report.json", doc)
     assert cli_main(["plot", report, "--plane", "xy"]) == 2
     assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "plot_xy.svg").exists()
+
+
+@pytest.mark.parametrize("csv", ["", "step,time_s,mode,lo_1,hi_1,flags\n0,1.0,prox_a,1\n",
+                                 HEADER_4D + "0,1.0,prox_a,1,2\n",
+                                 HEADER_4D + "0,1.0,prox_a,1,2,3,4,5,6,7,x,\n"],
+                         ids=["empty", "short_row_1d", "short_row", "not_a_number"])
+def test_cli_plot_rejects_malformed_flowpipe_csv(tmp_path, capsys, csv):
+    (tmp_path / "flowpipe.csv").write_text(csv)
+    report = _write(tmp_path, "report.json", {"config": {}, "flowpipe_csv": "flowpipe.csv"})
+    assert cli_main(["plot", report, "--plane", "xy"]) == 2
+    err = capsys.readouterr().err
+    assert "flowpipe.csv" in err and ("line" in err or "empty" in err)
     assert not (tmp_path / "plot_xy.svg").exists()
 
 

@@ -1,21 +1,47 @@
-"""Star set and box algebra tests, mostly against the corner-enumeration oracle."""
+"""Star set and box algebra tests, mostly against the corner-enumeration oracle.
+
+A star c + V [-1, 1]^n is held as the arrays (c, V); the verifier builds it
+from a box as [mid | diag(halfwidth)], moves it by phi @ [c | V], and reads
+every support from :func:`supports`.
+"""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
-from rdvsafe import (
-    Box,
-    StarSet,
-    bounding_box,
-    from_box,
-    hull_boxes,
-    propagate,
-    support,
-    violates_halfspace,
-)
+from rdvsafe import Box, hull_boxes, supports
 from rdvsafe.starset import clip_box_to_halfspace
 
-WORKED_STAR = StarSet(x0=np.array([1.0, 2.0]), V=np.array([[1.0, 1.0], [0.0, 1.0]]))
+WORKED_C = np.array([1.0, 2.0])
+WORKED_V = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+def _star(box):
+    """The verifier's star of a box: midpoint center, axis generators."""
+    return box.mid(), np.diag(box.halfwidth())
+
+
+def _propagate(c, V, phi):
+    """The verifier's one-step image: one product with the stacked [c | V]."""
+    M = phi @ np.column_stack([c, V])
+    return M[:, 0], M[:, 1:]
+
+
+def _support(c, V, a):
+    return float(supports(c[None], V[None], np.asarray(a, dtype=float)[None])[0, 0])
+
+
+def _bounding_box(c, V):
+    """The star's box through the rows [I; -I]."""
+    d = len(c)
+    vals = supports(c[None], V[None], np.vstack([np.eye(d), -np.eye(d)]))[0]
+    return Box(lo=-vals[d:], hi=vals[:d])
+
+
+def _corners(c, V):
+    """All 2^n extreme points c + V a, a in {-1, 1}^n.  Exponential; tests only."""
+    return c + np.array(list(product((-1.0, 1.0), repeat=V.shape[1]))) @ V.T
 
 
 def test_box_validation():
@@ -26,14 +52,15 @@ def test_box_validation():
 
 
 def test_from_box_unit_cube():
-    s = from_box(Box(lo=-np.ones(3), hi=np.ones(3)))
-    assert np.array_equal(s.x0, np.zeros(3))
-    assert np.array_equal(s.V, np.eye(3))
+    c, V = _star(Box(lo=-np.ones(3), hi=np.ones(3)))
+    assert np.array_equal(c, np.zeros(3))
+    assert np.array_equal(V, np.eye(3))
 
 
 def test_from_box_degenerate_dimension():
-    s = from_box(Box(lo=np.array([0.0, 2.0]), hi=np.array([1.0, 2.0])))
-    assert np.array_equal(s.V[:, 1], np.zeros(2))
+    c, V = _star(Box(lo=np.array([0.0, 2.0]), hi=np.array([1.0, 2.0])))
+    assert np.array_equal(V[:, 1], np.zeros(2))
+    assert _support(c, V, [0.0, 1.0]) == 2.0 and _support(c, V, [0.0, -1.0]) == -2.0
 
 
 def test_from_box_roundtrip_exact():
@@ -42,25 +69,24 @@ def test_from_box_roundtrip_exact():
                    ((-3.5, 0.25), (1.5, 0.75)),
                    ((0.0, 0.0), (0.0, 4.0))]:
         b = Box(lo=np.array(lo), hi=np.array(hi))
-        back = bounding_box(from_box(b))
+        back = _bounding_box(*_star(b))
         assert np.array_equal(back.lo, b.lo) and np.array_equal(back.hi, b.hi)
 
 
 def test_propagate_identity_and_diagonal():
-    s = from_box(Box(lo=-np.ones(2), hi=np.ones(2)))
-    same = propagate(s, np.eye(2))
-    assert np.array_equal(same.x0, s.x0) and np.array_equal(same.V, s.V)
-    scaled = propagate(s, np.diag([2.0, 1.0]))
-    assert np.array_equal(scaled.V, np.diag([2.0, 1.0]))
+    c, V = _star(Box(lo=-np.ones(2), hi=np.ones(2)))
+    same_c, same_V = _propagate(c, V, np.eye(2))
+    assert np.array_equal(same_c, c) and np.array_equal(same_V, V)
+    _, scaled_V = _propagate(c, V, np.diag([2.0, 1.0]))
+    assert np.array_equal(scaled_V, np.diag([2.0, 1.0]))
 
 
 def test_propagate_rotation_against_corner_oracle():
-    s = from_box(Box(lo=-np.ones(2), hi=np.ones(2)))
-    c, si = np.cos(np.pi / 2), np.sin(np.pi / 2)
-    rot = np.array([[c, -si], [si, c]])
-    out = propagate(s, rot)
-    box = bounding_box(out)
-    corners = (rot @ s.corners().T).T
+    c, V = _star(Box(lo=-np.ones(2), hi=np.ones(2)))
+    co, si = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    rot = np.array([[co, -si], [si, co]])
+    box = _bounding_box(*_propagate(c, V, rot))
+    corners = (rot @ _corners(c, V).T).T
     for corner in corners:
         assert box.contains(corner, slack=1e-12)
     # The rotated square's corners touch the new bounding box.
@@ -68,10 +94,10 @@ def test_propagate_rotation_against_corner_oracle():
 
 
 def test_bounding_box_worked_example():
-    box = bounding_box(WORKED_STAR)
+    box = _bounding_box(WORKED_C, WORKED_V)
     assert np.allclose(box.lo, [-1.0, 1.0], rtol=0, atol=0)
     assert np.allclose(box.hi, [3.0, 3.0], rtol=0, atol=0)
-    corners = WORKED_STAR.corners()
+    corners = _corners(WORKED_C, WORKED_V)
     assert corners[:, 0].min() == -1.0 and corners[:, 0].max() == 3.0
     assert corners[:, 1].min() == 1.0 and corners[:, 1].max() == 3.0
 
@@ -79,68 +105,105 @@ def test_bounding_box_worked_example():
 def test_bounding_box_contains_all_corners():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        s = StarSet(x0=rng.normal(size=4), V=rng.normal(size=(4, 4)))
-        box = bounding_box(s)
-        for corner in s.corners():
+        c, V = rng.normal(size=4), rng.normal(size=(4, 4))
+        box = _bounding_box(c, V)
+        for corner in _corners(c, V):
             assert box.contains(corner, slack=1e-9)
 
 
 def test_support_unit_box_axis():
-    s = from_box(Box(lo=-np.ones(2), hi=np.ones(2)))
-    assert support(s, np.array([1.0, 0.0])) == 1.0
+    c, V = _star(Box(lo=-np.ones(2), hi=np.ones(2)))
+    assert _support(c, V, [1.0, 0.0]) == 1.0
 
 
 def test_support_worked_example():
-    val = support(WORKED_STAR, np.array([1.0, 1.0]))
+    val = _support(WORKED_C, WORKED_V, [1.0, 1.0])
     assert val == pytest.approx(6.0, abs=1e-12)
-    assert (WORKED_STAR.corners() @ np.array([1.0, 1.0])).max() == pytest.approx(6.0, abs=1e-12)
+    assert (_corners(WORKED_C, WORKED_V) @ np.array([1.0, 1.0])).max() == pytest.approx(
+        6.0, abs=1e-12)
 
 
 def test_support_symmetry_identity():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        s = StarSet(x0=rng.normal(size=3), V=rng.normal(size=(3, 3)))
+        c, V = rng.normal(size=3), rng.normal(size=(3, 3))
         a = rng.normal(size=3)
-        min_val = -support(s, -a)
-        assert min_val == pytest.approx((s.corners() @ a).min(), rel=1e-9, abs=1e-9)
+        min_val = -_support(c, V, -a)
+        assert min_val == pytest.approx((_corners(c, V) @ a).min(), rel=1e-9, abs=1e-9)
 
 
 def test_support_matches_corner_oracle_randomized():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        s = StarSet(x0=rng.normal(scale=5.0, size=4), V=rng.normal(size=(4, 4)))
+        c, V = rng.normal(scale=5.0, size=4), rng.normal(size=(4, 4))
         a = rng.normal(size=4)
-        oracle = (s.corners() @ a).max()
-        assert support(s, a) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        oracle = (_corners(c, V) @ a).max()
+        assert _support(c, V, a) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 def test_propagation_adjoint_identity():
     rng = np.random.default_rng(23)
     for _ in range(25):
-        s = StarSet(x0=rng.normal(size=4), V=rng.normal(size=(4, 4)))
+        c, V = rng.normal(size=4), rng.normal(size=(4, 4))
         phi = rng.normal(size=(4, 4))
         a = rng.normal(size=4)
-        assert support(propagate(s, phi), a) == pytest.approx(
-            support(s, phi.T @ a), rel=1e-9, abs=1e-9)
+        assert _support(*_propagate(c, V, phi), a) == pytest.approx(
+            _support(c, V, phi.T @ a), rel=1e-9, abs=1e-9)
 
 
 def test_violates_halfspace_touching_counts():
-    s = from_box(Box(lo=-np.ones(2), hi=np.ones(2)))
-    e1 = np.array([1.0, 0.0])
-    assert not violates_halfspace(s, e1, 2.0)
-    assert violates_halfspace(s, e1, 1.0)
+    # A star meets the closed half-space a.x >= b iff its support reaches b.
+    c, V = _star(Box(lo=-np.ones(2), hi=np.ones(2)))
+    e1 = [1.0, 0.0]
+    assert not _support(c, V, e1) >= 2.0
+    assert _support(c, V, e1) >= 1.0
 
 
 def test_violates_halfspace_matches_corner_oracle():
     rng = np.random.default_rng(29)
     for _ in range(100):
-        s = StarSet(x0=rng.normal(size=3), V=rng.normal(size=(3, 3)))
+        c, V = rng.normal(size=3), rng.normal(size=(3, 3))
         a = rng.normal(size=3)
         b = rng.normal(scale=3.0)
-        oracle_max = (s.corners() @ a).max()
+        oracle_max = (_corners(c, V) @ a).max()
         if abs(oracle_max - b) < 1e-9 * max(1.0, abs(b)):
             continue  # skip numerically ambiguous boundary draws
-        assert violates_halfspace(s, a, b) == (oracle_max >= b)
+        assert (_support(c, V, a) >= b) == (oracle_max >= b)
+
+
+def test_supports_box_rows_are_exact():
+    # The verifier's boxes are the rows [I; -I] of one supports call; they
+    # must equal c + |V| 1 and -(c - |V| 1) bit for bit, which is what keeps
+    # the emitted flowpipe bytes of c -/+ reach.
+    rng = np.random.default_rng(41)
+    for m, d in ((256, 4), (100, 6), (1, 2)):
+        C = rng.normal(scale=1e3, size=(m, d))
+        V = rng.normal(size=(m, d, d)) * rng.uniform(0.0, 50.0, size=(m, 1, d))
+        vals = supports(C, V, np.vstack([np.eye(d), -np.eye(d)]))
+        reach = np.abs(V).sum(axis=2)
+        assert np.array_equal(vals[:, :d], C + reach)
+        assert np.array_equal(vals[:, d:], -(C - reach))
+
+
+def test_supports_of_points_is_the_product():
+    rng = np.random.default_rng(43)
+    C, L = rng.normal(size=(50, 4)), rng.normal(size=(7, 4))
+    assert np.array_equal(supports(C, None, L), C @ L.T)
+
+
+def test_supports_batch_matches_corner_oracle():
+    # m > 1 stars of n != d generators in many mixed-sign directions at once:
+    # each (star, row) entry is that star's own maximum over its corners.
+    rng = np.random.default_rng(47)
+    m, d, n = 9, 4, 3
+    C = rng.normal(scale=5.0, size=(m, d))
+    V = rng.normal(size=(m, d, n))
+    L = rng.normal(size=(11, d))
+    vals = supports(C, V, L)
+    assert vals.shape == (m, len(L))
+    for k in range(m):
+        oracle = (_corners(C[k], V[k]) @ L.T).max(axis=0)
+        assert np.allclose(vals[k], oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_hull_boxes():

@@ -296,6 +296,37 @@ def test_sweep_rejects_bad_inputs(quick):
         sweep_passive_time(quick, [400.0], 950.0)
     with pytest.raises(ValueError):
         sweep_passive_time(quick, [180.0], -1.0)
+    with pytest.raises(ValueError, match="at least one job"):
+        sweep_passive_time(quick, [180.0], 950.0, jobs=0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_pool_has_at_most_one_worker_per_angle(monkeypatch, quick):
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    args = (quick, [180.0, 230.0], 950.0, None, [600.0])
+    rows = sweep_passive_time(*args, jobs=64)
+    assert _RecordingPool.made == [2]
+    assert rows == sweep_passive_time(*args, jobs=1)
+    sweep_passive_time(quick, [180.0], 950.0, None, [600.0], jobs=64)
+    assert _RecordingPool.made == [2]
 
 
 def test_linear_and_nonlinear_runs_share_sample_times():
@@ -357,14 +388,16 @@ def test_intersample_bloat_option_runs():
 # blocked propagation against a one-sample-at-a-time reference
 
 
-def _stepwise_advance(ctx, seg, star):
+def _stepwise_advance(ctx, seg, box):
     """Reference for ``verifier._advance``: the Φ recurrence one sample at a
-    time, with each property's support or box test evaluated per step, and
-    every step yielded as a block of one."""
+    time from the box's star, with each property's support or box test and
+    the guard class evaluated per step, and every step yielded as a block of
+    one."""
     phi, chk = ctx.phis[seg.mode], ctx.checkers[seg.mode]
     abs_flow = np.abs(ctx.aut.flows[seg.mode])
+    G, g = ctx.aut.guard_normals, ctx.aut.guard_offsets
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
-    c, V = star.x0, star.V
+    c, V = box.mid(), np.diag(box.halfwidth())
     for k in range(seg.n_steps):
         if not (np.isfinite(c).all() and np.isfinite(V).all()):
             raise verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
@@ -380,7 +413,12 @@ def _stepwise_advance(ctx, seg, star):
             if (np.all(seg.lo[k][d] - bloat[d] <= p.unsafe_box.hi)
                     and np.all(seg.hi[k][d] + bloat[d] >= p.unsafe_box.lo)):
                 seg.violations.append((k, p.name))
-        yield k, c[None], V[None]
+        cls = None
+        if seg.mode != MODE_PASSIVE:
+            spread = np.abs(G @ V).sum(axis=1)
+            cls = (["inside"] if np.all(G @ c + spread <= g) else
+                   ["outside"] if np.any(G @ c - spread > g) else ["straddle"])
+        yield k, cls
         c, V = phi @ c, phi @ V
 
 
@@ -444,9 +482,9 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick
     # A prox_a property first met one step after the crossing, in the same
     # block: the blocked pipe computes that hit and must drop it.
     ctx = verifier._VerifyContext(quick)
-    _, star = ctx.initial()
+    _, box = ctx.initial()
     a = np.array([1.0, 0.0, 0.0, 0.0])
-    c, V, support = star.x0, star.V, []
+    c, V, support = box.mid(), np.diag(box.halfwidth()), []
     for _ in range(crossing + 2):
         support.append(a @ c + np.abs(a @ V).sum())
         c, V = ctx.phis[MODE_PROX_A] @ c, ctx.phis[MODE_PROX_A] @ V
