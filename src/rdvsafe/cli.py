@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hybrid import GUARD_RADIUS_M, PROPERTY_DEFAULTS, property_settings
+from .hybrid import GUARD_RADIUS_M, PROPERTY_DEFAULTS, VARIANTS, property_settings
 from .lqr import bryson_maxima
 from .numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
 from .orbital import OrbitalParams
@@ -116,6 +116,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     variant = doc["variant"]
     if not isinstance(variant, str):
         raise ScenarioError("/variant", "expected a string")
+    if variant not in VARIANTS:
+        raise ScenarioError("/variant",
+                            f"unknown variant {variant!r}; expected one of {list(VARIANTS)}")
     mu = _require_number(doc["mu"], "/mu")
     r_orbit = _require_number(doc["r_orbit"], "/r_orbit")
     m_c = _require_number(doc["m_c"], "/m_c")
@@ -278,6 +281,8 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
     if not rows:
         raise ValueError(f"{path}: empty flowpipe CSV, expected a header line")
     header = rows[0][1].split(",")
+    if header == ["step", "time_s", "mode", "flags"] and len(rows) == 1:
+        return []       # the file of a run with no pipes
     dim = (len(header) - 4) // 2
     if dim < 1 or len(header) != 2 * dim + 4:
         raise ValueError(f"{path}, line {rows[0][0]}: not a flowpipe CSV header")
@@ -505,7 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("scenario")
     v.add_argument("--out", default="out", help="output directory (default: out)")
     v.add_argument("--window", type=float, default=None,
-                   help="split the abort window into subwindows of this width (s)")
+                   help="split the abort window into subwindows of this width (s);"
+                        " without it the window is one (the scenario's"
+                        " window_width_s is not used here)")
 
     s = sub.add_parser("simulate", help="export sampled closed-loop trajectories")
     s.add_argument("scenario")
@@ -645,3 +652,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

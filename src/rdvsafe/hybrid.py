@@ -7,15 +7,16 @@ The prox_a/prox_b switching guard is the 100 m octagon and is urgent; the
 octagon under-approximates the separation circle so the linear guard never
 fires later than the circular one along the axes.
 
-Safety requirements are registered as linear unsafe sets per mode: a
-line-of-sight cone and a velocity polytope in prox_b, thrust limits in both
-rendezvous modes (thrust-tracking variants only), and a collision box around
-the target in the passive mode.
+Safety requirements are registered as linear unsafe sets per mode, each an
+intersection of half-spaces: a line-of-sight cone and a velocity polytope in
+prox_b, thrust limits in both rendezvous modes (thrust-tracking variants
+only), and a collision box around the target in the passive mode.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +53,16 @@ PROPERTY_DEFAULTS = {
 
 @dataclass(frozen=True)
 class SafetyProperty:
-    """One registered check.
-
-    Half-space form: violation when the reach set meets ``normal . x >= offset``
-    (strictly when ``strict``, i.e. the complement of a closed safe region).
-    Conjunction form: violation when the reach box over ``box_dims`` overlaps
-    ``unsafe_box``.
-    """
+    """One registered unsafe set: the states x with normals @ x >= offsets in
+    every row (> when ``strict``, i.e. the complement of a closed safe
+    region).  A set meets it when its support in each row reaches that row's
+    offset; a half-space is one row."""
 
     name: str
     modes: tuple[str, ...]
-    normal: np.ndarray | None = None
-    offset: float | None = None
-    strict: bool = False
-    unsafe_box: Box | None = None
-    box_dims: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.normal is not None:
-            object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+    normals: np.ndarray     # (rows, dim)
+    offsets: np.ndarray     # (rows,)
+    strict: bool
 
 
 @dataclass(frozen=True)
@@ -102,17 +94,14 @@ def octagon_halfspaces(radius: float):
 
 
 def los_halfspaces(base_x: float = LOS_BASE_X_M, half_angle_deg: float = LOS_HALF_ANGLE_DEG):
-    """Triangular line-of-sight region as (a, b) half-spaces, a.x <= b safe.
+    """Triangular line-of-sight region as (normals, offsets), a.x <= b safe.
 
     The cone opens about the -x axis with the given half angle; the base edge
     closes it at ``base_x``, the close-range mode boundary.
     """
     t = math.tan(math.radians(half_angle_deg))
-    return (
-        (np.array([-1.0, 0.0]), -base_x),   # x >= base_x
-        (np.array([t, 1.0]), 0.0),          # y <= -x tan
-        (np.array([t, -1.0]), 0.0),         # y >= x tan
-    )
+    # Rows: x >= base_x, y <= -x tan, y >= x tan.
+    return np.array([[-1.0, 0.0], [t, 1.0], [t, -1.0]]), np.array([-base_x, 0.0, 0.0])
 
 
 def velocity_polytope(limit: float = VELOCITY_LIMIT_MPS):
@@ -128,69 +117,64 @@ def velocity_polytope(limit: float = VELOCITY_LIMIT_MPS):
     return normals, offsets
 
 
-def _embed(vec2: np.ndarray, dims: tuple[int, int], dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[dims[0]] = vec2[0]
-    out[dims[1]] = vec2[1]
+_AXES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])     # +x, -x, +y, -y
+
+
+def _embed(rows2: np.ndarray, dims: tuple[int, int], dim: int) -> np.ndarray:
+    """The plane rows ``rows2`` (k, 2) as rows of the dim-state, on ``dims``."""
+    out = np.zeros((len(rows2), dim))
+    out[:, dims] = rows2
     return out
 
 
-def thrust_properties(variant: str, limit: float = THRUST_LIMIT_N) -> tuple[SafetyProperty, ...]:
-    """Four unsafe half-spaces |u_x|, |u_y| >= limit (Newtons) on the thrust states."""
-    if variant not in (VARIANT_TRACKING, VARIANT_EXPLICIT):
-        raise ValueError(f"variant {variant!r} has no thrust states to constrain")
-    scope = (MODE_PROX_A, MODE_PROX_B)
-    props = []
-    for name, axis, sign in (
-        ("thrust_x_hi", 4, 1.0),
-        ("thrust_x_lo", 4, -1.0),
-        ("thrust_y_hi", 5, 1.0),
-        ("thrust_y_lo", 5, -1.0),
-    ):
-        normal = np.zeros(6)
-        normal[axis] = sign
-        props.append(SafetyProperty(name=name, modes=scope, normal=normal, offset=limit))
-    return tuple(props)
+def _halfspaces(names, modes, normals, offsets, strict: bool) -> list[SafetyProperty]:
+    """One single-row property per name, the k-th being normals[k] . x >= offsets[k]."""
+    return [SafetyProperty(name, modes, normals[k:k + 1], offsets[k:k + 1], strict)
+            for k, name in enumerate(names)]
 
 
-def separation_property(halfwidth: float = SEPARATION_HALFWIDTH_M) -> SafetyProperty:
-    """Collision box around the target, checked during the passive coast."""
-    return SafetyProperty(
-        name="separation",
-        modes=(MODE_PASSIVE,),
-        unsafe_box=Box(lo=np.array([-halfwidth, -halfwidth]), hi=np.array([halfwidth, halfwidth])),
-        box_dims=(0, 1),
-    )
+def thrust_properties(limit: float = THRUST_LIMIT_N) -> tuple[SafetyProperty, ...]:
+    """Four unsafe half-spaces |u_x|, |u_y| >= limit (Newtons) on the thrust
+    states 4 and 5 of the 6-dim variants."""
+    return tuple(_halfspaces(("thrust_x_hi", "thrust_x_lo", "thrust_y_hi", "thrust_y_lo"),
+                             (MODE_PROX_A, MODE_PROX_B), _embed(_AXES, (4, 5), 6),
+                             np.full(4, limit), strict=False))
+
+
+def separation_property(dim: int, halfwidth: float = SEPARATION_HALFWIDTH_M) -> SafetyProperty:
+    """Collision box |x|, |y| <= halfwidth around the target, checked during
+    the passive coast: the rows +-x, +-y at offset -halfwidth."""
+    return SafetyProperty("separation", (MODE_PASSIVE,), _embed(_AXES, (0, 1), dim),
+                          np.full(4, -halfwidth), strict=False)
 
 
 def property_settings(overrides: dict | None = None) -> dict:
-    """``PROPERTY_DEFAULTS`` with ``overrides`` applied, each value cast to its
-    default's type; an unknown key is a ValueError."""
+    """``PROPERTY_DEFAULTS`` with ``overrides`` applied.  A value must have its
+    default's type: a bool for a bool default, a real number other than a bool
+    for a float default (an int becomes a float).  An unknown key or a value
+    of another type is a ValueError naming the key."""
     ov = overrides or {}
     unknown = sorted(set(ov) - set(PROPERTY_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown property overrides: {unknown}")
+    for key, val in ov.items():
+        default = PROPERTY_DEFAULTS[key]
+        if isinstance(val, bool) != isinstance(default, bool) or not isinstance(val, numbers.Real):
+            raise ValueError(f"property {key!r} expects a {type(default).__name__}, got {val!r}")
     return {key: type(val)(ov.get(key, val)) for key, val in PROPERTY_DEFAULTS.items()}
 
 
 def default_properties(variant: str, dim: int, overrides: dict | None = None):
     s = property_settings(overrides)
-    props: list[SafetyProperty] = []
-    los_names = ("los_range", "los_cone_upper", "los_cone_lower")
-    for name, (a, b) in zip(los_names, los_halfspaces(s["los_base_x_m"], s["los_half_angle_deg"])):
-        props.append(SafetyProperty(
-            name=name, modes=(MODE_PROX_B,),
-            normal=_embed(a, (0, 1), dim), offset=b, strict=True,
-        ))
-    vel_normals, vel_offsets = velocity_polytope(s["velocity_limit_mps"])
-    for k in range(8):
-        props.append(SafetyProperty(
-            name=f"velocity_{45 * k:03d}", modes=(MODE_PROX_B,),
-            normal=_embed(vel_normals[k], (2, 3), dim), offset=float(vel_offsets[k]), strict=True,
-        ))
+    los_n, los_b = los_halfspaces(s["los_base_x_m"], s["los_half_angle_deg"])
+    vel_n, vel_b = velocity_polytope(s["velocity_limit_mps"])
+    props = _halfspaces(("los_range", "los_cone_upper", "los_cone_lower"), (MODE_PROX_B,),
+                        _embed(los_n, (0, 1), dim), los_b, strict=True)
+    props += _halfspaces([f"velocity_{45 * k:03d}" for k in range(8)], (MODE_PROX_B,),
+                         _embed(vel_n, (2, 3), dim), vel_b, strict=True)
     if variant in (VARIANT_TRACKING, VARIANT_EXPLICIT):
-        props.extend(thrust_properties(variant, s["thrust_limit_n"]))
-    props.append(separation_property(s["separation_halfwidth_m"]))
+        props += thrust_properties(s["thrust_limit_n"])
+    props.append(separation_property(dim, s["separation_halfwidth_m"]))
     return tuple(props)
 
 
@@ -251,7 +235,7 @@ def build_rendezvous_automaton(
         dim=dim,
         gains=gains,
         flows={MODE_PROX_A: flow_a, MODE_PROX_B: flow_b, MODE_PASSIVE: flow_p},
-        guard_normals=np.stack([_embed(row, (0, 1), dim) for row in oct2_n]),
+        guard_normals=_embed(oct2_n, (0, 1), dim),
         guard_offsets=oct_b,
         properties=default_properties(variant, dim, property_overrides),
     )

@@ -48,9 +48,6 @@ class Box:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lo - slack) and np.all(p <= self.hi + slack))
 
-    def intersects(self, other: "Box") -> bool:
-        return bool(np.all(self.lo <= other.hi) and np.all(self.hi >= other.lo))
-
 
 def supports(C, V, L) -> np.ndarray:
     """Support of each star c_k + V_k [-1, 1]^n in each direction l (a row of

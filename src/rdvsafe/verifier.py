@@ -184,35 +184,27 @@ def automaton_for_scenario(sc: Scenario) -> HybridAutomaton:
 
 
 class _ModeChecker:
-    """Batched property evaluation for one mode."""
+    """Batched property evaluation for one mode: the properties' rows stacked,
+    and per property in ``rows`` its row indices, padded with its last row."""
 
     def __init__(self, props: tuple[SafetyProperty, ...], mode: str, dim: int):
-        half = [p for p in props if mode in p.modes and p.normal is not None]
-        self.names = [p.name for p in half]
-        self.normals = np.array([p.normal for p in half]).reshape(len(half), dim)
-        self.offsets = np.array([p.offset for p in half], dtype=float)
-        self.strict = np.array([p.strict for p in half], dtype=bool)
-        self.conj = [p for p in props if mode in p.modes and p.unsafe_box is not None]
-        self.order = self.names + [p.name for p in self.conj]
+        mine = [p for p in props if mode in p.modes]
+        counts = np.array([len(p.offsets) for p in mine], dtype=int)
+        ends = np.cumsum(counts)
+        self.names = [p.name for p in mine]
+        self.normals = np.concatenate([p.normals for p in mine] or [np.empty((0, dim))])
+        self.offsets = np.concatenate([p.offsets for p in mine] or [np.empty(0)])
+        self.strict = np.repeat(np.array([p.strict for p in mine], dtype=bool), counts)
+        width = max((len(p.offsets) for p in mine), default=1)
+        self.rows = np.minimum((ends - counts)[:, None] + np.arange(width), ends[:, None] - 1)
 
-    def check(self, vals, lo, hi, bloat=None) -> np.ndarray:
-        """Hits of m sets, one column per name in ``order``, as an
-        (m, len(order)) array.
-
-        vals (m, len(names)) holds the sets' supports in the directions
-        ``normals``, lo/hi (m, dim) their boxes and bloat (m, dim) an optional
-        widening of each set.
-        """
+    def check(self, vals, bloat=None) -> np.ndarray:
+        """The (m, len(names)) hits of m sets from their supports vals in the
+        directions ``normals``, each set widened by the optional bloat (m, dim)."""
         if bloat is not None:
             vals = vals + bloat @ np.abs(self.normals).T
-        cols = [np.where(self.strict, vals > self.offsets, vals >= self.offsets)]
-        for p in self.conj:
-            d = list(p.box_dims)
-            plo, phi = lo[:, d], hi[:, d]
-            if bloat is not None:
-                plo, phi = plo - bloat[:, d], phi + bloat[:, d]
-            cols.append(np.all((plo <= p.unsafe_box.hi) & (phi >= p.unsafe_box.lo), axis=1))
-        return np.column_stack(cols)
+        hits = np.where(self.strict, vals > self.offsets, vals >= self.offsets)
+        return hits[:, self.rows].all(axis=2)
 
 
 class _VerifyContext:
@@ -245,14 +237,19 @@ class _VerifyContext:
             self._powers[mode] = (P, P[-1] @ phi)
         return self._powers[mode]
 
-    def directions(self, mode: str) -> np.ndarray:
-        """The rows L of the supports that one block of mode needs, built on
-        first use: [I; -I] for the box, [G; -G] for the guard normals G (prox
-        modes only), then the normals of mode's checker."""
+    def directions(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """The rows L of the supports that one block of mode needs, and the
+        column of L for each row of mode's checker, built on first use:
+        [I; -I] for the box, [G; -G] for the guard normals G (prox modes
+        only), then the checker's rows not among these.  The collision box
+        and the thrust limits are unit rows, so they read box columns."""
         if mode not in self._directions:
             eye, G = np.eye(self.aut.dim), self.aut.guard_normals
-            guard = [] if mode == MODE_PASSIVE else [G, -G]
-            self._directions[mode] = np.vstack([eye, -eye, *guard, self.checkers[mode].normals])
+            base = np.vstack([eye, -eye] + ([] if mode == MODE_PASSIVE else [G, -G]))
+            rows = self.checkers[mode].normals
+            L = np.vstack([base, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)]])
+            # Each checker row reads the first row of L equal to it.
+            self._directions[mode] = L, (L[:, None] == rows).all(axis=2).argmax(axis=0)
         return self._directions[mode]
 
     def initial(self) -> tuple[str, Box]:
@@ -334,12 +331,12 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
     :class:`InconclusiveError` at that step.
     """
     P, phi_block = ctx.powers(seg.mode)
-    L = ctx.directions(seg.mode)
+    L, cols = ctx.directions(seg.mode)
     checker = ctx.checkers[seg.mode]
     abs_flow_t = np.abs(ctx.aut.flows[seg.mode]).T
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     dim = ctx.aut.dim
-    guard = slice(2 * dim, len(L) - len(checker.names))
+    guard = slice(2 * dim, 2 * (dim + len(ctx.aut.guard_offsets)))     # prox modes only
     M = np.column_stack([box.mid(), np.diag(box.halfwidth())])
     for k0 in range(0, seg.n_steps, _BLOCK):
         n = min(_BLOCK, seg.n_steps - k0)
@@ -350,11 +347,11 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
         hi = seg.hi[k0:k0 + m] = vals[:, :dim]
         neg_lo = vals[:, dim:2 * dim]
         # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-        lo = seg.lo[k0:k0 + m] = 0.0 - neg_lo
+        seg.lo[k0:k0 + m] = 0.0 - neg_lo
         # The bloat's |c| + reach is max(hi, -lo) exactly.
         bloat = ctx.h * (np.maximum(hi, neg_lo) @ abs_flow_t) if ctx.bloat else None
-        hits = checker.check(vals[:, guard.stop:], lo, hi, bloat)
-        seg.violations.extend((k0 + k, checker.order[j]) for k, j in np.argwhere(hits).tolist())
+        hits = checker.check(vals[:, cols], bloat)
+        seg.violations.extend((k0 + k, checker.names[j]) for k, j in np.argwhere(hits).tolist())
         yield k0, (None if seg.mode == MODE_PASSIVE else
                    _classes(vals[:, guard], ctx.aut.guard_offsets))
         if m < n:
@@ -664,10 +661,9 @@ def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, in
     for mode, start, stop in _mode_runs(traj):
         checker = ctx.checkers[mode]
         states = traj.states[start:stop]
-        hits = checker.check(supports(states, None, checker.normals), states, states)
-        rows = np.flatnonzero(hits.any(axis=1))
-        if rows.size:
-            return checker.order[int(np.argmax(hits[rows[0]]))], start + int(rows[0])
+        hits = np.argwhere(checker.check(supports(states, None, checker.normals)))
+        if len(hits):
+            return checker.names[hits[0, 1]], start + int(hits[0, 0])
     return None
 
 

@@ -23,6 +23,7 @@ from rdvsafe import (
     verify,
 )
 from rdvsafe.cli import cli_main
+from rdvsafe.hybrid import SEPARATION_HALFWIDTH_M
 from rdvsafe.lqr import (
     DEFAULT_MAX_INPUT,
     PROXA_MAX_STATE,
@@ -31,8 +32,8 @@ from rdvsafe.lqr import (
     bryson_weights,
     care_residual,
 )
-from rdvsafe.numsim import MODE_PROX_B
-from rdvsafe.verifier import simulate_scenario
+from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_B
+from rdvsafe.verifier import _VerifyContext, simulate_scenario
 
 
 def _report(num, ok, detail=""):
@@ -114,6 +115,11 @@ def _corners(c, V):
 def test_criterion_5_star_exactness_suite():
     rng = np.random.default_rng(2024)
     worst = 0.0
+    # The collision box is a multi-row property: the passive checker must flag
+    # it exactly when the stars' corner bounding box meets the box.
+    passive = _VerifyContext(default_scenario()).checkers[MODE_PASSIVE]
+    sep, hw = passive.names.index("separation"), SEPARATION_HALFWIDTH_M
+    box_hits = {True: 0, False: 0}
     for _ in range(1000):
         c, V = rng.normal(scale=5.0, size=4), rng.normal(size=(4, 4))
         phi = rng.normal(scale=0.6, size=(4, 4))
@@ -122,19 +128,28 @@ def test_criterion_5_star_exactness_suite():
         c, V = moved[:, 0], moved[:, 1:]
         a = rng.normal(size=4)
         b = rng.normal(scale=4.0)
-        oracle = float((_corners(c, V) @ a).max())
+        pts = _corners(c, V)
+        oracle = float((pts @ a).max())
         got = float(supports(c[None], V[None], a[None])[0, 0])
         worst = max(worst, abs(got - oracle) / max(1.0, abs(oracle)))
         assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
         if abs(oracle - b) > 1e-9 * max(1.0, abs(b)):
             assert (got >= b) == (oracle >= b)
+        lo, hi = pts[:, :2].min(axis=0), pts[:, :2].max(axis=0)
+        if np.all(np.abs(np.concatenate([lo - hw, hi + hw])) > 1e-9):
+            meets = bool(np.all(lo <= hw) and np.all(hi >= -hw))
+            flagged = bool(passive.check(supports(c[None], V[None], passive.normals))[0, sep])
+            assert flagged == meets
+            box_hits[meets] += 1
     # The worked box example through the rows [I; -I]: hi = (3, 3), -lo = (1, -1).
     rows = np.vstack([np.eye(2), -np.eye(2)])
     box = supports(np.array([[1.0, 2.0]]), np.array([[[1.0, 1.0], [0.0, 1.0]]]), rows)
     worked = np.array_equal(box, [[3.0, 3.0, 1.0, -1.0]])
-    _report(5, worked,
+    _report(5, worked and min(box_hits.values()) > 0,
             f"1000 random propagated stars match the corner oracle "
-            f"(worst support deviation {worst:.2e}); worked box example exact")
+            f"(worst support deviation {worst:.2e}); the collision box is flagged exactly "
+            f"when their bounding box meets it ({box_hits[True]} met, {box_hits[False]} missed); "
+            f"worked box example exact")
 
 
 def test_criterion_6_containment_soundness(lin_report):

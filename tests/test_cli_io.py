@@ -1,11 +1,16 @@
 """Scenario file handling, emission formats, plotting, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdvsafe
 from rdvsafe import default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
     ScenarioError,
@@ -60,6 +65,7 @@ def test_empty_document_yields_default_scenario(tmp_path):
     ({"properties": {"nope": 1}}, "/properties/nope"),
     ({"bryson": {"prox_a": {"max_state": [1, 2]}}}, "/bryson/prox_a/max_state"),
     ({"bryson": {"warp": {}}}, "/bryson/warp"),
+    ({"variant": "bogus"}, "/variant"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
@@ -96,9 +102,7 @@ _MOVES = {
 
 
 def _unsafe_set(p):
-    box = p.unsafe_box
-    return (None if p.normal is None else p.normal.tolist(), p.offset,
-            None if box is None else (box.lo.tolist(), box.hi.tolist()))
+    return p.normals.tolist(), p.offsets.tolist()
 
 
 @pytest.mark.parametrize("key", sorted(PROPERTY_DEFAULTS))
@@ -352,3 +356,18 @@ def test_report_dict_round_trips_config(quick_report):
     sc = scenario_from_dict(doc["config"])
     assert sc.h == quick_report.scenario.h
     assert np.array_equal(sc.init.lo, quick_report.scenario.init.lo)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m rdvsafe.cli` must run the command: an exit 0 that did
+    # nothing would read as "safe" to a script.
+    src = str(Path(rdvsafe.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    sc = _write(tmp_path, "sc.json", {**QUICK, "properties": {"separation_halfwidth_m": 50.0}})
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "rdvsafe.cli", "verify", sc, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "verdict: unsafe" in proc.stdout
+    assert json.loads((out / "report.json").read_text())["verdict"] == "unsafe"

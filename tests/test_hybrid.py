@@ -36,6 +36,12 @@ def _violated(normals, offsets, p):
     return np.nonzero(normals @ p > offsets)[0]
 
 
+def _hit(prop, x):
+    """Whether the state x lies in prop's unsafe set (every row reached)."""
+    vals = prop.normals @ np.asarray(x, dtype=float)
+    return bool(np.all(vals > prop.offsets if prop.strict else vals >= prop.offsets))
+
+
 def test_octagon_vertex_on_axis_touches_two_edges():
     normals, offsets = octagon_halfspaces(100.0)
     vals = normals @ np.array([100.0, 0.0])
@@ -75,9 +81,9 @@ def test_octagon_rejects_bad_radius():
 
 
 def test_los_region_membership():
-    hs = los_halfspaces()
+    normals, offsets = los_halfspaces()
     def inside(p):
-        return all(a @ p <= b + 1e-12 for a, b in hs)
+        return bool(np.all(normals @ p <= offsets + 1e-12))
     assert inside(np.array([-50.0, 0.0]))
     assert inside(np.array([-50.0, 28.0]))       # 28 < 50 tan30 = 28.87
     assert not inside(np.array([-50.0, 30.0]))
@@ -88,14 +94,8 @@ def test_los_region_membership():
 def test_los_properties_fire_exactly_one():
     props = [p for p in default_properties("lin_prox", 4) if p.name.startswith("los")]
     assert len(props) == 3
-    state = np.array([-50.0, 30.0, 0.0, 0.0])
-    fired = [p.name for p in props
-             if (p.normal @ state > p.offset if p.strict else p.normal @ state >= p.offset)]
-    assert fired == ["los_cone_upper"]
-    apex = np.zeros(4)
-    fired_apex = [p.name for p in props
-                  if (p.normal @ apex > p.offset if p.strict else p.normal @ apex >= p.offset)]
-    assert fired_apex == []
+    assert [p.name for p in props if _hit(p, [-50.0, 30.0, 0.0, 0.0])] == ["los_cone_upper"]
+    assert [p.name for p in props if _hit(p, np.zeros(4))] == []
 
 
 def test_velocity_polytope_membership():
@@ -107,30 +107,30 @@ def test_velocity_polytope_membership():
 
 
 def test_thrust_properties_bounds_and_scope():
-    props = thrust_properties("lin_prox_th_tracking")
+    props = thrust_properties()
     assert len(props) == 4
     assert all(set(p.modes) == {MODE_PROX_A, MODE_PROX_B} for p in props)
-    state = np.zeros(6)
     def fired(u):
-        state[4:] = u
-        return [p.name for p in props if p.normal @ state >= p.offset]
-    assert fired(np.array([9.9, 0.0])) == []
-    assert fired(np.array([10.0, 0.0])) == ["thrust_x_hi"]   # closed unsafe set
-    assert fired(np.array([0.0, -10.5])) == ["thrust_y_lo"]
-    with pytest.raises(ValueError):
-        thrust_properties("lin_prox")
+        return [p.name for p in props if _hit(p, [0.0, 0.0, 0.0, 0.0, *u])]
+    assert fired([9.9, 0.0]) == []
+    assert fired([10.0, 0.0]) == ["thrust_x_hi"]   # closed unsafe set
+    assert fired([0.0, -10.5]) == ["thrust_y_lo"]
+    assert [p.name for p in thrust_properties(12.0) if _hit(p, [0, 0, 0, 0, -11.0, 11.0])] == []
 
 
 def test_separation_property_geometry():
-    prop = separation_property()
+    prop = separation_property(4)
     hw = 0.1 / np.sqrt(2.0)
-    assert prop.unsafe_box.hi[0] == pytest.approx(hw, rel=1e-12)
-    assert prop.unsafe_box.hi[0] == pytest.approx(0.07071, abs=5e-6)
-    assert prop.modes == (MODE_PASSIVE,)
-    inside = Box(lo=np.array([-0.05, -0.05]), hi=np.array([0.05, 0.05]))
-    assert prop.unsafe_box.intersects(inside)
-    away = Box(lo=np.array([1.0, 1.0]), hi=np.array([2.0, 2.0]))
-    assert not prop.unsafe_box.intersects(away)
+    assert np.allclose(-prop.offsets, hw, rtol=1e-12)
+    assert -prop.offsets[0] == pytest.approx(0.07071, abs=5e-6)
+    assert prop.modes == (MODE_PASSIVE,) and prop.normals.shape == (4, 4)
+    # A point meets the box when it reaches all four rows; one row is not enough.
+    assert _hit(prop, [0.05, -0.05, 3.0, 3.0])
+    assert _hit(prop, [hw, -hw, 0.0, 0.0])              # closed unsafe set
+    assert not _hit(prop, [0.0, 0.08, 0.0, 0.0])
+    assert not _hit(prop, [1.5, 1.5, 0.0, 0.0])
+    assert separation_property(6, 2.0).normals.shape == (4, 6)
+    assert _hit(separation_property(6, 2.0), [1.5, 1.5, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_property_inventory_counts():
@@ -147,16 +147,29 @@ def test_unknown_property_setting_is_rejected():
         default_properties("lin_prox", 4, {"bogus": 1})
 
 
+def test_bool_setting_rejects_a_non_bool():
+    with pytest.raises(ValueError, match="intersample_bloat"):
+        property_settings({"intersample_bloat": "false"})
+    with pytest.raises(ValueError, match="intersample_bloat"):
+        property_settings({"intersample_bloat": 0})
+    assert property_settings({"intersample_bloat": True})["intersample_bloat"] is True
+
+
+def test_float_setting_rejects_a_bool_or_a_non_real():
+    for bad in (True, "0.1", None, [0.1]):
+        with pytest.raises(ValueError, match="velocity_limit_mps"):
+            property_settings({"velocity_limit_mps": bad})
+    # An int is a real number and becomes a float.
+    limit = property_settings({"velocity_limit_mps": 2})["velocity_limit_mps"]
+    assert type(limit) is float and limit == 2.0
+
+
 def test_unsafe_sets_exclude_nominal_target_state():
     # The origin with zero velocity violates nothing except the collision box,
     # which contains the target by construction.
     for variant, dim in (("lin_prox", 4), ("lin_prox_th_tracking", 6)):
         for p in default_properties(variant, dim):
-            if p.normal is not None:
-                val = float(p.normal @ np.zeros(dim))
-                assert not (val > p.offset if p.strict else val >= p.offset), p.name
-            else:
-                assert p.unsafe_box.contains(np.zeros(2))
+            assert _hit(p, np.zeros(dim)) == (p.name == "separation"), p.name
 
 
 def test_automaton_linear_variant_flows():

@@ -160,7 +160,7 @@ def test_clock_bound_mid_crossing_restart_pipes():
         (0.0, 0.0), (14.0, 14.0), (0.0, 14.0)]
 
 
-def test_restart_cap_is_inconclusive(tmp_path, monkeypatch):
+def test_restart_cap_is_inconclusive(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verifier, "_MAX_SEGMENTS", 2)
     rep = verify(cli.scenario_from_dict(GRAZE))
     assert rep.verdict == "inconclusive"
@@ -168,6 +168,14 @@ def test_restart_cap_is_inconclusive(tmp_path, monkeypatch):
     path = tmp_path / "graze.json"
     path.write_text(json.dumps(GRAZE))
     assert cli.cli_main(["verify", str(path), "--out", str(tmp_path / "out")]) == 3
+    # The run has no pipes: its flowpipe file is the lone header, read as
+    # zero pipes, so plot fails for that reason and not on the file's form.
+    assert (tmp_path / "out" / "flowpipe.csv").read_text() == "step,time_s,mode,flags\n"
+    assert cli.load_flowpipe_csv(str(tmp_path / "out" / "flowpipe.csv")) == []
+    capsys.readouterr()
+    report = str(tmp_path / "out" / "report.json")
+    assert cli.cli_main(["plot", report, "--plane", "xy"]) == 2
+    assert "nothing to plot: empty flowpipe" in capsys.readouterr().err
 
 
 def test_windowed_single_window_identical_to_verify(quick, quick_report):
@@ -390,10 +398,11 @@ def test_intersample_bloat_option_runs():
 
 def _stepwise_advance(ctx, seg, box):
     """Reference for ``verifier._advance``: the Φ recurrence one sample at a
-    time from the box's star, with each property's support or box test and
-    the guard class evaluated per step, and every step yielded as a block of
-    one."""
-    phi, chk = ctx.phis[seg.mode], ctx.checkers[seg.mode]
+    time from the box's star, with each property's rows tested on their
+    supports and the guard class evaluated per step, and every step yielded
+    as a block of one."""
+    phi = ctx.phis[seg.mode]
+    props = [p for p in ctx.aut.properties if seg.mode in p.modes]
     abs_flow = np.abs(ctx.aut.flows[seg.mode])
     G, g = ctx.aut.guard_normals, ctx.aut.guard_offsets
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
@@ -404,14 +413,12 @@ def _stepwise_advance(ctx, seg, box):
         reach = np.abs(V).sum(axis=1)
         seg.lo[k], seg.hi[k] = c - reach, c + reach
         bloat = ctx.h * (abs_flow @ (np.abs(c) + reach)) if ctx.bloat else np.zeros_like(c)
-        for a, b, strict, name in zip(chk.normals, chk.offsets, chk.strict, chk.names):
-            support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
-            if support > b or (support == b and not strict):
-                seg.violations.append((k, name))
-        for p in chk.conj:
-            d = list(p.box_dims)
-            if (np.all(seg.lo[k][d] - bloat[d] <= p.unsafe_box.hi)
-                    and np.all(seg.hi[k][d] + bloat[d] >= p.unsafe_box.lo)):
+        for p in props:
+            rows_hit = []
+            for a, b in zip(p.normals, p.offsets):
+                support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
+                rows_hit.append(support > b or (support == b and not p.strict))
+            if all(rows_hit):
                 seg.violations.append((k, p.name))
         cls = None
         if seg.mode != MODE_PASSIVE:
@@ -455,10 +462,17 @@ def _patch_context(monkeypatch, edit):
 @pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking", "lin_prox_th_explicit"])
 @pytest.mark.parametrize("bloat", [False, True])
 def test_blocked_propagation_matches_stepwise_reference(monkeypatch, variant, bloat):
-    sc = default_scenario(h=10.0, variant=variant,
-                          property_overrides={"intersample_bloat": bloat})
-    for run in (lambda: verify(sc), lambda: verify_windowed(sc, 60.0)):
-        _assert_same_report(run(), _stepwise(monkeypatch, run))
+    # A 40 m collision box makes the four-row separation property fire.
+    for halfwidth in (None, 40.0):
+        overrides = {"intersample_bloat": bloat}
+        if halfwidth is not None:
+            overrides["separation_halfwidth_m"] = halfwidth
+        sc = default_scenario(h=10.0, variant=variant, property_overrides=overrides)
+        for run in (lambda: verify(sc), lambda: verify_windowed(sc, 60.0)):
+            rep = run()
+            _assert_same_report(rep, _stepwise(monkeypatch, run))
+            if halfwidth is not None:
+                assert "separation" in {v.property for v in rep.violations}
 
 
 def test_blocked_propagation_at_block_edge_lengths(monkeypatch, quick, quick_report):
@@ -489,12 +503,13 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick
         support.append(a @ c + np.abs(a @ V).sum())
         c, V = ctx.phis[MODE_PROX_A] @ c, ctx.phis[MODE_PROX_A] @ V
     assert max(support[:-1]) < support[-1]
-    late = SafetyProperty(name="late", modes=(MODE_PROX_A,), normal=a,
-                          offset=0.5 * (max(support[:-1]) + support[-1]))
+    late = SafetyProperty(name="late", modes=(MODE_PROX_A,), normals=a[None],
+                          offsets=np.array([0.5 * (max(support[:-1]) + support[-1])]), strict=False)
 
     def add_late(ctx):
+        ctx.aut = replace(ctx.aut, properties=ctx.aut.properties + (late,))
         ctx.checkers[MODE_PROX_A] = verifier._ModeChecker(
-            ctx.aut.properties + (late,), MODE_PROX_A, ctx.aut.dim)
+            ctx.aut.properties, MODE_PROX_A, ctx.aut.dim)
 
     _patch_context(monkeypatch, add_late)
     rep = verify(quick)
