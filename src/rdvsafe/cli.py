@@ -258,14 +258,12 @@ def emit_flowpipe(report: VerificationReport, path: str) -> None:
     )
     lines = [",".join(header)]
     for seg in report.segments:
-        flags: dict[int, list[str]] = {}
-        for k, name in seg.violations:
-            flags.setdefault(k, []).append(name)
+        flags = [";".join(sorted(n for n, hit in zip(seg.names, row) if hit)) if any(row) else ""
+                 for row in seg.hits.tolist()]
         times = seg.times_lo()
         for k in range(seg.n_steps):
             nums = [_fmt(times[k])] + [_fmt(v) for v in seg.lo[k]] + [_fmt(v) for v in seg.hi[k]]
-            flag = ";".join(sorted(flags.get(k, ())))
-            lines.append(f"{k},{nums[0]},{seg.mode}," + ",".join(nums[1:]) + f",{flag}")
+            lines.append(f"{k},{nums[0]},{seg.mode}," + ",".join(nums[1:]) + f",{flags[k]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -274,7 +272,8 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
     """Rebuild pipe segments from a flowpipe CSV (step 0 starts a new pipe).
 
     The CSV stores one time per step (the earliest covered), so the
-    reconstructed segments carry a degenerate step-0 time range.
+    reconstructed segments carry a degenerate step-0 time range; a segment's
+    ``names`` are only the properties it hits, sorted.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
@@ -294,15 +293,13 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
             return
         arr = np.array([vals for _m, _t, vals, _f in cur])
         times = [t for _m, t, _v, _f in cur]
-        viol = []
-        for k, (_m, _t, _v, flag) in enumerate(cur):
-            if flag:
-                viol.extend((k, name) for name in flag.split(";"))
+        flags = [set(flag.split(";")) if flag else set() for _m, _t, _v, flag in cur]
+        names = tuple(sorted(set().union(*flags)))
         segments.append(FlowpipeSegment(
             mode=cur[0][0], lo=arr[:, :dim], hi=arr[:, dim:],
             t_lo0=times[0], t_hi0=times[0],
             h=(times[1] - times[0]) if len(times) > 1 else 1.0,
-            violations=viol,
+            names=names, hits=np.array([[n in f for n in names] for f in flags], dtype=bool),
         ))
 
     for n, line in rows[1:]:

@@ -99,6 +99,11 @@ class Scenario:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not all(math.isfinite(t) for t in (self.t1, self.t2, self.horizon, self.h)):
+            raise ValueError(
+                f"times must be finite, got t1={self.t1}, t2={self.t2},"
+                f" horizon={self.horizon}, h={self.h}"
+            )
         if not (0.0 <= self.t1 <= self.t2 <= self.horizon):
             raise ValueError(
                 f"need 0 <= t1 <= t2 <= horizon, got t1={self.t1}, t2={self.t2},"
@@ -114,7 +119,7 @@ class Scenario:
 
 @dataclass
 class FlowpipeSegment:
-    """One mode pipe: per-step reach boxes plus its step-0 time range."""
+    """One mode pipe: per-step reach boxes and property hits, plus its step-0 time range."""
 
     mode: str
     lo: np.ndarray          # (steps, dim)
@@ -122,7 +127,8 @@ class FlowpipeSegment:
     t_lo0: float
     t_hi0: float
     h: float
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    names: tuple[str, ...]
+    hits: np.ndarray        # (steps, len(names)) bool: which of names box k meets
 
     @property
     def n_steps(self) -> int:
@@ -191,7 +197,7 @@ class _ModeChecker:
         mine = [p for p in props if mode in p.modes]
         counts = np.array([len(p.offsets) for p in mine], dtype=int)
         ends = np.cumsum(counts)
-        self.names = [p.name for p in mine]
+        self.names = tuple(p.name for p in mine)
         self.normals = np.concatenate([p.normals for p in mine] or [np.empty((0, dim))])
         self.offsets = np.concatenate([p.offsets for p in mine] or [np.empty(0)])
         self.strict = np.repeat(np.array([p.strict for p in mine], dtype=bool), counts)
@@ -310,9 +316,10 @@ def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
 
 def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
                    t_lo0: float, t_hi0: float) -> FlowpipeSegment:
+    names = ctx.checkers[mode].names
     return FlowpipeSegment(mode=mode, lo=np.empty((n_steps, ctx.aut.dim)),
-                           hi=np.empty((n_steps, ctx.aut.dim)),
-                           t_lo0=t_lo0, t_hi0=t_hi0, h=ctx.h)
+                           hi=np.empty((n_steps, ctx.aut.dim)), t_lo0=t_lo0, t_hi0=t_hi0,
+                           h=ctx.h, names=names, hits=np.zeros((n_steps, len(names)), dtype=bool))
 
 
 def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
@@ -323,10 +330,10 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
     set at step k0 + i is P[i] @ M with ``ctx.powers``' table P, and the next
     head is Φ^_BLOCK @ M.  One :func:`supports` call in ``ctx.directions``
     gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
-    property hits, which go into ``seg.violations``, and in a prox mode the
-    guard class of each set.  Then ``(k0, classes)`` is yielded, classes
-    being the class per step k0..k0+m-1 (None in passive).  A caller that
-    stops at a step inside the block drops the later rows and hits.  A block
+    property hits, which go into the same rows of ``seg.hits``, and in a prox
+    mode the guard class of each set.  Then ``(k0, classes)`` is yielded,
+    classes being the class per step k0..k0+m-1 (None in passive).  A caller
+    that stops at a step inside the block drops the later rows.  A block
     ends before its first non-finite set, and resuming past it raises
     :class:`InconclusiveError` at that step.
     """
@@ -350,8 +357,7 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
         seg.lo[k0:k0 + m] = 0.0 - neg_lo
         # The bloat's |c| + reach is max(hi, -lo) exactly.
         bloat = ctx.h * (np.maximum(hi, neg_lo) @ abs_flow_t) if ctx.bloat else None
-        hits = checker.check(vals[:, cols], bloat)
-        seg.violations.extend((k0 + k, checker.names[j]) for k, j in np.argwhere(hits).tolist())
+        seg.hits[k0:k0 + m] = checker.check(vals[:, cols], bloat)
         yield k0, (None if seg.mode == MODE_PASSIVE else
                    _classes(vals[:, guard], ctx.aut.guard_offsets))
         if m < n:
@@ -416,8 +422,7 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
             if crossed:
                 break
 
-        seg.lo, seg.hi = seg.lo[:k + 1], seg.hi[:k + 1]
-        seg.violations = [(j, name) for j, name in seg.violations if j <= k]
+        seg.lo, seg.hi, seg.hits = seg.lo[:k + 1], seg.hi[:k + 1], seg.hits[:k + 1]
         segments.append(seg)
         if crossed or (collect_k0 is not None and settled):
             # Either the set fully crossed, or a settled pipe hit the clock
@@ -457,11 +462,12 @@ def _passive_segment(ctx: _VerifyContext, segments: list[FlowpipeSegment],
 def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
     best: dict[str, Violation] = {}
     for seg in segments:
-        for k, name in seg.violations:
+        for j in np.flatnonzero(seg.hits.any(axis=0)).tolist():
+            name, k = seg.names[j], int(seg.hits[:, j].argmax())
             t = seg.t_lo0 + k * seg.h
             if name not in best or t < best[name].time_s:
                 best[name] = Violation(
-                    property=name, mode=seg.mode, time_s=t, step=int(k),
+                    property=name, mode=seg.mode, time_s=t, step=k,
                     witness_lo=seg.lo[k].copy(), witness_hi=seg.hi[k].copy(),
                 )
     return sorted(best.values(), key=lambda v: (v.time_s, v.property))
@@ -505,6 +511,8 @@ def verify(sc: Scenario) -> VerificationReport:
 
 def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]]:
     """Contiguous cover of [t1, t2] by windows of width at most w."""
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"window ends must be finite, got [{t1}, {t2}]")
     if not (w > 0.0):
         raise ValueError("window width must be positive")
     if t1 > t2:
@@ -697,6 +705,8 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     restarts, grazes and windowed passive pipes.  Returns counts and the worst
     excess.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     if report is None:
         report = verify(sc)
     if report.verdict == "inconclusive":
@@ -742,8 +752,7 @@ def _sweep_one(args) -> tuple[float, float, float]:
         segments = _rendezvous_pipes(ctx, t_end=sc_a.horizon)
     except InconclusiveError:
         return (angle_deg, radius, -1.0)
-    flag_times = [seg.t_lo0 + k * seg.h for seg in segments for k, _ in seg.violations]
-    first_flag = min(flag_times) if flag_times else None
+    first_flag = min((v.time_s for v in _first_violations(segments)), default=None)
 
     window_safe: dict[tuple[float, float], bool] = {}
 
@@ -752,7 +761,7 @@ def _sweep_one(args) -> tuple[float, float, float]:
         if key not in window_safe:
             try:
                 pseg = _passive_segment(ctx, segments, a, b, sc_a.horizon)
-                window_safe[key] = not pseg.violations
+                window_safe[key] = not pseg.hits.any()
             except InconclusiveError:
                 window_safe[key] = False
         return window_safe[key]

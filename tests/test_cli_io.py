@@ -145,24 +145,37 @@ def test_report_emission_deterministic(tmp_path, quick_report):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _hit_pairs(seg):
+    return {(k, seg.names[j]) for k, j in np.argwhere(seg.hits).tolist()}
+
+
 def test_flowpipe_rows_and_lossless_roundtrip(tmp_path, quick_report):
-    path = tmp_path / "flowpipe.csv"
-    emit_flowpipe(quick_report, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ("step,time_s,mode," +
-                       ",".join(f"lo_{i}" for i in range(1, 5)) + "," +
-                       ",".join(f"hi_{i}" for i in range(1, 5)) + ",flags")
-    assert len(lines) - 1 == quick_report.steps_total
-    # The start box's velocity dims have zero width: their lower bounds are
-    # written as 0, not -0.
-    assert lines[1].split(",")[5:7] == ["0", "0"]
-    back = load_flowpipe_csv(path)
-    assert len(back) == len(quick_report.segments)
-    for orig, rest in zip(quick_report.segments, back):
-        assert rest.mode == orig.mode
-        assert np.array_equal(rest.lo, orig.lo)
-        assert np.array_equal(rest.hi, orig.hi)
-        assert rest.t_lo0 == orig.t_lo0
+    # A 40 m collision box makes separation fire in the passive pipe, so the
+    # second report fills the flags column.
+    flagged = verify(default_scenario(h=10.0, property_overrides={"separation_halfwidth_m": 40.0}))
+    assert any(seg.hits.any() for seg in flagged.segments)
+    for report in (quick_report, flagged):
+        path = tmp_path / "flowpipe.csv"
+        emit_flowpipe(report, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == ("step,time_s,mode," +
+                           ",".join(f"lo_{i}" for i in range(1, 5)) + "," +
+                           ",".join(f"hi_{i}" for i in range(1, 5)) + ",flags")
+        assert len(lines) - 1 == report.steps_total
+        # The start box's velocity dims have zero width: their lower bounds
+        # are written as 0, not -0.
+        assert lines[1].split(",")[5:7] == ["0", "0"]
+        back = load_flowpipe_csv(path)
+        assert len(back) == len(report.segments)
+        for orig, rest in zip(report.segments, back):
+            assert rest.mode == orig.mode
+            assert np.array_equal(rest.lo, orig.lo)
+            assert np.array_equal(rest.hi, orig.hi)
+            assert rest.t_lo0 == orig.t_lo0
+            # The file keeps the hit (step, name) pairs, naming only the
+            # properties the pipe hits, sorted.
+            assert _hit_pairs(rest) == _hit_pairs(orig)
+            assert list(rest.names) == sorted({name for _k, name in _hit_pairs(orig)})
 
 
 def test_plot_structure_and_plane_validation(tmp_path, quick_report):

@@ -73,6 +73,13 @@ def test_partition_window_examples():
         partition_window(10.0, 5.0, 300.0)
     with pytest.raises(ValueError):
         partition_window(0.0, 10.0, 0.0)
+    # An unbounded width is one window, as verify uses it; an undefined or
+    # unbounded end is an error, not an empty or an endless cover.  The NaN
+    # cases come first: code that lets an infinite end through never returns.
+    assert partition_window(0.0, 10.0, math.inf) == [(0.0, 10.0)]
+    for t1, t2 in [(0.0, math.nan), (math.nan, 10.0), (0.0, math.inf), (-math.inf, 10.0)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            partition_window(t1, t2, 1.0)
 
 
 def test_scenario_validation():
@@ -86,6 +93,11 @@ def test_scenario_validation():
         default_scenario(variant="bogus")
     with pytest.raises(ValueError):
         default_scenario(init=Box(lo=np.zeros(3), hi=np.ones(3)))
+    for overrides in [{"horizon": math.inf}, {"t2": math.inf, "horizon": math.inf},
+                      {"t1": math.nan}, {"t2": math.nan}, {"horizon": math.nan},
+                      {"h": math.inf}, {"h": math.nan}]:
+        with pytest.raises(ValueError, match="must be finite"):
+            default_scenario(**overrides)
 
 
 def test_default_mission_is_safe_with_expected_pipes(quick_report):
@@ -185,7 +197,7 @@ def test_windowed_single_window_identical_to_verify(quick, quick_report):
     for a, b in zip(rep_w.segments, quick_report.segments):
         assert a.mode == b.mode
         assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-        assert a.violations == b.violations
+        assert a.names == b.names and np.array_equal(a.hits, b.hits)
 
 
 def test_windowed_subwindow_count_and_conjunction(quick):
@@ -259,6 +271,9 @@ def test_monte_carlo_containment_zero_violations(quick, quick_report):
         res = monte_carlo_containment(sc, 100, report=report)
         assert res["violations"] == 0
         assert res["max_excess"] <= 1e-9
+    # No sample is no evidence of containment.
+    with pytest.raises(ValueError, match="at least one sample"):
+        monte_carlo_containment(quick, 0, report=quick_report)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -403,6 +418,7 @@ def _stepwise_advance(ctx, seg, box):
     as a block of one."""
     phi = ctx.phis[seg.mode]
     props = [p for p in ctx.aut.properties if seg.mode in p.modes]
+    assert seg.names == tuple(p.name for p in props)
     abs_flow = np.abs(ctx.aut.flows[seg.mode])
     G, g = ctx.aut.guard_normals, ctx.aut.guard_offsets
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
@@ -413,13 +429,12 @@ def _stepwise_advance(ctx, seg, box):
         reach = np.abs(V).sum(axis=1)
         seg.lo[k], seg.hi[k] = c - reach, c + reach
         bloat = ctx.h * (abs_flow @ (np.abs(c) + reach)) if ctx.bloat else np.zeros_like(c)
-        for p in props:
+        for j, p in enumerate(props):
             rows_hit = []
             for a, b in zip(p.normals, p.offsets):
                 support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
                 rows_hit.append(support > b or (support == b and not p.strict))
-            if all(rows_hit):
-                seg.violations.append((k, p.name))
+            seg.hits[k, j] = all(rows_hit)
         cls = None
         if seg.mode != MODE_PASSIVE:
             spread = np.abs(G @ V).sum(axis=1)
@@ -440,7 +455,7 @@ def _assert_same_report(got, ref):
     assert ([(s.mode, s.n_steps, s.t_lo0, s.t_hi0) for s in got.segments]
             == [(s.mode, s.n_steps, s.t_lo0, s.t_hi0) for s in ref.segments])
     for a, b in zip(got.segments, ref.segments):
-        assert a.violations == b.violations
+        assert a.names == b.names and np.array_equal(a.hits, b.hits)
         scale = np.maximum(1.0, np.maximum(np.abs(b.lo), np.abs(b.hi)).max(axis=0))
         assert np.all(np.abs(a.lo - b.lo) <= 1e-9 * scale)
         assert np.all(np.abs(a.hi - b.hi) <= 1e-9 * scale)
@@ -515,7 +530,7 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick
     rep = verify(quick)
     _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(quick)))
     assert rep.segments[0].n_steps == crossing + 1
-    assert rep.segments[0].violations == []
+    assert not rep.segments[0].hits.any()
     assert rep.verdict == "safe"
 
 
