@@ -151,6 +151,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError("/step_s", "must be positive")
     if window <= 0.0:
         raise ScenarioError("/window_width_s", "must be positive")
+    if seed < 0:
+        raise ScenarioError("/seed", "must be nonnegative")
 
     c = np.array(center)
     hw = np.array(halfwidth)

@@ -67,11 +67,6 @@ _BLOCK = 256
 
 _MODES = (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
 
-_INSIDE = "inside"
-_OUTSIDE = "outside"
-_STRADDLE = "straddle"
-_CLASSES = (_INSIDE, _OUTSIDE, _STRADDLE)
-
 
 class InconclusiveError(RuntimeError):
     """Raised internally when the reach computation cannot produce a verdict."""
@@ -113,6 +108,8 @@ class Scenario:
             raise ValueError(f"step size must be positive, got {self.h}")
         if not (self.window_width > 0.0):
             raise ValueError(f"window width must be positive, got {self.window_width}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.init.dim not in (4, 6):
             raise ValueError(f"initial box must be 4- or 6-dimensional, got {self.init.dim}")
 
@@ -264,9 +261,9 @@ class _VerifyContext:
         box = self.sc.init
         cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
                         np.vstack([self.guard2, -self.guard2]), self.aut.guard_offsets)
-        if cls == _STRADDLE:
+        if cls == "straddle":
             raise ValueError("initial box straddles the guard octagon; split the scenario")
-        mode = MODE_PROX_B if cls == _INSIDE else MODE_PROX_A
+        mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
         if self.aut.dim == 6 and box.dim == 4:
             box = _with_thrust(self, mode, box)
         elif box.dim != self.aut.dim:
@@ -281,20 +278,20 @@ def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
     return Box(lo=np.concatenate([box4.lo, tbox.lo]), hi=np.concatenate([box4.hi, tbox.hi]))
 
 
-def _classes(vals, offsets) -> list[str]:
-    """Class of each set against the polytope G x <= offsets, from its
-    supports vals = [rho(G) | rho(-G)]: inside it (every rho(g) <= b),
-    outside it (some -rho(-g) > b), or straddling it."""
+def _classes(vals, offsets) -> np.ndarray:
+    """Class code of each set against the polytope G x <= offsets, from its
+    supports vals = [rho(G) | rho(-G)]: 0 inside it (every rho(g) <= b),
+    1 outside it (some -rho(-g) > b), 2 straddling it."""
     g = len(offsets)
-    code = np.where(np.all(vals[:, :g] <= offsets, axis=1), 0,
+    return np.where(np.all(vals[:, :g] <= offsets, axis=1), 0,
                     np.where(np.any(-vals[:, g:] > offsets, axis=1), 1, 2))
-    return [_CLASSES[i] for i in code.tolist()]
 
 
 def _classify(c, V, rows, offsets) -> str:
     """Class of the one set c + V [-1, 1]^n, as in :func:`_classes`, rows
     being [G; -G]."""
-    return _classes(supports(c[None], V[None], rows), offsets)[0]
+    code = _classes(supports(c[None], V[None], rows), offsets)[0]
+    return ("inside", "outside", "straddle")[code]
 
 
 def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
@@ -331,11 +328,11 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
     head is Φ^_BLOCK @ M.  One :func:`supports` call in ``ctx.directions``
     gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
     property hits, which go into the same rows of ``seg.hits``, and in a prox
-    mode the guard class of each set.  Then ``(k0, classes)`` is yielded,
-    classes being the class per step k0..k0+m-1 (None in passive).  A caller
-    that stops at a step inside the block drops the later rows.  A block
-    ends before its first non-finite set, and resuming past it raises
-    :class:`InconclusiveError` at that step.
+    mode the guard class of each set.  Then ``(k0, codes)`` is yielded,
+    codes being the (m,) :func:`_classes` code per step k0..k0+m-1 (None in
+    passive).  A caller that stops at a step inside the block drops the
+    later rows.  A block ends before its first non-finite set, and resuming
+    past it raises :class:`InconclusiveError` at that step.
     """
     P, phi_block = ctx.powers(seg.mode)
     L, cols = ctx.directions(seg.mode)
@@ -377,25 +374,23 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
             raise InconclusiveError("mode switching did not settle; too many pipe restarts")
         mode, box, t_lo0, t_hi0 = worklist.pop(0)
         other = MODE_PROX_B if mode == MODE_PROX_A else MODE_PROX_A
-        own_cls = _OUTSIDE if mode == MODE_PROX_A else _INSIDE
-        crossed_cls = _INSIDE if mode == MODE_PROX_A else _OUTSIDE
+        own_code = int(mode == MODE_PROX_A)     # _classes: 0 inside, 1 outside
 
         n_steps = steps_within(t_end - t_lo0, h) + 1
         if n_steps <= 0:
             continue
         seg = _empty_segment(ctx, mode, n_steps, t_lo0, t_hi0)
-        # First of the rows collected while the set straddles or crosses.
+        # First of the rows collected since the set left its own region; None
+        # while it is in it.  A collection restarts in the other mode when the
+        # set crosses, grazes (comes back) or meets the clock bound; one begun
+        # at step 0 only when it crosses.  A pipe restarted from an aggregated
+        # hull is born straddling the octagon because re-boxing the clipped
+        # hull pokes past the diagonal edges: that straddle is aggregation
+        # slack, its content is covered by this pipe's own boxes, and shedding
+        # it back would bounce ghost sets between the modes forever.  So grazes
+        # and clock bounds restart only when collect_k0 > 0.
         collect_k0: int | None = None
-        crossed = False
-        # A pipe restarted from an aggregated hull is born straddling the
-        # octagon because re-boxing the clipped hull pokes past the diagonal
-        # edges.  Until such a pipe has once been classified fully inside its
-        # own region it is "settling": the straddle is aggregation slack, the
-        # content is covered by this pipe's own boxes, and shedding it back
-        # would bounce ghost sets between the modes forever.  Full crossings
-        # are still honored while settling, and any genuine later contact
-        # happens from the settled state and is shed normally.
-        settled = False
+        k = n_steps - 1
 
         def restart(stop: int, k: int):
             """Restart the hull of rows collect_k0..stop-1 in the other mode,
@@ -404,29 +399,26 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
             if start is not None:
                 worklist.append((other, start, t_lo0 + collect_k0 * h, t_hi0 + k * h))
 
-        for k0, classes in _advance(ctx, seg, box):
-            for k, cls in enumerate(classes, k0):
-                if cls == own_cls:
-                    if settled and collect_k0 is not None:
-                        # Grazed the guard and retreated: restart what may have
-                        # crossed, keep going in this mode.
-                        restart(k, k)
-                    collect_k0 = None
-                    settled = True
-                else:
-                    if collect_k0 is None:
-                        collect_k0 = k
-                    if cls == crossed_cls:
-                        crossed = True
-                        break
-            if crossed:
+        for k0, codes in _advance(ctx, seg, box):
+            crossed = np.flatnonzero(codes == 1 - own_code)
+            own = codes[:crossed[0] + 1 if crossed.size else None] == own_code
+            # Only the steps where the set enters or leaves its own region.
+            was_own = np.append(collect_k0 is None, own[:-1])
+            for i in np.flatnonzero(own != was_own).tolist():
+                if own[i] and collect_k0 > 0:
+                    # Grazed the guard and retreated: restart what may have
+                    # crossed, keep going in this mode.
+                    restart(k0 + i, k0 + i)
+                collect_k0 = None if own[i] else k0 + i
+            if crossed.size:
+                k = k0 + int(crossed[0])
                 break
 
         seg.lo, seg.hi, seg.hits = seg.lo[:k + 1], seg.hi[:k + 1], seg.hits[:k + 1]
         segments.append(seg)
-        if crossed or (collect_k0 is not None and settled):
-            # Either the set fully crossed, or a settled pipe hit the clock
-            # bound mid-crossing; both restart from the aggregated hull.
+        if crossed.size or (collect_k0 or 0) > 0:
+            # The set fully crossed, or the clock bound stops the pipe
+            # mid-collection; both restart from the aggregated hull.
             restart(k + 1, k)
     return segments
 
@@ -523,6 +515,8 @@ def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]
     a = t1
     while a < t2 - _TIME_EPS:
         b = min(a + w, t2)
+        if b <= a:
+            raise ValueError(f"window width {w} cannot advance past {a}")
         out.append((a, b))
         a = b
     return out

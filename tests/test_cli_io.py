@@ -66,6 +66,7 @@ def test_empty_document_yields_default_scenario(tmp_path):
     ({"bryson": {"prox_a": {"max_state": [1, 2]}}}, "/bryson/prox_a/max_state"),
     ({"bryson": {"warp": {}}}, "/bryson/warp"),
     ({"variant": "bogus"}, "/variant"),
+    ({"seed": -1}, "/seed"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
@@ -309,6 +310,14 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert cli_main(["verify", bad]) == 2
     err = capsys.readouterr().err
     assert "/t1_s" in err
+
+
+def test_cli_verify_window_that_cannot_advance_is_usage_error(tmp_path, capsys):
+    # 7200 + 1e-13 == 7200 in floating point: the window cover cannot advance.
+    sc = _write(tmp_path, "sc.json", QUICK)
+    assert cli_main(["verify", sc, "--window", "1e-13", "--out", str(tmp_path / "out")]) == 2
+    assert "cannot advance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_nonlinear_verify_is_config_error(tmp_path):

@@ -80,6 +80,10 @@ def test_partition_window_examples():
     for t1, t2 in [(0.0, math.nan), (math.nan, 10.0), (0.0, math.inf), (-math.inf, 10.0)]:
         with pytest.raises(ValueError, match="must be finite"):
             partition_window(t1, t2, 1.0)
+    # A width below the float spacing at t1 cannot advance the cover; code
+    # that lets it through never returns either.
+    with pytest.raises(ValueError, match="cannot advance"):
+        partition_window(7200.0, 7500.0, 1e-13)
 
 
 def test_scenario_validation():
@@ -93,6 +97,8 @@ def test_scenario_validation():
         default_scenario(variant="bogus")
     with pytest.raises(ValueError):
         default_scenario(init=Box(lo=np.zeros(3), hi=np.ones(3)))
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        default_scenario(seed=-1)
     for overrides in [{"horizon": math.inf}, {"t2": math.inf, "horizon": math.inf},
                       {"t1": math.nan}, {"t2": math.nan}, {"horizon": math.nan},
                       {"h": math.inf}, {"h": math.nan}]:
@@ -170,6 +176,29 @@ def test_clock_bound_mid_crossing_restart_pipes():
         (MODE_PROX_B, 15), (MODE_PROX_A, 1), (MODE_PASSIVE, 201)]
     assert [(seg.t_lo0, seg.t_hi0) for seg in rep.segments] == [
         (0.0, 0.0), (14.0, 14.0), (0.0, 14.0)]
+
+
+@pytest.mark.parametrize("doc,pipes", [
+    (GRAZE, [(MODE_PROX_B, 1801), (MODE_PROX_A, 119), (MODE_PROX_B, 1753), (MODE_PASSIVE, 401)]),
+    (CLOCK_BOUND, [(MODE_PROX_B, 15), (MODE_PROX_A, 1), (MODE_PASSIVE, 201)]),
+])
+def test_settling_exemption_keeps_a_step_0_straddle(doc, pipes):
+    """Guards the settling rule of ``_rendezvous_pipes``: a collection begun
+    at step 0 restarts only on a full crossing, and a graze or the clock
+    bound restarts a collection only when collect_k0 > 0.  Every restarted
+    pipe here is born straddling the octagon; shedding that straddle bounces
+    ghost sets between the modes until the restart cap makes the run
+    inconclusive."""
+    sc = cli.scenario_from_dict(doc)
+    rep = verify(sc)
+    assert [(seg.mode, seg.n_steps) for seg in rep.segments] == pipes
+    ctx = verifier._VerifyContext(sc)
+    rows = np.vstack([ctx.guard2, -ctx.guard2])
+    for seg in rep.segments[1:-1]:
+        box = Box(lo=seg.lo[0, :2], hi=seg.hi[0, :2])
+        assert verifier._classify(box.mid(), np.diag(box.halfwidth()), rows,
+                                  ctx.aut.guard_offsets) == "straddle"
+    assert monte_carlo_containment(sc, 100, report=rep)["violations"] == 0
 
 
 def test_restart_cap_is_inconclusive(tmp_path, monkeypatch, capsys):
@@ -408,14 +437,95 @@ def test_intersample_bloat_option_runs():
 
 
 # ---------------------------------------------------------------------------
+# the restart rule against a one-step-at-a-time reference
+
+
+def _stepwise_restarts(classes, mode):
+    """Reference for the restart rule of ``verifier._rendezvous_pipes`` on one
+    pipe: a per-step walk over the class strings with the flags ``settled``
+    (the set was once in its own region) and ``crossed``.  Returns the
+    restarts as (first row, stop row, last start step) and the last step kept."""
+    own, crossed_cls = ("outside", "inside") if mode == MODE_PROX_A else ("inside", "outside")
+    restarts, collect_k0, settled, crossed = [], None, False, False
+    for k, cls in enumerate(classes):
+        if cls == own:
+            if settled and collect_k0 is not None:
+                restarts.append((collect_k0, k, k))
+            collect_k0, settled = None, True
+        else:
+            if collect_k0 is None:
+                collect_k0 = k
+            if cls == crossed_cls:
+                crossed = True
+                break
+    if crossed or (collect_k0 is not None and settled):
+        restarts.append((collect_k0, k + 1, k))
+    return restarts, k
+
+
+@st.composite
+def _class_runs(draw):
+    """A pipe mode, a class-code sequence of runs (0 inside, 1 outside, 2
+    straddling; with a crossing allowed or not) and its block cuts."""
+    mode = draw(st.sampled_from([MODE_PROX_A, MODE_PROX_B]))
+    codes = [0, 1, 2] if draw(st.booleans()) else [int(mode == MODE_PROX_A), 2]
+    runs = draw(st.lists(st.tuples(st.sampled_from(codes), st.integers(1, 6)),
+                         min_size=1, max_size=12))
+    seq = np.concatenate([np.full(n, c) for c, n in runs])
+    cuts = draw(st.sets(st.integers(1, len(seq) - 1))) if len(seq) > 1 else set()
+    if draw(st.booleans()):
+        cuts |= set(np.cumsum([n for _, n in runs])[:-1].tolist())
+    return mode, seq, sorted(cuts)
+
+
+@pytest.fixture(scope="module")
+def quick_ctx(quick):
+    return verifier._VerifyContext(quick)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_class_runs())
+def test_restart_rule_matches_stepwise_reference(quick_ctx, case):
+    mode, codes, cuts = case
+    ctx, n = quick_ctx, len(codes)
+    h = ctx.h
+    start = Box(lo=np.zeros(4), hi=np.zeros(4))
+    ctx.initial = lambda: (mode, start)
+    restarted = []
+
+    def advance(ctx, seg, box):
+        # Row k holds k.  A restarted pipe stays in its own region.
+        seg.lo[:] = seg.hi[:] = np.arange(seg.n_steps)[:, None]
+        if box is not start:
+            yield 0, np.full(seg.n_steps, int(seg.mode == MODE_PROX_A))
+            return
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            yield a, codes[a:b]
+
+    def restart_box(ctx, dest, lo, hi):
+        restarted.append(lo[:, 0].astype(int).tolist())
+        return Box(lo=np.ones(4), hi=np.ones(4))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verifier, "_advance", advance)
+        m.setattr(verifier, "_restart_box", restart_box)
+        pipes = verifier._rendezvous_pipes(ctx, t_end=(n - 1) * h)
+    ref, last = _stepwise_restarts([("inside", "outside", "straddle")[c] for c in codes], mode)
+    assert pipes[0].n_steps == last + 1
+    assert len(pipes) == len(restarted) + 1
+    assert ([(rows, (p.t_lo0, p.t_hi0)) for rows, p in zip(restarted, pipes[1:])]
+            == [(list(range(a, stop)), (a * h, k * h)) for a, stop, k in ref])
+
+
+# ---------------------------------------------------------------------------
 # blocked propagation against a one-sample-at-a-time reference
 
 
 def _stepwise_advance(ctx, seg, box):
     """Reference for ``verifier._advance``: the Φ recurrence one sample at a
     time from the box's star, with each property's rows tested on their
-    supports and the guard class evaluated per step, and every step yielded
-    as a block of one."""
+    supports and the guard class code (0 inside, 1 outside, 2 straddling)
+    evaluated per step, and every step yielded as a block of one."""
     phi = ctx.phis[seg.mode]
     props = [p for p in ctx.aut.properties if seg.mode in p.modes]
     assert seg.names == tuple(p.name for p in props)
@@ -435,12 +545,12 @@ def _stepwise_advance(ctx, seg, box):
                 support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
                 rows_hit.append(support > b or (support == b and not p.strict))
             seg.hits[k, j] = all(rows_hit)
-        cls = None
+        code = None
         if seg.mode != MODE_PASSIVE:
             spread = np.abs(G @ V).sum(axis=1)
-            cls = (["inside"] if np.all(G @ c + spread <= g) else
-                   ["outside"] if np.any(G @ c - spread > g) else ["straddle"])
-        yield k, cls
+            code = np.array([0 if np.all(G @ c + spread <= g) else
+                             1 if np.any(G @ c - spread > g) else 2])
+        yield k, code
         c, V = phi @ c, phi @ V
 
 
