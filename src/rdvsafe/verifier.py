@@ -60,6 +60,7 @@ DEFAULT_STEP_S = 1.0
 DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
+_MAX_WINDOWS = 1_000_000
 
 # Samples per propagation block: a power of two, so that the Φ^i table fills
 # by doubling.
@@ -201,11 +202,8 @@ class _ModeChecker:
         width = max((len(p.offsets) for p in mine), default=1)
         self.rows = np.minimum((ends - counts)[:, None] + np.arange(width), ends[:, None] - 1)
 
-    def check(self, vals, bloat=None) -> np.ndarray:
-        """The (m, len(names)) hits of m sets from their supports vals in the
-        directions ``normals``, each set widened by the optional bloat (m, dim)."""
-        if bloat is not None:
-            vals = vals + bloat @ np.abs(self.normals).T
+    def check(self, vals) -> np.ndarray:
+        """The (m, len(names)) hits of m sets from their supports vals in ``normals``."""
         hits = np.where(self.strict, vals > self.offsets, vals >= self.offsets)
         return hits[:, self.rows].all(axis=2)
 
@@ -264,18 +262,23 @@ class _VerifyContext:
         if cls == "straddle":
             raise ValueError("initial box straddles the guard octagon; split the scenario")
         mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
-        if self.aut.dim == 6 and box.dim == 4:
-            box = _with_thrust(self, mode, box)
-        elif box.dim != self.aut.dim:
+        if box.dim == self.aut.dim:
+            return mode, box
+        if box.dim != 4:
             raise ValueError(f"initial box dim {box.dim} incompatible with variant {self.sc.variant}")
-        return mode, box
+        return mode, _enter(self, mode, box)
 
 
-def _with_thrust(ctx: _VerifyContext, mode: str, box4: Box) -> Box:
-    """The 4-dim state box extended by the interval image of mode's commanded thrust."""
-    gain = ctx.aut.gains[0] if mode == MODE_PROX_A else ctx.aut.gains[1]
-    tbox = initial_thrust_box(gain, ctx.sc.params.m_c, box4)
-    return Box(lo=np.concatenate([box4.lo, tbox.lo]), hi=np.concatenate([box4.hi, tbox.hi]))
+def _enter(ctx: _VerifyContext, mode: str, box: Box) -> Box:
+    """The box on entering mode: its position/velocity dims, then in the 6-dim
+    variants the commanded thrust, zero in passive and otherwise the interval
+    image of -m_c K x over those dims."""
+    if ctx.aut.dim == 4:
+        return box
+    box4 = Box(lo=box.lo[:4], hi=box.hi[:4])
+    thrust = (Box(lo=np.zeros(2), hi=np.zeros(2)) if mode == MODE_PASSIVE else
+              initial_thrust_box(ctx.aut.gains[_MODES.index(mode)], ctx.sc.params.m_c, box4))
+    return Box(lo=np.concatenate([box4.lo, thrust.lo]), hi=np.concatenate([box4.hi, thrust.hi]))
 
 
 def _classes(vals, offsets) -> np.ndarray:
@@ -303,12 +306,8 @@ def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
             hull = clip_box_to_halfspace(hull, a, b)
             if hull is None:
                 return None
-    if ctx.aut.dim == 6:
-        # The commanded thrust re-derives from the destination gain the moment
-        # the controller switches, so the thrust dims reset to its interval
-        # image over the aggregated position/velocity box.
-        hull = _with_thrust(ctx, dest, Box(lo=hull.lo[:4], hi=hull.hi[:4]))
-    return hull
+    # The commanded thrust re-derives from the destination gain at the switch.
+    return _enter(ctx, dest, hull)
 
 
 def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
@@ -328,7 +327,8 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
     head is Φ^_BLOCK @ M.  One :func:`supports` call in ``ctx.directions``
     gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
     property hits, which go into the same rows of ``seg.hits``, and in a prox
-    mode the guard class of each set.  Then ``(k0, codes)`` is yielded,
+    mode the guard class of each set, all three read after the opt-in
+    intersample bloat widens the supports.  Then ``(k0, codes)`` is yielded,
     codes being the (m,) :func:`_classes` code per step k0..k0+m-1 (None in
     passive).  A caller that stops at a step inside the block drops the
     later rows.  A block ends before its first non-finite set, and resuming
@@ -348,13 +348,15 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
         finite = np.isfinite(S).all(axis=(1, 2))
         m = n if finite.all() else int(np.argmin(finite))
         vals = supports(S[:m, :, 0], S[:m, :, 1:], L)
-        hi = seg.hi[k0:k0 + m] = vals[:, :dim]
-        neg_lo = vals[:, dim:2 * dim]
+        if ctx.bloat:
+            # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
+            # widens each row l's support by |l| w; M itself stays unwidened.
+            w = ctx.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim]) @ abs_flow_t)
+            vals += w @ np.abs(L).T
+        seg.hi[k0:k0 + m] = vals[:, :dim]
         # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-        seg.lo[k0:k0 + m] = 0.0 - neg_lo
-        # The bloat's |c| + reach is max(hi, -lo) exactly.
-        bloat = ctx.h * (np.maximum(hi, neg_lo) @ abs_flow_t) if ctx.bloat else None
-        seg.hits[k0:k0 + m] = checker.check(vals[:, cols], bloat)
+        seg.lo[k0:k0 + m] = 0.0 - vals[:, dim:2 * dim]
+        seg.hits[k0:k0 + m] = checker.check(vals[:, cols])
         yield k0, (None if seg.mode == MODE_PASSIVE else
                    _classes(vals[:, guard], ctx.aut.guard_offsets))
         if m < n:
@@ -438,15 +440,8 @@ def _passive_segment(ctx: _VerifyContext, segments: list[FlowpipeSegment],
     boxes = _collect_window_boxes(segments, t1, t2)
     if not boxes:
         raise ValueError(f"abort window [{t1}, {t2}] covers no reachable sample")
-    hull = hull_boxes(boxes)
-    if ctx.aut.dim == 6:
-        # Thrusters are off in the passive mode; the thrust states pin to zero.
-        lo, hi = hull.lo.copy(), hull.hi.copy()
-        lo[4:] = 0.0
-        hi[4:] = 0.0
-        hull = Box(lo=lo, hi=hi)
     seg = _empty_segment(ctx, MODE_PASSIVE, steps_within(horizon - t1, ctx.h) + 1, t1, t2)
-    for _ in _advance(ctx, seg, hull):
+    for _ in _advance(ctx, seg, _enter(ctx, MODE_PASSIVE, hull_boxes(boxes))):
         pass
     return seg
 
@@ -511,6 +506,11 @@ def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]
         raise ValueError("window start exceeds end")
     if t2 - t1 <= _TIME_EPS:
         return [(t1, t2)]
+    if t1 + w <= t1:
+        raise ValueError(f"window width {w} cannot advance past {t1}")
+    # ceil((t2 - t1) / w) windows, compared without the ceil, which overflows.
+    if (t2 - t1) / w > _MAX_WINDOWS:
+        raise ValueError(f"window width {w} needs over {_MAX_WINDOWS} windows for [{t1}, {t2}]")
     out = []
     a = t1
     while a < t2 - _TIME_EPS:

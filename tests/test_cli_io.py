@@ -320,6 +320,14 @@ def test_cli_verify_window_that_cannot_advance_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_sweep_window_with_too_many_windows_is_usage_error(tmp_path, capsys):
+    # From t = 0 a 1e-13 s width advances, but [0, 600] would take 6e15 windows.
+    sc = _write(tmp_path, "sc.json", {**QUICK, "window_width_s": 1e-13})
+    assert cli_main(["sweep", sc, "--angles", "180:181:1", "--out", str(tmp_path / "w")]) == 2
+    assert "window width 1e-13" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_cli_nonlinear_verify_is_config_error(tmp_path):
     sc = _write(tmp_path, "nl.json", {**QUICK, "variant": "nlin_prox"})
     assert cli_main(["verify", sc]) == 2

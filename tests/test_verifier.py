@@ -84,6 +84,17 @@ def test_partition_window_examples():
     # that lets it through never returns either.
     with pytest.raises(ValueError, match="cannot advance"):
         partition_window(7200.0, 7500.0, 1e-13)
+    # From 0 the same width advances, but would take 1e17 windows: refused
+    # before any is built.  Code without the bound runs out of memory here.
+    with pytest.raises(ValueError, match="window width 1e-13"):
+        partition_window(0.0, 1e4, 1e-13)
+
+
+def test_partition_window_refuses_too_many_windows(monkeypatch):
+    monkeypatch.setattr(verifier, "_MAX_WINDOWS", 4)
+    assert len(partition_window(0.0, 4.0, 1.0)) == 4
+    with pytest.raises(ValueError, match="needs over 4 windows"):
+        partition_window(0.0, 4.5, 1.0)
 
 
 def test_scenario_validation():
@@ -305,19 +316,23 @@ def test_monte_carlo_containment_zero_violations(quick, quick_report):
         monte_carlo_containment(quick, 0, report=quick_report)
 
 
+def _bounce_start(radius, bearing, speed, hw_x, hw_y, t2, properties=None):
+    c, s = math.cos(bearing), math.sin(bearing)
+    return cli.scenario_from_dict({
+        "init_center": [radius * c, radius * s, speed * c, speed * s],
+        "init_halfwidth": [hw_x, hw_y, 0.0, 0.0],
+        "t1_s": 0.0, "t2_s": t2, "horizon_s": 200.0, "step_s": 1.0,
+        "bryson": BOUNCE_BRYSON, "properties": properties or {},
+    })
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(radius=st.floats(40.0, 85.0), bearing=st.floats(0.0, 2.0 * math.pi),
        speed=st.floats(1.0, 4.0), hw_x=st.floats(0.5, 3.0), hw_y=st.floats(0.5, 3.0),
        t2=st.sampled_from([14.0, 60.0]))
 def test_containment_of_bounce_starts(radius, bearing, speed, hw_x, hw_y, t2):
     # Starts inside the octagon moving outward, which cross, graze or settle.
-    c, s = math.cos(bearing), math.sin(bearing)
-    sc = cli.scenario_from_dict({
-        "init_center": [radius * c, radius * s, speed * c, speed * s],
-        "init_halfwidth": [hw_x, hw_y, 0.0, 0.0],
-        "t1_s": 0.0, "t2_s": t2, "horizon_s": 200.0, "step_s": 1.0,
-        "bryson": BOUNCE_BRYSON,
-    })
+    sc = _bounce_start(radius, bearing, speed, hw_x, hw_y, t2)
     report = verify(sc)
     assume(report.verdict != "inconclusive")
     assert monte_carlo_containment(sc, 30, report=report)["violations"] == 0
@@ -436,6 +451,33 @@ def test_intersample_bloat_option_runs():
     assert base.verdict == "safe"
 
 
+def test_intersample_bloat_widens_the_boxes(quick, quick_report):
+    # The widening reaches the boxes, not only the property checks: the first
+    # prox_a pipe's boxes hold the unwidened ones row by row, and its guard
+    # classes see the wider sets, so it crosses no earlier.
+    rep = verify(replace(quick, property_overrides={"intersample_bloat": True}))
+    base, wide = quick_report.segments[0], rep.segments[0]
+    assert base.mode == wide.mode == MODE_PROX_A
+    assert wide.n_steps >= base.n_steps
+    lo, hi = wide.lo[:base.n_steps], wide.hi[:base.n_steps]
+    assert np.all(lo <= base.lo) and np.all(hi >= base.hi)
+    assert np.any(lo < base.lo) or np.any(hi > base.hi)
+
+
+def test_containment_with_intersample_bloat(quick):
+    # The mission, and two bounce starts that cross out of the octagon and
+    # restart in prox_a from hulls of widened boxes.
+    bloat = {"intersample_bloat": True}
+    for sc in (replace(quick, property_overrides=bloat),
+               _bounce_start(60.0, 0.5, 2.0, 1.0, 1.0, 60.0, bloat),
+               _bounce_start(80.0, 2.0, 3.0, 2.0, 2.0, 60.0, bloat)):
+        report = verify(sc)
+        assert report.verdict != "inconclusive"
+        assert [seg.mode for seg in report.segments][:2] in (
+            [MODE_PROX_A, MODE_PROX_B], [MODE_PROX_B, MODE_PROX_A])
+        assert monte_carlo_containment(sc, 30, report=report)["violations"] == 0
+
+
 # ---------------------------------------------------------------------------
 # the restart rule against a one-step-at-a-time reference
 
@@ -525,7 +567,9 @@ def _stepwise_advance(ctx, seg, box):
     """Reference for ``verifier._advance``: the Φ recurrence one sample at a
     time from the box's star, with each property's rows tested on their
     supports and the guard class code (0 inside, 1 outside, 2 straddling)
-    evaluated per step, and every step yielded as a block of one."""
+    evaluated per step, and every step yielded as a block of one.  With the
+    intersample bloat on, the box, every property row and every guard row
+    are widened by the same per-step term h |A| (|c| + reach)."""
     phi = ctx.phis[seg.mode]
     props = [p for p in ctx.aut.properties if seg.mode in p.modes]
     assert seg.names == tuple(p.name for p in props)
@@ -537,8 +581,8 @@ def _stepwise_advance(ctx, seg, box):
         if not (np.isfinite(c).all() and np.isfinite(V).all()):
             raise verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
         reach = np.abs(V).sum(axis=1)
-        seg.lo[k], seg.hi[k] = c - reach, c + reach
         bloat = ctx.h * (abs_flow @ (np.abs(c) + reach)) if ctx.bloat else np.zeros_like(c)
+        seg.lo[k], seg.hi[k] = c - reach - bloat, c + reach + bloat
         for j, p in enumerate(props):
             rows_hit = []
             for a, b in zip(p.normals, p.offsets):
@@ -547,7 +591,7 @@ def _stepwise_advance(ctx, seg, box):
             seg.hits[k, j] = all(rows_hit)
         code = None
         if seg.mode != MODE_PASSIVE:
-            spread = np.abs(G @ V).sum(axis=1)
+            spread = np.abs(G @ V).sum(axis=1) + np.abs(G) @ bloat
             code = np.array([0 if np.all(G @ c + spread <= g) else
                              1 if np.any(G @ c - spread > g) else 2])
         yield k, code
