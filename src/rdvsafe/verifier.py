@@ -781,7 +781,9 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
     the base half-widths and zero velocity, and the largest T in the grid with
     ``verify_windowed`` safe on the abort window [0, T] is recorded; -1 means
     no tested T was safe.  Rows come back in the input angle order.  With
-    jobs > 1 the angles run in a pool of at most one worker per angle.
+    jobs > 1 the angles run in a pool of at most one worker per angle.  The
+    width w is checked on [0, T] for the largest grid T within the horizon
+    before any angle runs.
     """
     angles = [float(a) for a in angles_deg]
     for a in angles:
@@ -795,6 +797,9 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
     if t_grid is None:
         t_grid = np.arange(600.0, sc.horizon + _TIME_EPS, 600.0)
     t_grid = sorted(float(t) for t in t_grid)
+    reachable = [T for T in t_grid if T <= sc.horizon + _TIME_EPS]
+    if reachable:
+        partition_window(0.0, reachable[-1], w)
     tasks = [(sc, a, float(radius), w, t_grid) for a in angles]
     workers = min(jobs, len(tasks))
     if workers > 1:

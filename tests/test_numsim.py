@@ -1,9 +1,12 @@
 """Propagation engine tests: matrix exponential, linear stepping, RK4."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdvsafe import (
     OrbitalParams,
@@ -84,16 +87,76 @@ def test_simulate_linear_superposition():
         assert np.allclose(a - b, c, rtol=1e-9, atol=1e-9)
 
 
-def _rk4_passive_reference(params, x0, h, steps):
+def _rk4_reference(params, force_gain, x0, h, steps):
+    """RK4 in numpy arrays on the documented field, F = -force_gain x."""
+
+    def rhs(x):
+        f = np.zeros(2) if force_gain is None else -(force_gain @ x)
+        return nonlinear_field(params, x, f)
+
     x = np.asarray(x0, dtype=float)
-    f = np.zeros(2)
+    states = [x]
     for _ in range(steps):
-        k1 = nonlinear_field(params, x, f)
-        k2 = nonlinear_field(params, x + 0.5 * h * k1, f)
-        k3 = nonlinear_field(params, x + 0.5 * h * k2, f)
-        k4 = nonlinear_field(params, x + h * k3, f)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+        states.append(x)
+    return np.array(states)
+
+
+_MODE_FORCE_GAINS = tuple(GEO.m_c * np.asarray(g.K) for g in design_mode_gains(GEO))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pos=st.tuples(*[st.floats(-5000.0, 5000.0)] * 2),
+       vel=st.tuples(*[st.floats(-5.0, 5.0)] * 2),
+       h=st.sampled_from([0.5, 1.0, 5.0, 10.0]),
+       mode=st.sampled_from([None, 0, 1]))
+def test_simulate_nonlinear_matches_numpy_rk4_on_documented_field(pos, vel, h, mode):
+    # The inline step against RK4 built on orbital.nonlinear_field.  Coasting
+    # the arithmetic is the same, so the states are equal.  Under a gain the
+    # force is a matrix product whose sum order depends on the numpy build,
+    # so the states agree to 1 ulp of their scale.
+    x0 = np.array([*pos, *vel])
+    gain = None if mode is None else _MODE_FORCE_GAINS[mode]
+    got = simulate_nonlinear(GEO, gain, x0, h, 4).states
+    ref = _rk4_reference(GEO, gain, x0, h, 4)
+    if gain is None:
+        assert np.array_equal(got, ref)
+    else:
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= np.spacing(scale))
+
+
+def test_simulate_nonlinear_start_at_earth_center_is_rejected():
+    with pytest.raises(ValueError, match="r_c = 0"):
+        simulate_nonlinear(GEO, None, np.array([-GEO.r, 0.0, 0.0, 0.0]), 1.0, 3)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, -1.0])
+def test_simulate_nonlinear_rejects_bad_step(h):
+    with pytest.raises(ValueError, match="step size h"):
+        simulate_nonlinear(GEO, None, np.zeros(4), h, 3)
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_simulate_nonlinear_rejects_negative_step_count(n):
+    with pytest.raises(ValueError, match="step count n"):
+        simulate_nonlinear(GEO, None, np.zeros(4), 1.0, n)
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(6), np.zeros((1, 4))])
+def test_simulate_nonlinear_rejects_state_of_wrong_shape(x0):
+    with pytest.raises(ValueError, match="initial state x0"):
+        simulate_nonlinear(GEO, None, x0, 1.0, 3)
+
+
+def test_simulate_nonlinear_rejects_gain_of_wrong_shape():
+    # A (4, 2) gain has the eight entries of a (2, 4) one.
+    with pytest.raises(ValueError, match="force_gain"):
+        simulate_nonlinear(GEO, _MODE_FORCE_GAINS[0].T, np.zeros(4), 1.0, 3)
 
 
 def test_simulate_linear_matches_fine_rk4_over_one_orbit():

@@ -367,6 +367,15 @@ def test_sweep_rejects_bad_inputs(quick):
         sweep_passive_time(quick, [180.0], 950.0, jobs=0)
 
 
+def test_sweep_checks_window_width_before_any_angle_runs(monkeypatch, quick):
+    def no_reach(*args, **kwargs):
+        raise AssertionError("reach ran before the window width was checked")
+
+    monkeypatch.setattr(verifier, "_rendezvous_pipes", no_reach)
+    with pytest.raises(ValueError, match="window width 1e-13"):
+        sweep_passive_time(quick, [180.0, 230.0], 950.0, w=1e-13, t_grid=[600.0])
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
