@@ -3,9 +3,9 @@
 Linear modes are stepped with the one-step matrix exponential, which is exact
 at the sample instants, so repeated application reproduces the continuous
 flow there.  The nonlinear closed loop is integrated with fixed-step RK4 on
-four Python floats: the force, the field of ``orbital.nonlinear_field`` and
-the RK4 combination are written out inline, each sum in a fixed order, so a
-run costs float arithmetic rather than small-array numpy calls.
+4-vectors, with the force and the field of ``orbital.nonlinear_field``
+written out inline on Python floats, each sum in a fixed order, so a stage
+costs float arithmetic rather than numpy scalar indexing and a field call.
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     None; a mode's force gain is m_c K.  The gain is held over the run, so a
     caller that switches modes starts a new run at each switch.
 
-    The step works on four Python floats.  It evaluates the field of
-    ``orbital.nonlinear_field`` with every operation in that function's order,
-    and the RK4 combination in the order of its array form: each stage state
-    is x + (0.5 h) k, and the update is x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4).
-    The force sums its four products in a fixed order (see below).
+    The field is evaluated on the four Python floats of each stage state,
+    with every operation in the order of ``orbital.nonlinear_field`` and the
+    force's four products summed in a fixed order (see below).  The state and
+    the RK4 combination stay 4-vectors in their array form: each stage state
+    is x + (0.5 h) k, and the update is x + (h / 6) (k1 + 2 k2 + 2 k3 + k4).
     """
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
@@ -113,51 +113,36 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     c = 0.5 * h
     h6 = h / 6.0
 
-    # Each stage: q = mu r_c^-3, then the field's accelerations with the
-    # thrust F = -(G @ s) / m_c, or 0.0 / m_c when coasting, as in the array
-    # form.  F sums its products as numpy's 2x4 matrix-vector product does on
-    # the build this was checked on: (g0 x + g2 vx) + (g1 y + g3 vy).  The
+    # q = mu r_c^-3, then the field's accelerations with the thrust
+    # F = -(G @ s) / m_c, or 0.0 / m_c when coasting, as in the array form.
+    # F sums its products as numpy's 2x4 matrix-vector product does on the
+    # build this was checked on: (g0 x + g2 vx) + (g1 y + g3 vy).  The
     # sequential and the (g0 x + g1 y) + (g2 vx + g3 vy) orders differ from it
     # in the last bit on ~40% of random states.
-    x, y, vx, vy = x0.tolist()
-    out = [x, y, vx, vy]
+    def field(s):
+        x, y, vx, vy = s.tolist()
+        rx = r + x
+        q = mu * (rx * rx + y * y) ** -1.5
+        return np.array([
+            vx,
+            vy,
+            nn * x + n2 * vy + mu_r2 - q * rx + (
+                0.0 if coast else -((gx0 * x + gx2 * vx) + (gx1 * y + gx3 * vy))) / m_c,
+            nn * y - n2 * vx - q * y + (
+                0.0 if coast else -((gy0 * x + gy2 * vx) + (gy1 * y + gy3 * vy))) / m_c,
+        ])
+
+    x = x0
+    states = np.empty((n + 1, 4))
+    states[0] = x
     try:
-        for _ in range(n):
-            rx = r + x
-            q = mu * (rx * rx + y * y) ** -1.5
-            ax1 = nn * x + n2 * vy + mu_r2 - q * rx + (
-                0.0 if coast else -((gx0 * x + gx2 * vx) + (gx1 * y + gx3 * vy))) / m_c
-            ay1 = nn * y - n2 * vx - q * y + (
-                0.0 if coast else -((gy0 * x + gy2 * vx) + (gy1 * y + gy3 * vy))) / m_c
-            x2, y2, vx2, vy2 = x + c * vx, y + c * vy, vx + c * ax1, vy + c * ay1
-            rx = r + x2
-            q = mu * (rx * rx + y2 * y2) ** -1.5
-            ax2 = nn * x2 + n2 * vy2 + mu_r2 - q * rx + (
-                0.0 if coast else -((gx0 * x2 + gx2 * vx2) + (gx1 * y2 + gx3 * vy2))) / m_c
-            ay2 = nn * y2 - n2 * vx2 - q * y2 + (
-                0.0 if coast else -((gy0 * x2 + gy2 * vx2) + (gy1 * y2 + gy3 * vy2))) / m_c
-            x3, y3, vx3, vy3 = x + c * vx2, y + c * vy2, vx + c * ax2, vy + c * ay2
-            rx = r + x3
-            q = mu * (rx * rx + y3 * y3) ** -1.5
-            ax3 = nn * x3 + n2 * vy3 + mu_r2 - q * rx + (
-                0.0 if coast else -((gx0 * x3 + gx2 * vx3) + (gx1 * y3 + gx3 * vy3))) / m_c
-            ay3 = nn * y3 - n2 * vx3 - q * y3 + (
-                0.0 if coast else -((gy0 * x3 + gy2 * vx3) + (gy1 * y3 + gy3 * vy3))) / m_c
-            x4, y4, vx4, vy4 = x + h * vx3, y + h * vy3, vx + h * ax3, vy + h * ay3
-            rx = r + x4
-            q = mu * (rx * rx + y4 * y4) ** -1.5
-            ax4 = nn * x4 + n2 * vy4 + mu_r2 - q * rx + (
-                0.0 if coast else -((gx0 * x4 + gx2 * vx4) + (gx1 * y4 + gx3 * vy4))) / m_c
-            ay4 = nn * y4 - n2 * vx4 - q * y4 + (
-                0.0 if coast else -((gy0 * x4 + gy2 * vx4) + (gy1 * y4 + gy3 * vy4))) / m_c
-            x, y, vx, vy = (
-                x + h6 * (((vx + 2.0 * vx2) + 2.0 * vx3) + vx4),
-                y + h6 * (((vy + 2.0 * vy2) + 2.0 * vy3) + vy4),
-                vx + h6 * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4),
-                vy + h6 * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4),
-            )
-            out += (x, y, vx, vy)
+        for k in range(1, n + 1):
+            k1 = field(x)
+            k2 = field(x + c * k1)
+            k3 = field(x + c * k2)
+            k4 = field(x + h * k3)
+            x = states[k] = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except ZeroDivisionError:
-        # 0.0 ** -1.5, the loop's only division by zero (m_c > 0).
+        # 0.0 ** -1.5, the field's only division by zero (m_c > 0).
         raise ValueError("chaser coincides with the Earth's center (r_c = 0)") from None
-    return Trajectory(times=h * np.arange(n + 1), states=np.array(out).reshape(n + 1, 4))
+    return Trajectory(times=h * np.arange(n + 1), states=states)
