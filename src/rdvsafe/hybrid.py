@@ -31,6 +31,9 @@ VARIANT_TRACKING = "lin_prox_th_tracking"
 VARIANT_EXPLICIT = "lin_prox_th_explicit"
 VARIANT_NONLINEAR = "nlin_prox"
 VARIANTS = (VARIANT_LIN, VARIANT_TRACKING, VARIANT_EXPLICIT, VARIANT_NONLINEAR)
+# State dimension per variant: position and velocity, plus the two thrust
+# states in the thrust-tracking variants.
+VARIANT_DIMS = {VARIANT_LIN: 4, VARIANT_TRACKING: 6, VARIANT_EXPLICIT: 6, VARIANT_NONLINEAR: 4}
 
 GUARD_RADIUS_M = 100.0
 LOS_BASE_X_M = -100.0
@@ -215,11 +218,10 @@ def build_rendezvous_automaton(
     acl_a = closed_loop_matrix(model, kf_a)
     acl_b = closed_loop_matrix(model, kf_b)
 
-    if variant in (VARIANT_LIN, VARIANT_NONLINEAR):
-        dim = 4
+    dim = VARIANT_DIMS[variant]
+    if dim == 4:
         flow_a, flow_b, flow_p = acl_a, acl_b, A4
     else:
-        dim = 6
         zeros = np.zeros((4, 2))
         if variant == VARIANT_TRACKING:
             flow_a = np.block([[acl_a, zeros], [-kf_a @ acl_a, np.zeros((2, 2))]])

@@ -18,17 +18,21 @@ times.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby, product
+from types import MappingProxyType
 
 import numpy as np
 from scipy.stats import qmc
 
 from .hybrid import (
     VARIANT_LIN,
+    VARIANT_DIMS,
     VARIANT_NONLINEAR,
     VARIANTS,
     HybridAutomaton,
@@ -67,6 +71,10 @@ _MAX_WINDOWS = 1_000_000
 _BLOCK = 256
 
 _MODES = (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
+
+# Models kept per process, one per physics key: a mission cycles three
+# variants, falsify two.
+_MODEL_CACHE_SIZE = 8
 
 
 class InconclusiveError(RuntimeError):
@@ -111,8 +119,10 @@ class Scenario:
             raise ValueError(f"window width must be positive, got {self.window_width}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.init.dim not in (4, 6):
-            raise ValueError(f"initial box must be 4- or 6-dimensional, got {self.init.dim}")
+        dims = sorted({4, VARIANT_DIMS[self.variant]})
+        if self.init.dim not in dims:
+            raise ValueError(f"initial box dim {self.init.dim} incompatible with variant"
+                             f" {self.variant}, which takes {' or '.join(map(str, dims))}")
 
 
 @dataclass
@@ -178,15 +188,6 @@ def default_scenario(**overrides) -> Scenario:
 # design and setup
 
 
-def gains_for_scenario(sc: Scenario) -> tuple[GainMatrix, GainMatrix]:
-    return design_mode_gains(sc.params, *bryson_maxima(sc.bryson))
-
-
-def automaton_for_scenario(sc: Scenario) -> HybridAutomaton:
-    gains = gains_for_scenario(sc)
-    return build_rendezvous_automaton(sc.params, gains, sc.variant, sc.property_overrides)
-
-
 class _ModeChecker:
     """Batched property evaluation for one mode: the properties' rows stacked,
     and per property in ``rows`` its row indices, padded with its last row."""
@@ -208,76 +209,137 @@ class _ModeChecker:
         return hits[:, self.rows].all(axis=2)
 
 
+def _power_table(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table P of the one-step map Φ, P[i] = Φ^i for i < _BLOCK, filled by
+    doubling, and Φ^_BLOCK."""
+    P = np.empty((_BLOCK,) + phi.shape)
+    P[0] = np.eye(len(phi))
+    n = 1
+    while n < _BLOCK:
+        P[n:2 * n] = P[:n] @ (P[n - 1] @ phi)
+        n *= 2
+    return P, P[-1] @ phi
+
+
+def _direction_table(aut: HybridAutomaton, checker: _ModeChecker,
+                     mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows L of the supports that one block of mode needs, and the
+    column of L for each row of mode's checker: [I; -I] for the box, [G; -G]
+    for the guard normals G (prox modes only), then the checker's rows not
+    among these.  The collision box and the thrust limits are unit rows, so
+    they read box columns."""
+    eye, G = np.eye(aut.dim), aut.guard_normals
+    base = np.vstack([eye, -eye] + ([] if mode == MODE_PASSIVE else [G, -G]))
+    rows = checker.normals
+    L = np.vstack([base, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)]])
+    # Each checker row reads the first row of L equal to it.
+    return L, (L[:, None] == rows).all(axis=2).argmax(axis=0)
+
+
+def _read_only(obj) -> None:
+    """Mark every array reachable from obj, through mappings, tuples and
+    object attributes, read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, Mapping):
+        _read_only(tuple(obj.values()))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    elif hasattr(obj, "__dict__"):
+        _read_only(tuple(vars(obj).values()))
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What a run reads that depends only on its physics: the orbital
+    parameters, the automaton, the step h, the filled-in property settings
+    and Φ per mode, and derived from them, per mode, the power table
+    (P, Φ^_BLOCK), the direction table (L, cols) and the checker.
+
+    One model serves every run of its physics in the process (see
+    :func:`_model`), so every array in it is read-only and every table a
+    read-only mapping.  ``dataclasses.replace`` derives the tables afresh."""
+
+    params: OrbitalParams
+    aut: HybridAutomaton
+    h: float
+    settings: Mapping[str, float | bool]
+    phis: Mapping[str, np.ndarray]
+    bloat: bool = field(init=False)
+    guard2: np.ndarray = field(init=False)
+    checkers: Mapping[str, _ModeChecker] = field(init=False)
+    powers: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
+    directions: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
+
+    def __post_init__(self):
+        aut = replace(self.aut, flows=MappingProxyType(dict(self.aut.flows)))
+        checkers = {m: _ModeChecker(aut.properties, m, aut.dim) for m in _MODES}
+        tables = dict(
+            aut=aut,
+            settings=MappingProxyType(dict(self.settings)),
+            phis=MappingProxyType(dict(self.phis)),
+            bloat=self.settings["intersample_bloat"],
+            guard2=aut.guard_normals[:, :2],
+            checkers=MappingProxyType(checkers),
+            powers=MappingProxyType({m: _power_table(phi) for m, phi in self.phis.items()}),
+            directions=MappingProxyType(
+                {m: _direction_table(aut, checkers[m], m) for m in _MODES}),
+        )
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
+        _read_only(self)
+
+
+def _model_key(sc: Scenario) -> tuple:
+    """The physics of sc, hashable: (params, variant, h, the three Bryson
+    vectors, the filled-in property settings)."""
+    bryson = tuple(tuple(float(v) for v in vec) for vec in bryson_maxima(sc.bryson))
+    settings = tuple(property_settings(sc.property_overrides).items())
+    return sc.params, sc.variant, float(sc.h), bryson, settings
+
+
+@functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _model(params: OrbitalParams, variant: str, h: float, bryson: tuple,
+           settings: tuple) -> _Model:
+    """The model of one physics key (:func:`_model_key`), built on its first
+    use in the process and shared by every later run with that key."""
+    gains, settings = design_mode_gains(params, *bryson), dict(settings)
+    aut = build_rendezvous_automaton(params, gains, variant, settings)
+    return _Model(params=params, aut=aut, h=h, settings=settings,
+                  phis={m: matrix_exp(flow * h) for m, flow in aut.flows.items()})
+
+
 class _VerifyContext:
+    """One run of a scenario: the scenario, which holds the run's own initial
+    box, abort window and horizon, and the shared model of its physics."""
+
     def __init__(self, sc: Scenario):
         self.sc = sc
-        self.aut = automaton_for_scenario(sc)
-        self.h = sc.h
-        self.checkers = {
-            m: _ModeChecker(self.aut.properties, m, self.aut.dim)
-            for m in (MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE)
-        }
-        self.phis = {m: matrix_exp(flow * sc.h) for m, flow in self.aut.flows.items()}
-        self.settings = property_settings(sc.property_overrides)
-        self.bloat = self.settings["intersample_bloat"]
-        self.guard2 = self.aut.guard_normals[:, :2]
-        self._powers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._directions: dict[str, np.ndarray] = {}
-
-    def powers(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        """The table P of mode's one-step map Φ, P[i] = Φ^i for i < _BLOCK,
-        and Φ^_BLOCK; built on first use and shared by every pipe of mode."""
-        if mode not in self._powers:
-            phi = self.phis[mode]
-            P = np.empty((_BLOCK,) + phi.shape)
-            P[0] = np.eye(len(phi))
-            n = 1
-            while n < _BLOCK:
-                P[n:2 * n] = P[:n] @ (P[n - 1] @ phi)
-                n *= 2
-            self._powers[mode] = (P, P[-1] @ phi)
-        return self._powers[mode]
-
-    def directions(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        """The rows L of the supports that one block of mode needs, and the
-        column of L for each row of mode's checker, built on first use:
-        [I; -I] for the box, [G; -G] for the guard normals G (prox modes
-        only), then the checker's rows not among these.  The collision box
-        and the thrust limits are unit rows, so they read box columns."""
-        if mode not in self._directions:
-            eye, G = np.eye(self.aut.dim), self.aut.guard_normals
-            base = np.vstack([eye, -eye] + ([] if mode == MODE_PASSIVE else [G, -G]))
-            rows = self.checkers[mode].normals
-            L = np.vstack([base, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)]])
-            # Each checker row reads the first row of L equal to it.
-            self._directions[mode] = L, (L[:, None] == rows).all(axis=2).argmax(axis=0)
-        return self._directions[mode]
+        self.model = _model(*_model_key(sc))
 
     def initial(self) -> tuple[str, Box]:
         """The mode whose region holds the initial box's position part, and the
         box in that mode's state space; a box straddling the guard is an error."""
-        box = self.sc.init
+        box, model = self.sc.init, self.model
         cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
-                        np.vstack([self.guard2, -self.guard2]), self.aut.guard_offsets)
+                        np.vstack([model.guard2, -model.guard2]), model.aut.guard_offsets)
         if cls == "straddle":
             raise ValueError("initial box straddles the guard octagon; split the scenario")
         mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
-        if box.dim == self.aut.dim:
-            return mode, box
-        if box.dim != 4:
-            raise ValueError(f"initial box dim {box.dim} incompatible with variant {self.sc.variant}")
-        return mode, _enter(self, mode, box)
+        # Scenario admits a 4-dim box or one of the variant's own dimension.
+        return mode, box if box.dim == model.aut.dim else _enter(model, mode, box)
 
 
-def _enter(ctx: _VerifyContext, mode: str, box: Box) -> Box:
+def _enter(model: _Model, mode: str, box: Box) -> Box:
     """The box on entering mode: its position/velocity dims, then in the 6-dim
     variants the commanded thrust, zero in passive and otherwise the interval
     image of -m_c K x over those dims."""
-    if ctx.aut.dim == 4:
+    if model.aut.dim == 4:
         return box
     box4 = Box(lo=box.lo[:4], hi=box.hi[:4])
     thrust = (Box(lo=np.zeros(2), hi=np.zeros(2)) if mode == MODE_PASSIVE else
-              initial_thrust_box(ctx.aut.gains[_MODES.index(mode)], ctx.sc.params.m_c, box4))
+              initial_thrust_box(model.aut.gains[_MODES.index(mode)], model.params.m_c, box4))
     return Box(lo=np.concatenate([box4.lo, thrust.lo]), hi=np.concatenate([box4.hi, thrust.hi]))
 
 
@@ -297,34 +359,34 @@ def _classify(c, V, rows, offsets) -> str:
     return ("inside", "outside", "straddle")[code]
 
 
-def _restart_box(ctx: _VerifyContext, dest: str, lo, hi) -> Box | None:
+def _restart_box(model: _Model, dest: str, lo, hi) -> Box | None:
     """The hull of the boxes lo[i]..hi[i] as a start box of mode dest, clipped
     to the guard octagon (prox_b's invariant) when dest is prox_b."""
     hull = Box(lo=lo.min(axis=0), hi=hi.max(axis=0))
     if dest == MODE_PROX_B:
-        for a, b in zip(ctx.aut.guard_normals, ctx.aut.guard_offsets):
+        for a, b in zip(model.aut.guard_normals, model.aut.guard_offsets):
             hull = clip_box_to_halfspace(hull, a, b)
             if hull is None:
                 return None
     # The commanded thrust re-derives from the destination gain at the switch.
-    return _enter(ctx, dest, hull)
+    return _enter(model, dest, hull)
 
 
-def _empty_segment(ctx: _VerifyContext, mode: str, n_steps: int,
+def _empty_segment(model: _Model, mode: str, n_steps: int,
                    t_lo0: float, t_hi0: float) -> FlowpipeSegment:
-    names = ctx.checkers[mode].names
-    return FlowpipeSegment(mode=mode, lo=np.empty((n_steps, ctx.aut.dim)),
-                           hi=np.empty((n_steps, ctx.aut.dim)), t_lo0=t_lo0, t_hi0=t_hi0,
-                           h=ctx.h, names=names, hits=np.zeros((n_steps, len(names)), dtype=bool))
+    names = model.checkers[mode].names
+    return FlowpipeSegment(mode=mode, lo=np.empty((n_steps, model.aut.dim)),
+                           hi=np.empty((n_steps, model.aut.dim)), t_lo0=t_lo0, t_hi0=t_hi0,
+                           h=model.h, names=names, hits=np.zeros((n_steps, len(names)), dtype=bool))
 
 
-def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
+def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
     """Step the box's star [c | V] = [mid | diag(halfwidth)] through the flow
     of seg's mode, a block of samples at a time.
 
     A block holds up to ``_BLOCK`` steps from its head set M = [c | V]: the
-    set at step k0 + i is P[i] @ M with ``ctx.powers``' table P, and the next
-    head is Φ^_BLOCK @ M.  One :func:`supports` call in ``ctx.directions``
+    set at step k0 + i is P[i] @ M with ``model.powers``' table P, and the
+    next head is Φ^_BLOCK @ M.  One :func:`supports` call in ``model.directions``
     gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
     property hits, which go into the same rows of ``seg.hits``, and in a prox
     mode the guard class of each set, all three read after the opt-in
@@ -334,13 +396,13 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
     later rows.  A block ends before its first non-finite set, and resuming
     past it raises :class:`InconclusiveError` at that step.
     """
-    P, phi_block = ctx.powers(seg.mode)
-    L, cols = ctx.directions(seg.mode)
-    checker = ctx.checkers[seg.mode]
-    abs_flow_t = np.abs(ctx.aut.flows[seg.mode]).T
+    P, phi_block = model.powers[seg.mode]
+    L, cols = model.directions[seg.mode]
+    checker = model.checkers[seg.mode]
+    abs_flow_t = np.abs(model.aut.flows[seg.mode]).T
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
-    dim = ctx.aut.dim
-    guard = slice(2 * dim, 2 * (dim + len(ctx.aut.guard_offsets)))     # prox modes only
+    dim = model.aut.dim
+    guard = slice(2 * dim, 2 * (dim + len(model.aut.guard_offsets)))     # prox modes only
     M = np.column_stack([box.mid(), np.diag(box.halfwidth())])
     for k0 in range(0, seg.n_steps, _BLOCK):
         n = min(_BLOCK, seg.n_steps - k0)
@@ -348,17 +410,17 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
         finite = np.isfinite(S).all(axis=(1, 2))
         m = n if finite.all() else int(np.argmin(finite))
         vals = supports(S[:m, :, 0], S[:m, :, 1:], L)
-        if ctx.bloat:
+        if model.bloat:
             # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
             # widens each row l's support by |l| w; M itself stays unwidened.
-            w = ctx.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim]) @ abs_flow_t)
+            w = model.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim]) @ abs_flow_t)
             vals += w @ np.abs(L).T
         seg.hi[k0:k0 + m] = vals[:, :dim]
         # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
         seg.lo[k0:k0 + m] = 0.0 - vals[:, dim:2 * dim]
         seg.hits[k0:k0 + m] = checker.check(vals[:, cols])
         yield k0, (None if seg.mode == MODE_PASSIVE else
-                   _classes(vals[:, guard], ctx.aut.guard_offsets))
+                   _classes(vals[:, guard], model.aut.guard_offsets))
         if m < n:
             raise InconclusiveError(f"numerical overflow in {where} at step {k0 + m}")
         M = phi_block @ M
@@ -367,7 +429,8 @@ def _advance(ctx: _VerifyContext, seg: FlowpipeSegment, box: Box):
 def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment]:
     """Run every rendezvous-mode pipe from the scenario's initial box up to
     covered time t_end (the clock bound)."""
-    h = ctx.h
+    model = ctx.model
+    h = model.h
     segments: list[FlowpipeSegment] = []
     worklist: list[tuple[str, Box, float, float]] = [(*ctx.initial(), 0.0, 0.0)]
 
@@ -381,7 +444,7 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         n_steps = steps_within(t_end - t_lo0, h) + 1
         if n_steps <= 0:
             continue
-        seg = _empty_segment(ctx, mode, n_steps, t_lo0, t_hi0)
+        seg = _empty_segment(model, mode, n_steps, t_lo0, t_hi0)
         # First of the rows collected since the set left its own region; None
         # while it is in it.  A collection restarts in the other mode when the
         # set crosses, grazes (comes back) or meets the clock bound; one begun
@@ -397,11 +460,11 @@ def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment
         def restart(stop: int, k: int):
             """Restart the hull of rows collect_k0..stop-1 in the other mode,
             from the start times t_lo0 + collect_k0 h .. t_hi0 + k h."""
-            start = _restart_box(ctx, other, seg.lo[collect_k0:stop], seg.hi[collect_k0:stop])
+            start = _restart_box(model, other, seg.lo[collect_k0:stop], seg.hi[collect_k0:stop])
             if start is not None:
                 worklist.append((other, start, t_lo0 + collect_k0 * h, t_hi0 + k * h))
 
-        for k0, codes in _advance(ctx, seg, box):
+        for k0, codes in _advance(model, seg, box):
             crossed = np.flatnonzero(codes == 1 - own_code)
             own = codes[:crossed[0] + 1 if crossed.size else None] == own_code
             # Only the steps where the set enters or leaves its own region.
@@ -435,13 +498,13 @@ def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float)
     return boxes
 
 
-def _passive_segment(ctx: _VerifyContext, segments: list[FlowpipeSegment],
+def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
                      t1: float, t2: float, horizon: float) -> FlowpipeSegment:
     boxes = _collect_window_boxes(segments, t1, t2)
     if not boxes:
         raise ValueError(f"abort window [{t1}, {t2}] covers no reachable sample")
-    seg = _empty_segment(ctx, MODE_PASSIVE, steps_within(horizon - t1, ctx.h) + 1, t1, t2)
-    for _ in _advance(ctx, seg, _enter(ctx, MODE_PASSIVE, hull_boxes(boxes))):
+    seg = _empty_segment(model, MODE_PASSIVE, steps_within(horizon - t1, model.h) + 1, t1, t2)
+    for _ in _advance(model, seg, _enter(model, MODE_PASSIVE, hull_boxes(boxes))):
         pass
     return seg
 
@@ -460,28 +523,33 @@ def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
     return sorted(best.values(), key=lambda v: (v.time_s, v.property))
 
 
-def _thrust_stats(ctx: _VerifyContext, segments: list[FlowpipeSegment]):
-    if ctx.aut.dim != 6:
+def _thrust_stats(model: _Model, segments: list[FlowpipeSegment]):
+    if model.aut.dim != 6:
         return None, None
     peak = 0.0
     for seg in segments:
         if seg.mode == MODE_PASSIVE:
             continue
         peak = max(peak, float(np.abs(seg.lo[:, 4:]).max()), float(np.abs(seg.hi[:, 4:]).max()))
-    return peak, ctx.settings["thrust_limit_n"] - peak
+    return peak, model.settings["thrust_limit_n"] - peak
 
 
-def _assemble(sc, ctx, segments, t0, verdict=None, reason=None) -> VerificationReport:
+def _assemble(sc, model, segments, t0, verdict=None, reason=None) -> VerificationReport:
     violations = _first_violations(segments)
     if verdict is None:
         verdict = "unsafe" if violations else "safe"
-    peak, margin = _thrust_stats(ctx, segments)
+    peak, margin = _thrust_stats(model, segments)
     return VerificationReport(
-        verdict=verdict, scenario=sc, gains=ctx.aut.gains, segments=segments,
+        verdict=verdict, scenario=sc, gains=model.aut.gains, segments=segments,
         violations=violations, reason=reason,
         max_thrust_n=peak, thrust_margin_n=margin,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _require_reach_variant(sc: Scenario) -> None:
+    if sc.variant == VARIANT_NONLINEAR:
+        raise ValueError("the nonlinear variant is simulation-only; use falsify or simulate")
 
 
 def verify(sc: Scenario) -> VerificationReport:
@@ -532,18 +600,17 @@ def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
     so a single subwindow reproduces :func:`verify` exactly.
     """
     t0 = time.perf_counter()
-    if sc.variant == VARIANT_NONLINEAR:
-        raise ValueError("the nonlinear variant is simulation-only; use falsify or simulate")
+    _require_reach_variant(sc)
     w = sc.window_width if w is None else float(w)
     windows = partition_window(sc.t1, sc.t2, w)
     ctx = _VerifyContext(sc)
     try:
         segments = _rendezvous_pipes(ctx, t_end=sc.t2)
         for a, b in windows:
-            segments.append(_passive_segment(ctx, segments, a, b, sc.horizon))
+            segments.append(_passive_segment(ctx.model, segments, a, b, sc.horizon))
     except InconclusiveError as exc:
-        return _assemble(sc, ctx, [], t0, verdict="inconclusive", reason=str(exc))
-    return _assemble(sc, ctx, segments, t0)
+        return _assemble(sc, ctx.model, [], t0, verdict="inconclusive", reason=str(exc))
+    return _assemble(sc, ctx.model, segments, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +642,7 @@ def sample_runs(sc: Scenario, count: int,
     return points, rng.integers(k1, k2 + 1, size=count)
 
 
-def _mode_index(ctx: _VerifyContext, k, X, abort):
+def _mode_index(model: _Model, k, X, abort):
     """The switching rule at step k, as an index into ``_MODES``.
 
     The mode is passive from the abort step on; before that it is prox_b when
@@ -584,17 +651,17 @@ def _mode_index(ctx: _VerifyContext, k, X, abort):
     k, X and abort are one step, state (dim,) and abort step, or arrays that
     broadcast over a batch, X being (dim, N).
     """
-    inside = ((ctx.guard2 @ X[:2]).T <= ctx.aut.guard_offsets).all(axis=-1)
+    inside = ((model.guard2 @ X[:2]).T <= model.aut.guard_offsets).all(axis=-1)
     return np.where(k >= abort, 2, inside)
 
 
-def _reset(ctx: _VerifyContext, mode: int, x):
+def _reset(model: _Model, mode: int, x):
     """The state x (4 or dim entries) on entering ``_MODES[mode]``: the 6-dim
     variants' thrust entries become the commanded thrust, zero in passive and
     -m_c K x otherwise."""
-    if ctx.aut.dim == 4:
+    if model.aut.dim == 4:
         return x
-    u = np.zeros(2) if mode == 2 else -ctx.sc.params.m_c * (ctx.aut.gains[mode].K @ x[:4])
+    u = np.zeros(2) if mode == 2 else -model.params.m_c * (model.aut.gains[mode].K @ x[:4])
     return np.concatenate([x[:4], u])
 
 
@@ -609,31 +676,31 @@ def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int 
     (None: never), sampled at every step up to the horizon.
 
     The run advances its mode by blocks of n < ``_BLOCK`` steps: a linear
-    flow as one product of the rows P[1..n] of ``ctx.powers``' table with the
+    flow as one product of the rows P[1..n] of ``model.powers``' table with the
     state, nlin_prox by RK4 under the mode's force gain.  The switching rule
     is applied to the whole block, which is cut at its first mode change; the
     state there is reset and stepping goes on in the new mode.  A rendezvous
     block stops at the abort step, and passive is absorbing.
     """
-    sc = ctx.sc
+    sc, model = ctx.sc, ctx.model
     abort = math.inf if passive_step is None else passive_step
     n_steps = steps_within(sc.horizon, sc.h)
-    mode = int(_mode_index(ctx, 0, x0_4, abort))
-    states = np.empty((n_steps + 1, ctx.aut.dim))
-    states[0] = _reset(ctx, mode, np.asarray(x0_4, dtype=float))
+    mode = int(_mode_index(model, 0, x0_4, abort))
+    states = np.empty((n_steps + 1, model.aut.dim))
+    states[0] = _reset(model, mode, np.asarray(x0_4, dtype=float))
     switches = [(0, mode)]          # (step, mode entered there)
     k = 0
     while k < n_steps:
         n = min(_BLOCK - 1, n_steps - k, math.inf if mode == 2 else abort - k)
         if sc.variant == VARIANT_NONLINEAR:
-            gain = None if mode == 2 else sc.params.m_c * np.asarray(ctx.aut.gains[mode].K)
+            gain = None if mode == 2 else sc.params.m_c * np.asarray(model.aut.gains[mode].K)
             block = simulate_nonlinear(sc.params, gain, states[k], sc.h, n).states[1:]
         else:
-            P = ctx.powers(_MODES[mode])[0]
+            P = model.powers[_MODES[mode]][0]
             block = (P[1:n + 1].reshape(-1, len(P[0])) @ states[k]).reshape(n, -1)
         new = mode
         if mode != 2:
-            idx = _mode_index(ctx, np.arange(k + 1, k + n + 1), block.T, abort)
+            idx = _mode_index(model, np.arange(k + 1, k + n + 1), block.T, abort)
             changed = np.flatnonzero(idx != mode)
             if changed.size:
                 n = int(changed[0]) + 1
@@ -642,7 +709,7 @@ def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int 
         k += n
         if new != mode:
             mode = new
-            states[k] = _reset(ctx, mode, states[k])
+            states[k] = _reset(model, mode, states[k])
             switches.append((k, mode))
     stops = [k for k, _ in switches[1:]] + [n_steps + 1]
     modes = sum(((_MODES[m],) * (stop - k) for (k, m), stop in zip(switches, stops)), ())
@@ -658,10 +725,10 @@ def _mode_runs(traj: Trajectory):
         start = stop
 
 
-def _pointwise_violation(ctx: _VerifyContext, traj: Trajectory) -> tuple[str, int] | None:
+def _pointwise_violation(model: _Model, traj: Trajectory) -> tuple[str, int] | None:
     """Earliest (property, step) at which the run meets an unsafe set of its mode."""
     for mode, start, stop in _mode_runs(traj):
-        checker = ctx.checkers[mode]
+        checker = model.checkers[mode]
         states = traj.states[start:stop]
         hits = np.argwhere(checker.check(supports(states, None, checker.normals)))
         if len(hits):
@@ -682,7 +749,7 @@ def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory |
     ctx = _VerifyContext(sc)
     for x0, abort in zip(*sample_runs(sc, samples, seed)):
         traj = _simulate_with_ctx(ctx, x0, int(abort))
-        hit = _pointwise_violation(ctx, traj)
+        hit = _pointwise_violation(ctx.model, traj)
         if hit is not None:
             return replace(traj, violation=hit)
     return None
@@ -754,7 +821,7 @@ def _sweep_one(args) -> tuple[float, float, float]:
         key = (a, b)
         if key not in window_safe:
             try:
-                pseg = _passive_segment(ctx, segments, a, b, sc_a.horizon)
+                pseg = _passive_segment(ctx.model, segments, a, b, sc_a.horizon)
                 window_safe[key] = not pseg.hits.any()
             except InconclusiveError:
                 window_safe[key] = False
@@ -782,9 +849,10 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
     ``verify_windowed`` safe on the abort window [0, T] is recorded; -1 means
     no tested T was safe.  Rows come back in the input angle order.  With
     jobs > 1 the angles run in a pool of at most one worker per angle.  The
-    width w is checked on [0, T] for the largest grid T within the horizon
-    before any angle runs.
+    width w is checked on [0, T] for the largest grid T within the horizon,
+    and the variant for reach, before any angle runs.
     """
+    _require_reach_variant(sc)
     angles = [float(a) for a in angles_deg]
     for a in angles:
         if not (0.0 <= a < 360.0):

@@ -117,7 +117,7 @@ def test_criterion_5_star_exactness_suite():
     worst = 0.0
     # The collision box is a multi-row property: the passive checker must flag
     # it exactly when the stars' corner bounding box meets the box.
-    passive = _VerifyContext(default_scenario()).checkers[MODE_PASSIVE]
+    passive = _VerifyContext(default_scenario()).model.checkers[MODE_PASSIVE]
     sep, hw = passive.names.index("separation"), SEPARATION_HALFWIDTH_M
     box_hits = {True: 0, False: 0}
     for _ in range(1000):

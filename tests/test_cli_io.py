@@ -114,11 +114,11 @@ def test_each_property_setting_reaches_the_engine(tmp_path, key):
     base = load_scenario(_write(tmp_path, "base.json", doc))
     sc = load_scenario(_write(tmp_path, "sc.json", {**doc, "properties": {key: value}}))
     assert scenario_to_dict(sc)["properties"] == {**PROPERTY_DEFAULTS, key: value}
-    ctx, ref = verifier._VerifyContext(sc), verifier._VerifyContext(base)
-    moved = {p.name for p, q in zip(ctx.aut.properties, ref.aut.properties)
+    model, ref = verifier._VerifyContext(sc).model, verifier._VerifyContext(base).model
+    moved = {p.name for p, q in zip(model.aut.properties, ref.aut.properties)
              if _unsafe_set(p) != _unsafe_set(q)}
     assert moved == _MOVES[key]
-    assert ctx.bloat is (key == "intersample_bloat")
+    assert model.bloat is (key == "intersample_bloat")
     if key == "thrust_limit_n":
         report = verify(sc)
         assert report.thrust_margin_n == value - report.max_thrust_n
@@ -331,6 +331,23 @@ def test_cli_sweep_window_with_too_many_windows_is_usage_error(tmp_path, capsys)
 def test_cli_nonlinear_verify_is_config_error(tmp_path):
     sc = _write(tmp_path, "nl.json", {**QUICK, "variant": "nlin_prox"})
     assert cli_main(["verify", sc]) == 2
+
+
+def test_cli_nonlinear_sweep_is_config_error(tmp_path, capsys):
+    sc = _write(tmp_path, "nl.json", {**QUICK, "variant": "nlin_prox"})
+    assert cli_main(["sweep", sc, "--angles", "180:181:1", "--out", str(tmp_path / "w")]) == 2
+    assert "simulation-only" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("cmd", [["verify"], ["simulate"], ["falsify", "--samples", "2"],
+                                 ["sweep", "--angles", "180:181:1"]])
+def test_cli_six_dim_box_on_a_four_dim_variant_is_config_error(tmp_path, capsys, cmd):
+    sc = _write(tmp_path, "sc.json", {**QUICK, "init_center": [-900.0, -400.0, 0, 0, 0, 0],
+                                      "init_halfwidth": [25.0, 25.0, 0, 0, 0, 0]})
+    assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
+    assert "initial box dim 6 incompatible with variant lin_prox" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):

@@ -211,16 +211,16 @@ def test_simulate_nonlinear_origin_equilibrium():
 def test_rendezvous_mode_logic_switches():
     # The verifier's switching rule, as indices into (prox_a, prox_b, passive),
     # on one state at a time and on the same states as one batch.
-    ctx = _VerifyContext(default_scenario())
+    model = _VerifyContext(default_scenario()).model
     far = np.array([-900.0, -400.0, 0.0, 0.0])
     near = np.array([-50.0, 10.0, 0.0, 0.0])
     cases = [(0, far, 0), (1, near, 1), (2, far, 0), (50, near, 2), (60, far, 2)]
     for k, x, mode in cases:
-        assert _mode_index(ctx, k, x, 50) == mode
+        assert _mode_index(model, k, x, 50) == mode
     # The same cases as one batch at step 60: each abort step moves by 60 - k.
     batch = np.stack([x for _, x, _ in cases], axis=1)
     aborts = np.array([50 + 60 - k for k, _, _ in cases])
-    assert list(_mode_index(ctx, 60, batch, aborts)) == [m for _, _, m in cases]
+    assert list(_mode_index(model, 60, batch, aborts)) == [m for _, _, m in cases]
 
 
 def test_trajectory_validation_and_csv(tmp_path):

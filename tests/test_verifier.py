@@ -3,16 +3,22 @@ the acceptance suite runs the full-resolution mission)."""
 
 import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, replace
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import rdvsafe
 from rdvsafe import (
     Box,
+    OrbitalParams,
     cli,
     verifier,
     default_scenario,
@@ -24,7 +30,7 @@ from rdvsafe import (
     verify,
     verify_windowed,
 )
-from rdvsafe.hybrid import SafetyProperty
+from rdvsafe.hybrid import PROPERTY_DEFAULTS, SafetyProperty
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
 from rdvsafe.verifier import sample_initial_points, simulate_scenario
 
@@ -138,6 +144,20 @@ def test_verify_rejects_nonlinear_variant():
         verify(default_scenario(variant="nlin_prox"))
 
 
+@pytest.mark.parametrize("variant, dims", [("lin_prox", (4,)), ("nlin_prox", (4,)),
+                                           ("lin_prox_th_tracking", (4, 6)),
+                                           ("lin_prox_th_explicit", (4, 6))])
+def test_initial_box_must_have_the_variant_dimension_or_4(variant, dims):
+    for dim in (3, 4, 5, 6, 7):
+        init = Box(lo=np.full(dim, -950.0), hi=np.full(dim, -900.0))
+        if dim in dims:
+            assert default_scenario(variant=variant, init=init).init.dim == dim
+        else:
+            with pytest.raises(ValueError, match=f"initial box dim {dim} incompatible"
+                                                 f" with variant {variant}"):
+                default_scenario(variant=variant, init=init)
+
+
 def test_initial_box_straddling_guard_is_rejected():
     c = np.array([-100.0, 0.0, 0.0, 0.0])
     hw = np.array([25.0, 25.0, 0.0, 0.0])
@@ -203,12 +223,12 @@ def test_settling_exemption_keeps_a_step_0_straddle(doc, pipes):
     sc = cli.scenario_from_dict(doc)
     rep = verify(sc)
     assert [(seg.mode, seg.n_steps) for seg in rep.segments] == pipes
-    ctx = verifier._VerifyContext(sc)
-    rows = np.vstack([ctx.guard2, -ctx.guard2])
+    model = verifier._VerifyContext(sc).model
+    rows = np.vstack([model.guard2, -model.guard2])
     for seg in rep.segments[1:-1]:
         box = Box(lo=seg.lo[0, :2], hi=seg.hi[0, :2])
         assert verifier._classify(box.mid(), np.diag(box.halfwidth()), rows,
-                                  ctx.aut.guard_offsets) == "straddle"
+                                  model.aut.guard_offsets) == "straddle"
     assert monte_carlo_containment(sc, 100, report=rep)["violations"] == 0
 
 
@@ -376,6 +396,16 @@ def test_sweep_checks_window_width_before_any_angle_runs(monkeypatch, quick):
         sweep_passive_time(quick, [180.0, 230.0], 950.0, w=1e-13, t_grid=[600.0])
 
 
+def test_sweep_rejects_nonlinear_variant_before_any_angle_runs(monkeypatch, quick):
+    def no_reach(*args, **kwargs):
+        raise AssertionError("reach ran on the nonlinear variant")
+
+    monkeypatch.setattr(verifier, "_rendezvous_pipes", no_reach)
+    with pytest.raises(ValueError, match="simulation-only"):
+        sweep_passive_time(replace(quick, variant="nlin_prox"), [180.0, 230.0], 950.0,
+                           t_grid=[600.0])
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -529,22 +559,21 @@ def _class_runs(draw):
     return mode, seq, sorted(cuts)
 
 
-@pytest.fixture(scope="module")
-def quick_ctx(quick):
-    return verifier._VerifyContext(quick)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
+# The fixtures run once per test, not per example: the cache is cleared
+# around the whole test.
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_class_runs())
-def test_restart_rule_matches_stepwise_reference(quick_ctx, case):
+def test_restart_rule_matches_stepwise_reference(fresh_models, quick, case):
     mode, codes, cuts = case
-    ctx, n = quick_ctx, len(codes)
-    h = ctx.h
+    # A context of its own per example, so the initial override dies with it.
+    ctx, n = verifier._VerifyContext(quick), len(codes)
+    h = ctx.model.h
     start = Box(lo=np.zeros(4), hi=np.zeros(4))
     ctx.initial = lambda: (mode, start)
     restarted = []
 
-    def advance(ctx, seg, box):
+    def advance(model, seg, box):
         # Row k holds k.  A restarted pipe stays in its own region.
         seg.lo[:] = seg.hi[:] = np.arange(seg.n_steps)[:, None]
         if box is not start:
@@ -553,7 +582,7 @@ def test_restart_rule_matches_stepwise_reference(quick_ctx, case):
         for a, b in zip([0, *cuts], [*cuts, n]):
             yield a, codes[a:b]
 
-    def restart_box(ctx, dest, lo, hi):
+    def restart_box(model, dest, lo, hi):
         restarted.append(lo[:, 0].astype(int).tolist())
         return Box(lo=np.ones(4), hi=np.ones(4))
 
@@ -572,25 +601,25 @@ def test_restart_rule_matches_stepwise_reference(quick_ctx, case):
 # blocked propagation against a one-sample-at-a-time reference
 
 
-def _stepwise_advance(ctx, seg, box):
+def _stepwise_advance(model, seg, box):
     """Reference for ``verifier._advance``: the Φ recurrence one sample at a
     time from the box's star, with each property's rows tested on their
     supports and the guard class code (0 inside, 1 outside, 2 straddling)
     evaluated per step, and every step yielded as a block of one.  With the
     intersample bloat on, the box, every property row and every guard row
     are widened by the same per-step term h |A| (|c| + reach)."""
-    phi = ctx.phis[seg.mode]
-    props = [p for p in ctx.aut.properties if seg.mode in p.modes]
+    phi = model.phis[seg.mode]
+    props = [p for p in model.aut.properties if seg.mode in p.modes]
     assert seg.names == tuple(p.name for p in props)
-    abs_flow = np.abs(ctx.aut.flows[seg.mode])
-    G, g = ctx.aut.guard_normals, ctx.aut.guard_offsets
+    abs_flow = np.abs(model.aut.flows[seg.mode])
+    G, g = model.aut.guard_normals, model.aut.guard_offsets
     where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     c, V = box.mid(), np.diag(box.halfwidth())
     for k in range(seg.n_steps):
         if not (np.isfinite(c).all() and np.isfinite(V).all()):
             raise verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
         reach = np.abs(V).sum(axis=1)
-        bloat = ctx.h * (abs_flow @ (np.abs(c) + reach)) if ctx.bloat else np.zeros_like(c)
+        bloat = model.h * (abs_flow @ (np.abs(c) + reach)) if model.bloat else np.zeros_like(c)
         seg.lo[k], seg.hi[k] = c - reach - bloat, c + reach + bloat
         for j, p in enumerate(props):
             rows_hit = []
@@ -626,15 +655,27 @@ def _assert_same_report(got, ref):
             == [(v.property, v.mode, v.step) for v in ref.violations])
 
 
-def _patch_context(monkeypatch, edit):
-    """Apply edit(ctx) to every verification context right after it is built."""
-    init = verifier._VerifyContext.__init__
+@pytest.fixture
+def fresh_models():
+    """The model cache, cleared on entry and on exit, so that no model a test
+    builds or edits reaches another test."""
+    cached = verifier._model
+    cached.cache_clear()
+    yield cached
+    cached.cache_clear()
 
-    def patched(self, sc):
-        init(self, sc)
-        edit(self)
 
-    monkeypatch.setattr(verifier._VerifyContext, "__init__", patched)
+@pytest.fixture
+def edit_models(monkeypatch, fresh_models):
+    """edit_models(edit) gives every verification context edit(model) of a
+    freshly built model in place of the cached one; ``dataclasses.replace``
+    on a model derives its tables afresh."""
+
+    def install(edit):
+        monkeypatch.setattr(verifier, "_model",
+                            lambda *key: edit(fresh_models.__wrapped__(*key)))
+
+    return install
 
 
 @pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking", "lin_prox_th_explicit"])
@@ -667,7 +708,8 @@ def test_blocked_propagation_at_block_edge_lengths(monkeypatch, quick, quick_rep
     assert {1, verifier._BLOCK - 1, verifier._BLOCK, verifier._BLOCK + 1} <= lengths
 
 
-def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick, quick_report):
+def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, edit_models, quick,
+                                                              quick_report):
     prox_a = quick_report.segments[0]
     crossing = prox_a.n_steps - 1
     assert 0 < crossing % verifier._BLOCK < verifier._BLOCK - 1
@@ -679,17 +721,13 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick
     c, V, support = box.mid(), np.diag(box.halfwidth()), []
     for _ in range(crossing + 2):
         support.append(a @ c + np.abs(a @ V).sum())
-        c, V = ctx.phis[MODE_PROX_A] @ c, ctx.phis[MODE_PROX_A] @ V
+        c, V = ctx.model.phis[MODE_PROX_A] @ c, ctx.model.phis[MODE_PROX_A] @ V
     assert max(support[:-1]) < support[-1]
     late = SafetyProperty(name="late", modes=(MODE_PROX_A,), normals=a[None],
                           offsets=np.array([0.5 * (max(support[:-1]) + support[-1])]), strict=False)
 
-    def add_late(ctx):
-        ctx.aut = replace(ctx.aut, properties=ctx.aut.properties + (late,))
-        ctx.checkers[MODE_PROX_A] = verifier._ModeChecker(
-            ctx.aut.properties, MODE_PROX_A, ctx.aut.dim)
-
-    _patch_context(monkeypatch, add_late)
+    edit_models(lambda model: replace(
+        model, aut=replace(model.aut, properties=model.aut.properties + (late,))))
     rep = verify(quick)
     _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(quick)))
     assert rep.segments[0].n_steps == crossing + 1
@@ -701,11 +739,9 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, quick
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode, where", [(MODE_PASSIVE, "passive pipe"),
                                          (MODE_PROX_A, "mode prox_a")])
-def test_overflow_is_inconclusive_at_its_step(monkeypatch, quick, mode, where):
-    def blow_up(ctx):
-        ctx.phis[mode] = 1e200 * np.eye(ctx.aut.dim)
-
-    _patch_context(monkeypatch, blow_up)
+def test_overflow_is_inconclusive_at_its_step(edit_models, quick, mode, where):
+    edit_models(lambda model: replace(
+        model, phis={**model.phis, mode: 1e200 * np.eye(model.aut.dim)}))
     rep = verify(quick)
     assert rep.verdict == "inconclusive"
     assert rep.reason == f"numerical overflow in {where} at step 2"
@@ -714,7 +750,7 @@ def test_overflow_is_inconclusive_at_its_step(monkeypatch, quick, mode, where):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_overflow_after_a_crossing_is_not_reached(monkeypatch, quick):
+def test_overflow_after_a_crossing_is_not_reached(monkeypatch, edit_models, quick):
     # prox_a shrinks positions tenfold a step, so the set crosses into the
     # octagon at step 2, while the 1e-290 m/s velocity grows 1e10-fold a
     # step and overflows at step 60, in the same block.
@@ -727,10 +763,7 @@ def test_overflow_after_a_crossing_is_not_reached(monkeypatch, quick):
         speed *= 1e10
     assert math.isfinite(speed) and not math.isfinite(speed * 1e10)
 
-    def shrink(ctx):
-        ctx.phis[MODE_PROX_A] = phi
-
-    _patch_context(monkeypatch, shrink)
+    edit_models(lambda model: replace(model, phis={**model.phis, MODE_PROX_A: phi}))
     rep = verify(sc)
     assert rep.verdict != "inconclusive"
     assert (rep.segments[0].mode, rep.segments[0].n_steps) == (MODE_PROX_A, 3)
@@ -749,7 +782,7 @@ def _stepwise_run(ctx, x0, abort):
     abort = math.inf if abort is None else abort
 
     def rk4(mode, x):
-        kf = None if mode == 2 else sc.params.m_c * ctx.aut.gains[mode].K
+        kf = None if mode == 2 else sc.params.m_c * ctx.model.aut.gains[mode].K
 
         def rhs(s):
             return nonlinear_field(sc.params, s, (0.0, 0.0) if kf is None else -(kf @ s))
@@ -761,7 +794,7 @@ def _stepwise_run(ctx, x0, abort):
         return x + (sc.h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def phi(mode, x):
-        return ctx.phis[verifier._MODES[mode]] @ x
+        return ctx.model.phis[verifier._MODES[mode]] @ x
 
     step = rk4 if sc.variant == "nlin_prox" else phi
     mode, x = None, np.asarray(x0, dtype=float)
@@ -770,9 +803,9 @@ def _stepwise_run(ctx, x0, abort):
         if k:
             x = step(mode, x)
         if mode != 2:
-            new = int(verifier._mode_index(ctx, k, x, abort))
+            new = int(verifier._mode_index(ctx.model, k, x, abort))
             if new != mode:
-                mode, x = new, verifier._reset(ctx, new, x)
+                mode, x = new, verifier._reset(ctx.model, new, x)
         states.append(x)
         modes.append(verifier._MODES[mode])
     return np.array(states), tuple(modes)
@@ -815,3 +848,114 @@ def test_nonlinear_sample_engine_is_bit_identical():
     assert _mode_runs(ref_modes) == [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]
     assert traj.modes == ref_modes
     assert np.array_equal(traj.states, ref_states)
+
+
+# ---------------------------------------------------------------------------
+# the model cache: one read-only model per physics
+
+
+def test_warm_cache_emits_the_bytes_of_a_fresh_process(tmp_path, fresh_models):
+    doc = {"step_s": 10.0, "properties": {"separation_halfwidth_m": 50.0}}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    # Warm the cache on other physics, then on this physics from another start.
+    verify(cli.scenario_from_dict({**doc, "variant": "lin_prox_th_tracking"}))
+    verify_windowed(cli.scenario_from_dict({**doc, "init_center": [-950.0, -300.0, 0.0, 0.0]}),
+                    60.0)
+    built = fresh_models.cache_info().currsize
+    assert cli.cli_main(["verify", str(path), "--out", str(tmp_path / "warm")]) == 1
+    assert fresh_models.cache_info().currsize == built
+    src = str(Path(rdvsafe.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rdvsafe.cli", "verify", str(path),
+                           "--out", str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    for name in ("report.json", "flowpipe.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def _cached_arrays(model):
+    """Every array of a model, by name."""
+    aut = model.aut
+    arrays = {"guard_normals": aut.guard_normals, "guard_offsets": aut.guard_offsets,
+              "guard2": model.guard2}
+    for i, gain in enumerate(aut.gains):
+        arrays.update({f"gains[{i}].K": gain.K, f"gains[{i}].P": gain.P})
+    for p in aut.properties:
+        arrays.update({f"{p.name}.normals": p.normals, f"{p.name}.offsets": p.offsets})
+    for m in verifier._MODES:
+        (P, phi_block), (L, cols), checker = model.powers[m], model.directions[m], model.checkers[m]
+        arrays.update({f"flows[{m}]": aut.flows[m], f"phis[{m}]": model.phis[m],
+                       f"P[{m}]": P, f"phi_block[{m}]": phi_block, f"L[{m}]": L,
+                       f"cols[{m}]": cols, f"{m}.normals": checker.normals,
+                       f"{m}.offsets": checker.offsets, f"{m}.strict": checker.strict,
+                       f"{m}.rows": checker.rows})
+    return arrays
+
+
+@pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking"])
+def test_cached_model_cannot_be_written(variant):
+    sc = default_scenario(h=10.0, variant=variant)
+    model = verifier._VerifyContext(sc).model
+    assert verify(sc).gains is model.aut.gains
+    for name, array in _cached_arrays(model).items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    for table in (model.phis, model.powers, model.directions, model.checkers, model.aut.flows):
+        with pytest.raises(TypeError):
+            table[MODE_PROX_A] = None
+    with pytest.raises(TypeError):
+        model.settings["intersample_bloat"] = True
+    with pytest.raises(FrozenInstanceError):
+        model.bloat = True
+
+
+def _other_value(default):
+    return (not default) if isinstance(default, bool) else 1.25 * default
+
+
+# One change per field of the model's key.
+_KEY_CHANGES = {
+    "params.mu": {"params": OrbitalParams(mu=3.986e14)},
+    "params.r": {"params": OrbitalParams(r=42000e3)},
+    "params.m_c": {"params": OrbitalParams(m_c=600.0)},
+    "variant": {"variant": "lin_prox_th_tracking"},
+    "h": {"h": 20.0},
+    "bryson.prox_a": {"bryson": {"prox_a": {"max_state": [900.0, 1000.0, 0.4, 0.4]}}},
+    "bryson.prox_b": {"bryson": {"prox_b": {"max_state": [100.0, 90.0, 0.025, 0.025]}}},
+    "bryson.max_input": {"bryson": {"max_input": [0.02, 0.03]}},
+    **{f"properties.{key}": {"property_overrides": {key: _other_value(default)}}
+       for key, default in PROPERTY_DEFAULTS.items()},
+}
+
+# Changes outside the key, and the key's defaults spelled out.
+_SHARED_CHANGES = {
+    "init": {"init": Box(lo=np.array([-950.0, -300.0, 0.0, 0.0]),
+                         hi=np.array([-940.0, -290.0, 0.0, 0.0]))},
+    "t1/t2": {"t1": 3000.0, "t2": 3600.0},
+    "horizon": {"horizon": 9000.0},
+    "seed": {"seed": 7},
+    "window_width": {"window_width": 60.0},
+    "default bryson": {"bryson": {"prox_a": {"max_state": [1000, 1000, 0.4, 0.4]},
+                                  "max_input": [0.02, 0.02]}},
+    "default properties": {"property_overrides": dict(PROPERTY_DEFAULTS)},
+}
+
+
+@pytest.mark.parametrize("field", sorted(_KEY_CHANGES))
+def test_each_key_field_gets_its_own_model(fresh_models, field):
+    base, sc = default_scenario(h=10.0), replace(default_scenario(h=10.0), **_KEY_CHANGES[field])
+    model = verifier._VerifyContext(sc).model
+    assert model is not verifier._VerifyContext(base).model
+    assert model is verifier._VerifyContext(sc).model
+
+
+@pytest.mark.parametrize("field", sorted(_SHARED_CHANGES))
+def test_scenarios_of_one_physics_share_a_model(fresh_models, field):
+    base, sc = default_scenario(h=10.0), replace(default_scenario(h=10.0), **_SHARED_CHANGES[field])
+    ctx, ref = verifier._VerifyContext(sc), verifier._VerifyContext(base)
+    assert ctx is not ref and ctx.sc is sc
+    assert ctx.model is ref.model
+    assert fresh_models.cache_info().currsize == 1
