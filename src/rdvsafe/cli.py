@@ -556,12 +556,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
-    if args.samples < 1:
-        print("need at least one sample", file=sys.stderr)
-        return 2
+    runs = sample_runs(sc, args.samples)
     os.makedirs(args.out, exist_ok=True)
     ctx = _VerifyContext(sc)
-    for i, (x0, abort) in enumerate(zip(*sample_runs(sc, args.samples))):
+    for i, (x0, abort) in enumerate(zip(*runs)):
         traj = _simulate_with_ctx(ctx, x0, int(abort))
         out = os.path.join(args.out, f"trajectory_{i:03d}.csv")
         traj.to_csv(out)

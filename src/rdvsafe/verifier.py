@@ -28,7 +28,6 @@ from itertools import groupby, product
 from types import MappingProxyType
 
 import numpy as np
-from scipy.stats import qmc
 
 from .hybrid import (
     VARIANT_LIN,
@@ -618,11 +617,20 @@ def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
 
 
 def sample_initial_points(box: Box, count: int) -> np.ndarray:
-    """Deterministic initial states: distinct box corners, then Halton points."""
+    """Deterministic initial states: distinct box corners, then Halton points.
+
+    The Halton points start at the sequence's second point, as its first is
+    the cube's origin, i.e. the box's ``lo`` corner.
+    """
+    if count < 1:
+        raise ValueError("need at least one sample")
     corners = list(dict.fromkeys(product(*zip(box.lo, box.hi))))
     pts = [np.array(c) for c in corners[:count]]
     if len(pts) < count:
+        # Imported here: scipy.stats more than doubles the package's import time.
+        from scipy.stats import qmc
         sampler = qmc.Halton(d=box.dim, scramble=False)
+        sampler.fast_forward(1)
         extra = sampler.random(count - len(pts))
         pts.extend(box.lo + extra * (box.hi - box.lo))
     return np.array(pts)
@@ -744,10 +752,9 @@ def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory |
     Returns the first violating trajectory, with its (property, step) attached
     as ``violation``, or None.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    runs = sample_runs(sc, samples, seed)
     ctx = _VerifyContext(sc)
-    for x0, abort in zip(*sample_runs(sc, samples, seed)):
+    for x0, abort in zip(*runs):
         traj = _simulate_with_ctx(ctx, x0, int(abort))
         hit = _pointwise_violation(ctx.model, traj)
         if hit is not None:
@@ -766,8 +773,7 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     restarts, grazes and windowed passive pipes.  Returns counts and the worst
     excess.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    runs = sample_runs(sc, n_samples, seed)
     if report is None:
         report = verify(sc)
     if report.verdict == "inconclusive":
@@ -780,7 +786,7 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
         pipes.append((seg, seg.lo - slack, seg.hi, slack))
     violations = 0
     max_excess = 0.0
-    for x0, abort in zip(*sample_runs(sc, n_samples, seed)):
+    for x0, abort in zip(*runs):
         traj = _simulate_with_ctx(ctx, x0, int(abort))
         for mode, entry, stop in _mode_runs(traj):
             best = np.full(stop - entry, np.inf)

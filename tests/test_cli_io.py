@@ -282,6 +282,40 @@ def test_cli_simulate_horizon_shorter_than_a_step(tmp_path):
         assert len((out / "trajectory_000.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_sample_count_below_one_is_usage_error(tmp_path, capsys, count):
+    sc = _write(tmp_path, "sc.json", QUICK)
+    for cmd in ("simulate", "falsify"):
+        out = tmp_path / cmd
+        assert cli_main([cmd, sc, "--samples", count, "--out", str(out)]) == 2
+        assert "need at least one sample" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cold_import_leaves_scipy_stats_unloaded(tmp_path):
+    # A one-shot verify never samples, so it must not pay for scipy.stats;
+    # the first draw past the box corners loads it.
+    src = str(Path(rdvsafe.__file__).resolve().parents[1])
+    scenario = str(Path(__file__).resolve().parents[1] / "scenarios" / "default.json")
+    script = f"""
+import sys
+import rdvsafe, rdvsafe.cli
+loaded = ["scipy.stats" in sys.modules]
+assert rdvsafe.cli.cli_main(["verify", {scenario!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+loaded.append("scipy.stats" in sys.modules)
+box = rdvsafe.default_scenario().init
+rdvsafe.verifier.sample_initial_points(rdvsafe.Box(lo=box.lo[:4], hi=box.hi[:4]), 20)
+loaded.append("scipy.stats" in sys.modules)
+print(loaded)
+"""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 def test_abort_window_without_sample_is_rejected(tmp_path):
     # No sample of step 0.3 s lies in [2.2, 2.3] s: every command refuses the
     # window, where falsify and simulate used to abort at 2.1 s.

@@ -317,6 +317,25 @@ def test_sample_points_corners_first():
         assert np.all(p >= box.lo) and np.all(p <= box.hi)
 
 
+@pytest.mark.parametrize("v_halfwidth, n_corners", [(1.0, 16), (0.0, 4)])
+def test_sample_points_are_distinct_and_halton_after_the_corners(v_halfwidth, n_corners):
+    # The unscrambled Halton sequence starts at the origin, the box's lo
+    # corner, so the interior points start at its second point.  With no
+    # velocity spread this is the default box.
+    from scipy.stats import qmc
+    init = default_scenario().init
+    hw = np.array([0.0, 0.0, v_halfwidth, 2 * v_halfwidth])
+    box = Box(lo=init.lo[:4] - hw, hi=init.hi[:4] + hw)
+    pts = sample_initial_points(box, 40)
+    assert len({tuple(p) for p in pts}) == 40
+    n = 40 - n_corners
+    halton = qmc.Halton(d=4, scramble=False).random(n + 1)[1:]
+    assert np.array_equal(pts[n_corners:], box.lo + halton * (box.hi - box.lo))
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sample_initial_points(box, count)
+
+
 def test_monte_carlo_containment_zero_violations(quick, quick_report):
     # One input per pipe structure: a single crossing, five passive pipes of a
     # windowed run, a graze restart, and a start inside the octagon cut by the
