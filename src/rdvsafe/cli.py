@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hybrid import GUARD_RADIUS_M, PROPERTY_DEFAULTS, VARIANTS, property_settings
+from .hybrid import GUARD_RADIUS_M, VARIANTS, property_settings
 from .lqr import bryson_maxima
 from .numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
 from .orbital import OrbitalParams
@@ -51,118 +51,73 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _require_number(val, pointer: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(pointer, f"expected a number, got {type(val).__name__}")
-    if not math.isfinite(val):
-        raise ScenarioError(pointer, "value must be finite")
-    return float(val)
-
-
-def _require_vector(val, pointer: str, lengths=(4,)) -> list[float]:
-    if not isinstance(val, list) or len(val) not in lengths:
-        raise ScenarioError(pointer, f"expected a list of length {' or '.join(map(str, lengths))}")
-    return [_require_number(v, f"{pointer}/{i}") for i, v in enumerate(val)]
-
-
-def _parse_bryson(raw, pointer: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError(pointer, "expected an object")
-    out: dict = {}
-    for key, val in raw.items():
-        if key == "max_input":
-            out[key] = _require_vector(val, f"{pointer}/max_input", lengths=(2,))
-        elif key in ("prox_a", "prox_b"):
-            if not isinstance(val, dict):
-                raise ScenarioError(f"{pointer}/{key}", "expected an object")
-            sub = {}
-            for k2, v2 in val.items():
-                if k2 != "max_state":
-                    raise ScenarioError(f"{pointer}/{key}/{k2}", "unknown key")
-                sub["max_state"] = _require_vector(v2, f"{pointer}/{key}/max_state")
-            out[key] = sub
-        else:
-            raise ScenarioError(f"{pointer}/{key}", "unknown key")
-    return out
-
-
-def _parse_properties(raw, pointer: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError(pointer, "expected an object")
-    out = {}
-    for key, val in raw.items():
-        if key not in PROPERTY_DEFAULTS:
-            raise ScenarioError(f"{pointer}/{key}", "unknown key")
-        if isinstance(PROPERTY_DEFAULTS[key], bool):
-            if not isinstance(val, bool):
-                raise ScenarioError(f"{pointer}/{key}", "expected a boolean")
-            out[key] = val
-        else:
-            out[key] = _require_number(val, f"{pointer}/{key}")
-    return out
+def _checked(val, default, pointer: str):
+    """``val`` checked against ``default``, the echo's value at the same JSON
+    pointer: an object may hold only the echo's keys, a list must have the
+    echo's length (4 or 6 for the initial box), and a leaf the echo's type,
+    a real number read as a float."""
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ScenarioError(pointer, "expected an object")
+        for key in val:
+            if key not in default:
+                raise ScenarioError(f"{pointer}/{key}", "unknown key")
+        return {key: _checked(v, default[key], f"{pointer}/{key}") for key, v in val.items()}
+    if isinstance(default, list):
+        lengths = (4, 6) if pointer in ("/init_center", "/init_halfwidth") else (len(default),)
+        if not isinstance(val, list) or len(val) not in lengths:
+            raise ScenarioError(pointer, f"expected a list of length {' or '.join(map(str, lengths))}")
+        return [_checked(v, default[0], f"{pointer}/{i}") for i, v in enumerate(val)]
+    if isinstance(default, float):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ScenarioError(pointer, f"expected a number, got {type(val).__name__}")
+        if not abs(val) <= sys.float_info.max:      # also an int too large for a float
+            raise ScenarioError(pointer, "value must be finite")
+        return float(val)
+    if type(val) is not type(default):
+        raise ScenarioError(pointer, f"expected {type(default).__name__}, got {type(val).__name__}")
+    return val
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a document whose keys override the echo of the default
-    scenario, ``scenario_to_dict(Scenario())``; a key the echo lacks is an error."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("", "scenario document must be a JSON object")
+    scenario, ``scenario_to_dict(Scenario())``; each value must have the type
+    and shape of the echo's, and a key the echo lacks is an error."""
     defaults = scenario_to_dict(Scenario())
-    for key in doc:
-        if key not in defaults:
-            raise ScenarioError(f"/{key}", "unknown key")
-    doc = {**defaults, **doc}
-
-    variant = doc["variant"]
-    if not isinstance(variant, str):
-        raise ScenarioError("/variant", "expected a string")
-    if variant not in VARIANTS:
+    doc = {**defaults, **_checked(doc, defaults, "")}
+    if doc["variant"] not in VARIANTS:
         raise ScenarioError("/variant",
-                            f"unknown variant {variant!r}; expected one of {list(VARIANTS)}")
-    mu = _require_number(doc["mu"], "/mu")
-    r_orbit = _require_number(doc["r_orbit"], "/r_orbit")
-    m_c = _require_number(doc["m_c"], "/m_c")
-    center = _require_vector(doc["init_center"], "/init_center", lengths=(4, 6))
-    halfwidth = _require_vector(doc["init_halfwidth"], "/init_halfwidth", lengths=(len(center),))
-    t1 = _require_number(doc["t1_s"], "/t1_s")
-    t2 = _require_number(doc["t2_s"], "/t2_s")
-    horizon = _require_number(doc["horizon_s"], "/horizon_s")
-    step = _require_number(doc["step_s"], "/step_s")
-    window = _require_number(doc["window_width_s"], "/window_width_s")
-    seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("/seed", "expected an integer")
-    bryson = _parse_bryson(doc["bryson"], "/bryson")
-    props = _parse_properties(doc["properties"], "/properties")
-
-    if mu <= 0.0:
-        raise ScenarioError("/mu", "must be positive")
-    if r_orbit <= 0.0:
-        raise ScenarioError("/r_orbit", "must be positive")
-    if m_c <= 0.0:
-        raise ScenarioError("/m_c", "must be positive")
+                            f"unknown variant {doc['variant']!r}; expected one of {list(VARIANTS)}")
+    center, halfwidth = doc["init_center"], doc["init_halfwidth"]
+    if len(halfwidth) != len(center):
+        raise ScenarioError("/init_halfwidth", f"expected a list of length {len(center)}")
+    for key in ("mu", "r_orbit", "m_c", "step_s", "window_width_s"):
+        if doc[key] <= 0.0:
+            raise ScenarioError(f"/{key}", "must be positive")
     if any(hw < 0.0 for hw in halfwidth):
         raise ScenarioError("/init_halfwidth", "half-widths must be nonnegative")
+    t1, t2, horizon = doc["t1_s"], doc["t2_s"], doc["horizon_s"]
     if t1 < 0.0 or t1 > t2:
         raise ScenarioError("/t1_s", "need 0 <= t1 <= t2")
     if t2 > horizon:
         raise ScenarioError("/t2_s", "abort window must end by the horizon")
-    if step <= 0.0:
-        raise ScenarioError("/step_s", "must be positive")
-    if window <= 0.0:
-        raise ScenarioError("/window_width_s", "must be positive")
-    if seed < 0:
+    if doc["seed"] < 0:
         raise ScenarioError("/seed", "must be nonnegative")
+    for key, val in doc["properties"].items():
+        try:
+            property_settings({key: val})
+        except ValueError as exc:
+            raise ScenarioError(f"/properties/{key}", str(exc)) from exc
 
     c = np.array(center)
     hw = np.array(halfwidth)
     try:
         return Scenario(
-            params=OrbitalParams(mu=mu, r=r_orbit, m_c=m_c),
-            variant=variant,
+            params=OrbitalParams(mu=doc["mu"], r=doc["r_orbit"], m_c=doc["m_c"]),
+            variant=doc["variant"],
             init=Box(lo=c - hw, hi=c + hw),
-            t1=t1, t2=t2, horizon=horizon, h=step, window_width=window,
-            bryson=bryson, property_overrides=props, seed=seed,
+            t1=t1, t2=t2, horizon=horizon, h=doc["step_s"], window_width=doc["window_width_s"],
+            bryson=doc["bryson"], property_overrides=doc["properties"], seed=doc["seed"],
         )
     except ValueError as exc:
         raise ScenarioError("", str(exc)) from exc
@@ -557,8 +512,8 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     runs = sample_runs(sc, args.samples)
-    os.makedirs(args.out, exist_ok=True)
     ctx = _VerifyContext(sc)
+    os.makedirs(args.out, exist_ok=True)
     for i, (x0, abort) in enumerate(zip(*runs)):
         traj = _simulate_with_ctx(ctx, x0, int(abort))
         out = os.path.join(args.out, f"trajectory_{i:03d}.csv")

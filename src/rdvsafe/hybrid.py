@@ -154,8 +154,12 @@ def separation_property(dim: int, halfwidth: float = SEPARATION_HALFWIDTH_M) -> 
 def property_settings(overrides: dict | None = None) -> dict:
     """``PROPERTY_DEFAULTS`` with ``overrides`` applied.  A value must have its
     default's type: a bool for a bool default, a real number other than a bool
-    for a float default (an int becomes a float).  An unknown key or a value
-    of another type is a ValueError naming the key."""
+    for a float default (an int becomes a float).  It must also lie in its
+    range: separation_halfwidth_m >= 0 (a negative half-width is an empty
+    collision box, so passive safety would hold vacuously),
+    velocity_limit_mps > 0, thrust_limit_n > 0 and 0 < los_half_angle_deg < 90.
+    An unknown key, a value of another type or one out of range is a
+    ValueError naming the key."""
     ov = overrides or {}
     unknown = sorted(set(ov) - set(PROPERTY_DEFAULTS))
     if unknown:
@@ -164,7 +168,16 @@ def property_settings(overrides: dict | None = None) -> dict:
         default = PROPERTY_DEFAULTS[key]
         if isinstance(val, bool) != isinstance(default, bool) or not isinstance(val, numbers.Real):
             raise ValueError(f"property {key!r} expects a {type(default).__name__}, got {val!r}")
-    return {key: type(val)(ov.get(key, val)) for key, val in PROPERTY_DEFAULTS.items()}
+    s = {key: type(val)(ov.get(key, val)) for key, val in PROPERTY_DEFAULTS.items()}
+    for key, in_range, rule in (
+        ("separation_halfwidth_m", s["separation_halfwidth_m"] >= 0.0, ">= 0"),
+        ("velocity_limit_mps", s["velocity_limit_mps"] > 0.0, "> 0"),
+        ("thrust_limit_n", s["thrust_limit_n"] > 0.0, "> 0"),
+        ("los_half_angle_deg", 0.0 < s["los_half_angle_deg"] < 90.0, "in (0, 90)"),
+    ):
+        if not in_range:
+            raise ValueError(f"property {key!r} must be {rule}, got {s[key]!r}")
+    return s
 
 
 def default_properties(variant: str, dim: int, overrides: dict | None = None):

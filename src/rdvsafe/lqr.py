@@ -98,9 +98,9 @@ def solve_care(A, B, weights: Weights) -> GainMatrix:
     Raises
     ------
     ValueError
-        If the problem is not solvable (e.g. a non-stabilizable pair).
-    RuntimeError
-        If refinement fails to meet the residual tolerance.
+        If the problem is not solvable (e.g. a non-stabilizable pair), if
+        refinement fails to meet the residual tolerance, or if the certificate
+        P is not positive semidefinite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -131,7 +131,7 @@ def solve_care(A, B, weights: Weights) -> GainMatrix:
         P_new = linalg.solve_continuous_lyapunov(Acl.T, -(weights.Q + K.T @ weights.R @ K))
         P = 0.5 * (P_new + P_new.T)
     else:
-        raise RuntimeError(
+        raise ValueError(
             f"CARE residual {care_residual(A, B, weights, P):.3e} above tolerance {tol:.3e}"
         )
 
@@ -140,7 +140,7 @@ def solve_care(A, B, weights: Weights) -> GainMatrix:
     if np.max(eigs.real) >= 0.0:
         raise ValueError("closed loop is not Hurwitz; CARE solution rejected")
     if np.min(np.linalg.eigvalsh(P)) < -1e-10 * max(1.0, np.linalg.norm(P)):
-        raise RuntimeError("Riccati certificate is not positive semidefinite")
+        raise ValueError("Riccati certificate is not positive semidefinite")
     return GainMatrix(K=K, P=P)
 
 

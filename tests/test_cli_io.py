@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rdvsafe
-from rdvsafe import default_scenario, falsify, verifier, verify
+from rdvsafe import Scenario, default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
     ScenarioError,
     cli_main,
@@ -67,11 +67,36 @@ def test_empty_document_yields_default_scenario(tmp_path):
     ({"bryson": {"warp": {}}}, "/bryson/warp"),
     ({"variant": "bogus"}, "/variant"),
     ({"seed": -1}, "/seed"),
+    ({"seed": True}, "/seed"),
+    ({"bryson": {"prox_b": {"max_state": [1, 2, "x", 4]}}}, "/bryson/prox_b/max_state/2"),
+    ({"bryson": {"prox_a": {"max_state": [1, 1, 1, 1], "extra": 1}}}, "/bryson/prox_a/extra"),
+    ({"init_center": [-900.0, -400.0, 0, 0, 0, 0], "init_halfwidth": [25.0, 25.0, 0, 0]},
+     "/init_halfwidth"),
+    ({"properties": {"separation_halfwidth_m": -1.0}}, "/properties/separation_halfwidth_m"),
+    ({"mu": 10 ** 400}, "/mu"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
         load_scenario(_write(tmp_path, "bad.json", doc))
     assert err.value.pointer == pointer
+
+
+def _echo_paths(doc, prefix=()):
+    """Every key path of the echo, recursing into objects and taking lists whole."""
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _echo_paths(val, prefix + (key,))
+
+
+@pytest.mark.parametrize("path", ["/".join(p) for p in _echo_paths(scenario_to_dict(Scenario()))])
+def test_a_null_at_any_echo_path_is_refused_there(path):
+    doc = None
+    for key in reversed(path.split("/")):
+        doc = {key: doc}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/" + path
 
 
 def test_scenario_roundtrip_is_canonical_and_exact(tmp_path):
@@ -381,6 +406,19 @@ def test_cli_six_dim_box_on_a_four_dim_variant_is_config_error(tmp_path, capsys,
                                       "init_halfwidth": [25.0, 25.0, 0, 0, 0, 0]})
     assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
     assert "initial box dim 6 incompatible with variant lin_prox" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", [["verify"], ["simulate"], ["falsify", "--samples", "2"],
+                                 ["sweep", "--angles", "180:181:1"]])
+@pytest.mark.parametrize("doc,message", [
+    ({"bryson": {"max_input": [0.0, 1.0]}}, "Bryson maxima must be strictly positive"),
+    ({"r_orbit": 1.0, "step_s": 30.0}, "CARE residual"),
+], ids=["zero_max_input", "tiny_orbit"])
+def test_cli_scenario_without_a_controller_is_config_error(tmp_path, capsys, cmd, doc, message):
+    sc = _write(tmp_path, "sc.json", doc)
+    assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

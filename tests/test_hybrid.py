@@ -164,6 +164,20 @@ def test_float_setting_rejects_a_bool_or_a_non_real():
     assert type(limit) is float and limit == 2.0
 
 
+@pytest.mark.parametrize("key,bad,good", [
+    ("separation_halfwidth_m", -1e-9, 0.0),
+    ("velocity_limit_mps", 0.0, 1e-9),
+    ("thrust_limit_n", 0.0, 1e-9),
+    ("los_half_angle_deg", 0.0, 1e-9),
+    ("los_half_angle_deg", 90.0, 89.9),
+])
+def test_setting_out_of_range_is_rejected(key, bad, good):
+    for val in (bad, float("nan")):
+        with pytest.raises(ValueError, match=key):
+            property_settings({key: val})
+    assert property_settings({key: good})[key] == good
+
+
 def test_unsafe_sets_exclude_nominal_target_state():
     # The origin with zero velocity violates nothing except the collision box,
     # which contains the target by construction.
