@@ -9,6 +9,7 @@ seed (wall-clock timing is never written).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .verifier import (
 
 _PLANES = {"xy": (0, 1), "vxvy": (2, 3), "uxuy": (4, 5)}
 _MODE_COLORS = {MODE_PROX_A: "#5b8fd6", MODE_PROX_B: "#58b06a", MODE_PASSIVE: "#9a9a9a"}
+_CSV_BLOCK = 1024       # flowpipe rows formatted and written per template
 
 
 class ScenarioError(ValueError):
@@ -205,7 +207,8 @@ def emit_report(report: VerificationReport, path: str, flowpipe_csv: str | None 
 
 
 def emit_flowpipe(report: VerificationReport, path: str) -> None:
-    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags."""
+    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, formatted
+    ``_CSV_BLOCK`` rows per ``%`` template (``%.17g`` writes ``_fmt``'s bytes)."""
     dim = report.segments[0].dim if report.segments else 0
     header = (
         ["step", "time_s", "mode"]
@@ -213,16 +216,20 @@ def emit_flowpipe(report: VerificationReport, path: str) -> None:
         + [f"hi_{d + 1}" for d in range(dim)]
         + ["flags"]
     )
-    lines = [",".join(header)]
-    for seg in report.segments:
-        flags = [";".join(sorted(n for n, hit in zip(seg.names, row) if hit)) if any(row) else ""
-                 for row in seg.hits.tolist()]
-        times = seg.times_lo()
-        for k in range(seg.n_steps):
-            nums = [_fmt(times[k])] + [_fmt(v) for v in seg.lo[k]] + [_fmt(v) for v in seg.hi[k]]
-            lines.append(f"{k},{nums[0]},{seg.mode}," + ",".join(nums[1:]) + f",{flags[k]}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for seg in report.segments:
+            rows = list(map(tuple, seg.hits.tolist()))
+            labels = {row: ";".join(sorted(n for n, hit in zip(seg.names, row) if hit))
+                      for row in set(rows)}
+            flags = list(map(labels.__getitem__, rows))
+            times = seg.times_lo().tolist()
+            row_fmt = "%d,%.17g," + seg.mode.replace("%", "%%") + ",%.17g" * (2 * dim) + ",%s\n"
+            for a in range(0, seg.n_steps, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, seg.n_steps)
+                cols = [range(a, b), times[a:b], *seg.lo[a:b].T.tolist(),
+                        *seg.hi[a:b].T.tolist(), flags[a:b]]
+                fh.write(row_fmt * (b - a) % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
@@ -233,7 +240,7 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
     ``names`` are only the properties it hits, sorted.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+        rows = [(n, line) for n, line in enumerate(fh.read().split("\n"), 1) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty flowpipe CSV, expected a header line")
     header = rows[0][1].split(",")
@@ -242,37 +249,36 @@ def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
     dim = (len(header) - 4) // 2
     if dim < 1 or len(header) != 2 * dim + 4:
         raise ValueError(f"{path}, line {rows[0][0]}: not a flowpipe CSV header")
-    segments: list[FlowpipeSegment] = []
-    cur: list[tuple[str, float, list[float], str]] = []
-
-    def close():
-        if not cur:
-            return
-        arr = np.array([vals for _m, _t, vals, _f in cur])
-        times = [t for _m, t, _v, _f in cur]
-        flags = [set(flag.split(";")) if flag else set() for _m, _t, _v, flag in cur]
-        names = tuple(sorted(set().union(*flags)))
+    width, body = len(header), rows[1:]
+    cells = ",".join(line for _n, line in body).split(",") if body else []
+    try:        # column by column; a failure is then located row by row
+        if any(line.count(",") != width - 1 for _n, line in body):
+            raise ValueError
+        steps = list(map(int, cells[0::width]))
+        cols = [list(map(float, cells[j::width])) for j in (1, *range(3, width - 1))]
+    except ValueError:
+        for n, line in body:
+            parts = line.split(",")
+            try:
+                if len(parts) != width:
+                    raise ValueError(f"expected {width} fields, got {len(parts)}")
+                int(parts[0]), float(parts[1]), [float(v) for v in parts[3:-1]]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {n}: {exc}") from None
+        raise
+    times, modes, flags = cols[0], cells[2::width], cells[width - 1::width]
+    boxes = np.array(cols[1:]).T
+    starts = [k for k, step in enumerate(steps) if step == 0 or k == 0] + [len(steps)]
+    segments = []
+    for a, b in zip(starts, starts[1:]):
+        sets = {f: set(f.split(";")) if f else set() for f in set(flags[a:b])}
+        names = tuple(sorted(set().union(*sets.values())))
+        rows_of = {f: [n in s for n in names] for f, s in sets.items()}
         segments.append(FlowpipeSegment(
-            mode=cur[0][0], lo=arr[:, :dim], hi=arr[:, dim:],
-            t_lo0=times[0], t_hi0=times[0],
-            h=(times[1] - times[0]) if len(times) > 1 else 1.0,
-            names=names, hits=np.array([[n in f for n in names] for f in flags], dtype=bool),
+            mode=modes[a], lo=boxes[a:b, :dim], hi=boxes[a:b, dim:],
+            t_lo0=times[a], t_hi0=times[a], h=(times[a + 1] - times[a]) if b - a > 1 else 1.0,
+            names=names, hits=np.array([rows_of[f] for f in flags[a:b]], dtype=bool),
         ))
-
-    for n, line in rows[1:]:
-        parts = line.split(",")
-        try:
-            if len(parts) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
-            step, t = int(parts[0]), float(parts[1])
-            vals = [float(v) for v in parts[3:3 + 2 * dim]]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {n}: {exc}") from None
-        if step == 0:
-            close()
-            cur = []
-        cur.append((parts[2], t, vals, parts[3 + 2 * dim]))
-    close()
     return segments
 
 

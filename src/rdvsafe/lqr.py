@@ -7,6 +7,7 @@ Bryson's rule from per-mode maximum desired state and input magnitudes.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +126,13 @@ def solve_care(A, B, weights: Weights) -> GainMatrix:
     for _ in range(_NEWTON_MAX_ITER):
         if care_residual(A, B, weights, P) <= tol:
             break
-        # Newton-Kleinman step: Lyapunov solve around the current gain.
+        # Newton-Kleinman step: Lyapunov solve around the current gain.  A
+        # near-singular step only warns in scipy; the checks below decide.
         K = RinvBt @ P
         Acl = A - B @ K
-        P_new = linalg.solve_continuous_lyapunov(Acl.T, -(weights.Q + K.T @ weights.R @ K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            P_new = linalg.solve_continuous_lyapunov(Acl.T, -(weights.Q + K.T @ weights.R @ K))
         P = 0.5 * (P_new + P_new.T)
     else:
         raise ValueError(

@@ -1,9 +1,11 @@
 """Scenario file handling, emission formats, plotting, and CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 import rdvsafe
 from rdvsafe import Scenario, default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
+    _CSV_BLOCK,
     ScenarioError,
     cli_main,
     emit_flowpipe,
@@ -202,6 +205,72 @@ def test_flowpipe_rows_and_lossless_roundtrip(tmp_path, quick_report):
             # properties the pipe hits, sorted.
             assert _hit_pairs(rest) == _hit_pairs(orig)
             assert list(rest.names) == sorted({name for _k, name in _hit_pairs(orig)})
+
+
+def _reference_flowpipe_csv(report):
+    """The flowpipe CSV formatted one row and one value at a time."""
+    dim = report.segments[0].dim if report.segments else 0
+    lines = [",".join(["step", "time_s", "mode"] + [f"lo_{d + 1}" for d in range(dim)]
+                      + [f"hi_{d + 1}" for d in range(dim)] + ["flags"])]
+    for seg in report.segments:
+        times = seg.times_lo()
+        for k in range(seg.n_steps):
+            flags = ";".join(sorted(n for n, hit in zip(seg.names, seg.hits[k]) if hit))
+            nums = ",".join(f"{x:.17g}" for x in [*seg.lo[k], *seg.hi[k]])
+            lines.append(f"{k},{times[k]:.17g},{seg.mode},{nums},{flags}")
+    return "\n".join(lines) + "\n"
+
+
+def _hand_built_segments():
+    """Pipes of 1, B-1, B, B+1 and 2B+1 rows around the emitter's block size
+    B, with values over many magnitudes and rows hitting several of the
+    unsorted names."""
+    rng = np.random.default_rng(16)
+    names = ("velocity_045", "los_range", "collision", "los_cone_lower")
+    segments = []
+    for i, n in enumerate((1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1)):
+        lo = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-12, 12, (n, 4))
+        lo[:, 3] = 0.0
+        hits = rng.random((n, len(names))) < 0.5
+        hits[0, :3] = True
+        segments.append(verifier.FlowpipeSegment(
+            mode=("prox_a", "passive")[i % 2], lo=lo, hi=lo + rng.random((n, 4)),
+            t_lo0=7200.0 + i / 3, t_hi0=7300.0, h=0.1, names=names, hits=hits))
+    return segments
+
+
+_FLOWPIPE_REPORTS = {
+    "quick": lambda quick: quick,
+    "flagged_40m": lambda quick: verify(default_scenario(
+        h=10.0, property_overrides={"separation_halfwidth_m": 40.0})),
+    "explicit": lambda quick: verify(default_scenario(variant="lin_prox_th_explicit", h=10.0)),
+    "windowed_60": lambda quick: verifier.verify_windowed(default_scenario(h=10.0), 60.0),
+    "no_pipes": lambda quick: dataclasses.replace(quick, segments=[]),
+    "hand_built": lambda quick: dataclasses.replace(quick, segments=_hand_built_segments()),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLOWPIPE_REPORTS))
+def test_flowpipe_bytes_match_a_per_value_reference(tmp_path, quick_report, case):
+    report = _FLOWPIPE_REPORTS[case](quick_report)
+    path = tmp_path / "flowpipe.csv"
+    emit_flowpipe(report, path)
+    text = _reference_flowpipe_csv(report)
+    assert path.read_bytes() == text.encode()
+    # Each case exercises what it is here for.
+    lines = text.splitlines()
+    if case == "flagged_40m":
+        assert lines[1].split(",")[5:7] == ["0", "0"] and ",-0," not in text
+        assert any(line.endswith(",separation") for line in lines)
+    elif case == "explicit":
+        assert report.segments[0].dim == 6
+    elif case == "windowed_60":
+        assert sum(seg.mode == "passive" for seg in report.segments) >= 3
+    elif case == "no_pipes":
+        assert text == "step,time_s,mode,flags\n"
+    elif case == "hand_built":
+        assert len(lines) == 1 + 5 * _CSV_BLOCK + 2
+        assert lines[1].endswith(",collision;los_range;velocity_045")
 
 
 def test_plot_structure_and_plane_validation(tmp_path, quick_report):
@@ -417,8 +486,12 @@ def test_cli_six_dim_box_on_a_four_dim_variant_is_config_error(tmp_path, capsys,
 ], ids=["zero_max_input", "tiny_orbit"])
 def test_cli_scenario_without_a_controller_is_config_error(tmp_path, capsys, cmd, doc, message):
     sc = _write(tmp_path, "sc.json", doc)
-    assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    # No warning from the failed design reaches the user: one error line only.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not (tmp_path / "out").exists()
 
 
