@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,10 +28,9 @@ from .verifier import (
     FlowpipeSegment,
     Scenario,
     VerificationReport,
-    _simulate_with_ctx,
-    _VerifyContext,
     falsify,
     sample_runs,
+    simulate_scenario,
     sweep_passive_time,
     verify,
     verify_windowed,
@@ -39,6 +39,7 @@ from .verifier import (
 _PLANES = {"xy": (0, 1), "vxvy": (2, 3), "uxuy": (4, 5)}
 _MODE_COLORS = {MODE_PROX_A: "#5b8fd6", MODE_PROX_B: "#58b06a", MODE_PASSIVE: "#9a9a9a"}
 _CSV_BLOCK = 1024       # flowpipe rows formatted and written per template
+_MAX_ANGLES = 1_000_000     # sweep grid points, counted before the grid is built
 
 
 class ScenarioError(ValueError):
@@ -122,7 +123,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             bryson=doc["bryson"], property_overrides=doc["properties"], seed=doc["seed"],
         )
     except ValueError as exc:
-        raise ScenarioError("", str(exc)) from exc
+        # Every other rule of Scenario is checked above, so what is left is a
+        # rule of the initial box as a whole: its dimension against the
+        # variant's, or bounds that overflow.  init_center sets its dimension.
+        raise ScenarioError("/init_center", str(exc)) from exc
 
 
 def load_scenario(path: str) -> Scenario:
@@ -518,10 +522,10 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     runs = sample_runs(sc, args.samples)
-    ctx = _VerifyContext(sc)
-    os.makedirs(args.out, exist_ok=True)
     for i, (x0, abort) in enumerate(zip(*runs)):
-        traj = _simulate_with_ctx(ctx, x0, int(abort))
+        traj = simulate_scenario(sc, x0, int(abort))
+        # Made after a run, so a scenario that fails to build leaves no directory.
+        os.makedirs(args.out, exist_ok=True)
         out = os.path.join(args.out, f"trajectory_{i:03d}.csv")
         traj.to_csv(out)
         print(f"sample {i}: abort at t={abort * sc.h:g}s -> {out}")
@@ -530,7 +534,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_falsify(args) -> int:
     sc = load_scenario(args.scenario)
-    traj = falsify(sc, args.samples, seed=args.seed)
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
+    traj = falsify(sc, args.samples)
     if traj is None:
         print(f"no counterexample in {args.samples} samples")
         return 0
@@ -550,6 +556,9 @@ def _cmd_sweep(args) -> int:
         print(f"cannot parse --angles {args.angles!r}; expected start:stop:step",
               file=sys.stderr)
         return 2
+    # ceil((b - a) / step) angles, compared without the ceil, which overflows.
+    if step and (b - a) / step > _MAX_ANGLES:
+        raise ValueError(f"--angles {args.angles!r} selects over {_MAX_ANGLES} angles")
     angles = list(np.arange(a, b, step)) if step else []
     if not angles:
         print(f"--angles {args.angles!r} selects no angle; the step must be nonzero"

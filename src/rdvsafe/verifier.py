@@ -290,44 +290,35 @@ class _Model:
         _read_only(self)
 
 
-def _model_key(sc: Scenario) -> tuple:
-    """The physics of sc, hashable: (params, variant, h, the three Bryson
-    vectors, the filled-in property settings)."""
-    bryson = tuple(tuple(float(v) for v in vec) for vec in bryson_maxima(sc.bryson))
-    settings = tuple(property_settings(sc.property_overrides).items())
-    return sc.params, sc.variant, float(sc.h), bryson, settings
-
-
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
 def _model(params: OrbitalParams, variant: str, h: float, bryson: tuple,
            settings: tuple) -> _Model:
-    """The model of one physics key (:func:`_model_key`), built on its first
-    use in the process and shared by every later run with that key."""
+    """The model of one physics key (see :func:`_model_of`), built on its
+    first use in the process and shared by every later run with that key."""
     gains, settings = design_mode_gains(params, *bryson), dict(settings)
     aut = build_rendezvous_automaton(params, gains, variant, settings)
     return _Model(params=params, aut=aut, h=h, settings=settings,
                   phis={m: matrix_exp(flow * h) for m, flow in aut.flows.items()})
 
 
-class _VerifyContext:
-    """One run of a scenario: the scenario, which holds the run's own initial
-    box, abort window and horizon, and the shared model of its physics."""
+def _model_of(sc: Scenario) -> _Model:
+    """The shared model of sc's physics, keyed by (params, variant, h, the
+    three Bryson vectors, the filled-in property settings), all hashable."""
+    bryson = tuple(tuple(float(v) for v in vec) for vec in bryson_maxima(sc.bryson))
+    settings = tuple(property_settings(sc.property_overrides).items())
+    return _model(sc.params, sc.variant, float(sc.h), bryson, settings)
 
-    def __init__(self, sc: Scenario):
-        self.sc = sc
-        self.model = _model(*_model_key(sc))
 
-    def initial(self) -> tuple[str, Box]:
-        """The mode whose region holds the initial box's position part, and the
-        box in that mode's state space; a box straddling the guard is an error."""
-        box, model = self.sc.init, self.model
-        cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
-                        np.vstack([model.guard2, -model.guard2]), model.aut.guard_offsets)
-        if cls == "straddle":
-            raise ValueError("initial box straddles the guard octagon; split the scenario")
-        mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
-        # Scenario admits a 4-dim box or one of the variant's own dimension.
-        return mode, box if box.dim == model.aut.dim else _enter(model, mode, box)
+def _initial(model: _Model, box: Box) -> tuple[str, Box]:
+    """The mode whose region holds the box's position part, and the box in
+    that mode's state space; a box straddling the guard is an error."""
+    cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
+                    np.vstack([model.guard2, -model.guard2]), model.aut.guard_offsets)
+    if cls == "straddle":
+        raise ValueError("initial box straddles the guard octagon; split the scenario")
+    mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
+    # Scenario admits a 4-dim box or one of the variant's own dimension.
+    return mode, box if box.dim == model.aut.dim else _enter(model, mode, box)
 
 
 def _enter(model: _Model, mode: str, box: Box) -> Box:
@@ -425,13 +416,13 @@ def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
         M = phi_block @ M
 
 
-def _rendezvous_pipes(ctx: _VerifyContext, t_end: float) -> list[FlowpipeSegment]:
-    """Run every rendezvous-mode pipe from the scenario's initial box up to
-    covered time t_end (the clock bound)."""
-    model = ctx.model
+def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
+                      t_end: float) -> list[FlowpipeSegment]:
+    """Run every rendezvous-mode pipe from start, a (mode, box) pair at time 0
+    as :func:`_initial` gives it, up to covered time t_end (the clock bound)."""
     h = model.h
     segments: list[FlowpipeSegment] = []
-    worklist: list[tuple[str, Box, float, float]] = [(*ctx.initial(), 0.0, 0.0)]
+    worklist: list[tuple[str, Box, float, float]] = [(*start, 0.0, 0.0)]
 
     while worklist:
         if len(segments) >= _MAX_SEGMENTS:
@@ -589,7 +580,7 @@ def partition_window(t1: float, t2: float, w: float) -> list[tuple[float, float]
     return out
 
 
-def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
+def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     """Verify with the abort window split into subwindows of width at most w.
 
     The rendezvous pipes are shared across subwindows; each subwindow gets its
@@ -600,16 +591,15 @@ def verify_windowed(sc: Scenario, w: float | None = None) -> VerificationReport:
     """
     t0 = time.perf_counter()
     _require_reach_variant(sc)
-    w = sc.window_width if w is None else float(w)
-    windows = partition_window(sc.t1, sc.t2, w)
-    ctx = _VerifyContext(sc)
+    windows = partition_window(sc.t1, sc.t2, float(w))
+    model = _model_of(sc)
     try:
-        segments = _rendezvous_pipes(ctx, t_end=sc.t2)
+        segments = _rendezvous_pipes(model, _initial(model, sc.init), t_end=sc.t2)
         for a, b in windows:
-            segments.append(_passive_segment(ctx.model, segments, a, b, sc.horizon))
+            segments.append(_passive_segment(model, segments, a, b, sc.horizon))
     except InconclusiveError as exc:
-        return _assemble(sc, ctx.model, [], t0, verdict="inconclusive", reason=str(exc))
-    return _assemble(sc, ctx.model, segments, t0)
+        return _assemble(sc, model, [], t0, verdict="inconclusive", reason=str(exc))
+    return _assemble(sc, model, segments, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +626,16 @@ def sample_initial_points(box: Box, count: int) -> np.ndarray:
     return np.array(pts)
 
 
-def sample_runs(sc: Scenario, count: int,
-                seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sample_runs(sc: Scenario, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Initial 4-states and abort steps of count sampled runs: the initial box's
     corners and then Halton points, and abort steps drawn uniformly from the
-    samples inside [t1, t2] with the seed (the scenario's by default)."""
+    samples inside [t1, t2] with the scenario's seed."""
     k1 = int(math.ceil(sc.t1 / sc.h - _TIME_EPS))
     k2 = steps_within(sc.t2, sc.h)
     if k1 > k2:
         raise ValueError(f"abort window [{sc.t1}, {sc.t2}] holds no sample of step {sc.h}")
     points = sample_initial_points(Box(lo=sc.init.lo[:4], hi=sc.init.hi[:4]), count)
-    rng = np.random.default_rng(sc.seed if seed is None else seed)
+    rng = np.random.default_rng(sc.seed)
     return points, rng.integers(k1, k2 + 1, size=count)
 
 
@@ -675,13 +664,14 @@ def _reset(model: _Model, mode: int, x):
 
 def simulate_scenario(sc: Scenario, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
     """One closed-loop run of the scenario's variant from a concrete state."""
-    ctx = _VerifyContext(sc)
-    return _simulate_with_ctx(ctx, x0_4, passive_step)
+    return _simulate_with_ctx(sc, _model_of(sc), x0_4, passive_step)
 
 
-def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int | None) -> Trajectory:
-    """The run from x0_4 under the switching rule, aborting at passive_step
-    (None: never), sampled at every step up to the horizon.
+def _simulate_with_ctx(sc: Scenario, model: _Model, x0_4: np.ndarray,
+                       passive_step: int | None) -> Trajectory:
+    """The run of sc, whose model is ``_model_of(sc)``, from x0_4 under the
+    switching rule, aborting at passive_step (None: never), sampled at every
+    step up to the horizon.
 
     The run advances its mode by blocks of n < ``_BLOCK`` steps: a linear
     flow as one product of the rows P[1..n] of ``model.powers``' table with the
@@ -690,7 +680,6 @@ def _simulate_with_ctx(ctx: _VerifyContext, x0_4: np.ndarray, passive_step: int 
     state there is reset and stepping goes on in the new mode.  A rendezvous
     block stops at the abort step, and passive is absorbing.
     """
-    sc, model = ctx.sc, ctx.model
     abort = math.inf if passive_step is None else passive_step
     n_steps = steps_within(sc.horizon, sc.h)
     mode = int(_mode_index(model, 0, x0_4, abort))
@@ -744,7 +733,7 @@ def _pointwise_violation(model: _Model, traj: Trajectory) -> tuple[str, int] | N
     return None
 
 
-def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory | None:
+def falsify(sc: Scenario, samples: int) -> Trajectory | None:
     """Search for a concrete counterexample trajectory by guided sampling.
 
     Initial states are the box corners followed by low-discrepancy interior
@@ -752,19 +741,18 @@ def falsify(sc: Scenario, samples: int, seed: int | None = None) -> Trajectory |
     Returns the first violating trajectory, with its (property, step) attached
     as ``violation``, or None.
     """
-    runs = sample_runs(sc, samples, seed)
-    ctx = _VerifyContext(sc)
-    for x0, abort in zip(*runs):
-        traj = _simulate_with_ctx(ctx, x0, int(abort))
-        hit = _pointwise_violation(ctx.model, traj)
+    model = _model_of(sc)
+    for x0, abort in zip(*sample_runs(sc, samples)):
+        traj = _simulate_with_ctx(sc, model, x0, int(abort))
+        hit = _pointwise_violation(model, traj)
         if hit is not None:
             return replace(traj, violation=hit)
     return None
 
 
-def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = None,
-                            report: VerificationReport | None = None) -> dict:
-    """Check sampled closed-loop trajectories against the reach boxes.
+def monte_carlo_containment(report: VerificationReport, n_samples: int) -> dict:
+    """Check sampled closed-loop trajectories of the report's scenario against
+    its reach boxes.
 
     The samples are the runs of :func:`falsify`, each with its own abort step.
     A run that entered mode m at step e must at step k lie in box k - e of
@@ -773,12 +761,11 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     restarts, grazes and windowed passive pipes.  Returns counts and the worst
     excess.
     """
-    runs = sample_runs(sc, n_samples, seed)
-    if report is None:
-        report = verify(sc)
+    sc = report.scenario
+    runs = sample_runs(sc, n_samples)
     if report.verdict == "inconclusive":
         raise ValueError("cannot check containment of an inconclusive run")
-    ctx = _VerifyContext(sc)
+    model = _model_of(sc)
     # Each pipe's boxes with their slack: (pipe, lo - slack, hi, slack).
     pipes = []
     for seg in report.segments:
@@ -787,7 +774,7 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
     violations = 0
     max_excess = 0.0
     for x0, abort in zip(*runs):
-        traj = _simulate_with_ctx(ctx, x0, int(abort))
+        traj = _simulate_with_ctx(sc, model, x0, int(abort))
         for mode, entry, stop in _mode_runs(traj):
             best = np.full(stop - entry, np.inf)
             for seg, lo, hi, slack in pipes:
@@ -808,15 +795,15 @@ def monte_carlo_containment(sc: Scenario, n_samples: int, seed: int | None = Non
 
 
 def _sweep_one(args) -> tuple[float, float, float]:
-    sc, angle_deg, radius, w, t_grid = args
+    sc, angle_deg, radius, t_grid = args
     th = math.radians(angle_deg)
     hw = sc.init.halfwidth()[:4]
     center = np.array([radius * math.cos(th), radius * math.sin(th), 0.0, 0.0])
     sc_a = replace(sc, init=Box(lo=center - hw, hi=center + hw),
                    t1=0.0, t2=float(sc.horizon))
-    ctx = _VerifyContext(sc_a)
+    model = _model_of(sc_a)
     try:
-        segments = _rendezvous_pipes(ctx, t_end=sc_a.horizon)
+        segments = _rendezvous_pipes(model, _initial(model, sc_a.init), t_end=sc_a.horizon)
     except InconclusiveError:
         return (angle_deg, radius, -1.0)
     first_flag = min((v.time_s for v in _first_violations(segments)), default=None)
@@ -827,7 +814,7 @@ def _sweep_one(args) -> tuple[float, float, float]:
         key = (a, b)
         if key not in window_safe:
             try:
-                pseg = _passive_segment(ctx.model, segments, a, b, sc_a.horizon)
+                pseg = _passive_segment(model, segments, a, b, sc_a.horizon)
                 window_safe[key] = not pseg.hits.any()
             except InconclusiveError:
                 window_safe[key] = False
@@ -839,24 +826,26 @@ def _sweep_one(args) -> tuple[float, float, float]:
             break
         if first_flag is not None and first_flag <= T + _TIME_EPS:
             break
-        ok = all(is_window_safe(a, b) for (a, b) in partition_window(0.0, float(T), w))
+        windows = partition_window(0.0, float(T), sc.window_width)
+        ok = all(is_window_safe(a, b) for (a, b) in windows)
         if not ok:
             break
         best = float(T)
     return (angle_deg, radius, best)
 
 
-def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None = None,
-                       t_grid=None, jobs: int = 1) -> list[tuple[float, float, float]]:
+def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
+                       jobs: int = 1) -> list[tuple[float, float, float]]:
     """Largest safe abort deadline per initial bearing.
 
     For each angle the initial box is re-centered at radius * (cos, sin) with
     the base half-widths and zero velocity, and the largest T in the grid with
-    ``verify_windowed`` safe on the abort window [0, T] is recorded; -1 means
-    no tested T was safe.  Rows come back in the input angle order.  With
-    jobs > 1 the angles run in a pool of at most one worker per angle.  The
-    width w is checked on [0, T] for the largest grid T within the horizon,
-    and the variant for reach, before any angle runs.
+    ``verify_windowed`` safe on the abort window [0, T], split at the
+    scenario's window width, is recorded; -1 means no tested T was safe.
+    Rows come back in the input angle order.  With jobs > 1 the angles run
+    in a pool of at most one worker per angle.  The width is checked on
+    [0, T] for the largest grid T within the horizon, and the variant for
+    reach, before any angle runs.
     """
     _require_reach_variant(sc)
     angles = [float(a) for a in angles_deg]
@@ -867,14 +856,13 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, w: float | None 
         raise ValueError("sweep radius must be positive")
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    w = sc.window_width if w is None else float(w)
     if t_grid is None:
         t_grid = np.arange(600.0, sc.horizon + _TIME_EPS, 600.0)
     t_grid = sorted(float(t) for t in t_grid)
     reachable = [T for T in t_grid if T <= sc.horizon + _TIME_EPS]
     if reachable:
-        partition_window(0.0, reachable[-1], w)
-    tasks = [(sc, a, float(radius), w, t_grid) for a in angles]
+        partition_window(0.0, reachable[-1], sc.window_width)
+    tasks = [(sc, a, float(radius), t_grid) for a in angles]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

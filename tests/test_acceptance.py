@@ -33,7 +33,7 @@ from rdvsafe.lqr import (
     care_residual,
 )
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_B
-from rdvsafe.verifier import _VerifyContext, simulate_scenario
+from rdvsafe.verifier import _model_of, simulate_scenario
 
 
 def _report(num, ok, detail=""):
@@ -95,7 +95,7 @@ def test_criterion_4_robustness_sweep_shape():
     angles = [135.0, 150.0, 165.0, 180.0, 195.0, 230.0]
     t_grid = list(np.arange(600.0, 16200.0 + 1.0, 600.0))
     t0 = time.perf_counter()
-    rows = sweep_passive_time(sc, angles, 950.0, w=300.0, t_grid=t_grid)
+    rows = sweep_passive_time(sc, angles, 950.0, t_grid=t_grid)
     wall = time.perf_counter() - t0
     by_angle = {a: t for a, _r, t in rows}
     expected = [14400.0, 15000.0, 16200.0, 14400.0, -1.0, -1.0]
@@ -117,7 +117,7 @@ def test_criterion_5_star_exactness_suite():
     worst = 0.0
     # The collision box is a multi-row property: the passive checker must flag
     # it exactly when the stars' corner bounding box meets the box.
-    passive = _VerifyContext(default_scenario()).model.checkers[MODE_PASSIVE]
+    passive = _model_of(default_scenario()).checkers[MODE_PASSIVE]
     sep, hw = passive.names.index("separation"), SEPARATION_HALFWIDTH_M
     box_hits = {True: 0, False: 0}
     for _ in range(1000):
@@ -153,7 +153,7 @@ def test_criterion_5_star_exactness_suite():
 
 
 def test_criterion_6_containment_soundness(lin_report):
-    res = monte_carlo_containment(default_scenario(), 1000, report=lin_report)
+    res = monte_carlo_containment(lin_report, 1000)
     ok = res["violations"] == 0
     _report(6, ok,
             f"1000 sampled closed-loop runs stayed inside the reach boxes over "

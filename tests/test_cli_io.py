@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rdvsafe
-from rdvsafe import Scenario, default_scenario, falsify, verifier, verify
+from rdvsafe import Scenario, cli, default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
     _CSV_BLOCK,
     ScenarioError,
@@ -77,6 +77,8 @@ def test_empty_document_yields_default_scenario(tmp_path):
      "/init_halfwidth"),
     ({"properties": {"separation_halfwidth_m": -1.0}}, "/properties/separation_halfwidth_m"),
     ({"mu": 10 ** 400}, "/mu"),
+    ({"init_center": [-900, -400, 0, 0, 0, 0], "init_halfwidth": [25, 25, 0, 0, 0, 0]},
+     "/init_center"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
@@ -142,7 +144,7 @@ def test_each_property_setting_reaches_the_engine(tmp_path, key):
     base = load_scenario(_write(tmp_path, "base.json", doc))
     sc = load_scenario(_write(tmp_path, "sc.json", {**doc, "properties": {key: value}}))
     assert scenario_to_dict(sc)["properties"] == {**PROPERTY_DEFAULTS, key: value}
-    model, ref = verifier._VerifyContext(sc).model, verifier._VerifyContext(base).model
+    model, ref = verifier._model_of(sc), verifier._model_of(base)
     moved = {p.name for p, q in zip(model.aut.properties, ref.aut.properties)
              if _unsafe_set(p) != _unsafe_set(q)}
     assert moved == _MOVES[key]
@@ -345,6 +347,17 @@ def test_cli_falsify_exit_codes(tmp_path):
     assert (tmp_path / "o2" / "counterexample.csv").exists()
 
 
+def test_cli_falsify_seed_flag_is_the_scenario_seed(tmp_path):
+    hot = {**QUICK, "properties": {"separation_halfwidth_m": 50.0}}
+    flag = _write(tmp_path, "flag.json", hot)
+    field = _write(tmp_path, "field.json", {**hot, "seed": 7})
+    assert cli_main(["falsify", flag, "--samples", "8", "--seed", "7",
+                     "--out", str(tmp_path / "flag")]) == 1
+    assert cli_main(["falsify", field, "--samples", "8", "--out", str(tmp_path / "field")]) == 1
+    csv = (tmp_path / "flag" / "counterexample.csv").read_bytes()
+    assert csv == (tmp_path / "field" / "counterexample.csv").read_bytes()
+
+
 def test_cli_simulate_writes_trajectories(tmp_path):
     sc = _write(tmp_path, "sc.json", QUICK)
     out = tmp_path / "sims"
@@ -518,6 +531,19 @@ def test_cli_sweep_empty_angle_grid_is_usage_error(tmp_path, capsys, angles):
     sc = _write(tmp_path, "sc.json", QUICK)
     assert cli_main(["sweep", sc, "--angles", angles, "--out", str(tmp_path / "w")]) == 2
     assert "selects no angle" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_cli_sweep_angle_grid_too_large_is_usage_error(tmp_path, capsys, monkeypatch):
+    # 3.6e14 angles: counted, never built, and no angle runs.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep_passive_time", no_sweep)
+    sc = _write(tmp_path, "sc.json", QUICK)
+    assert cli_main(["sweep", sc, "--angles", "0:360:1e-12", "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "over 1000000 angles" in err[0]
     assert not (tmp_path / "w").exists()
 
 

@@ -19,8 +19,8 @@ from rdvsafe import (
 )
 from rdvsafe.verifier import (
     _mode_index,
+    _model_of,
     _simulate_with_ctx,
-    _VerifyContext,
     default_scenario,
 )
 
@@ -29,13 +29,14 @@ GEO = OrbitalParams()
 
 @functools.cache
 def _coast_context(h, steps):
-    return _VerifyContext(default_scenario(t1=0.0, t2=0.0, horizon=steps * h, h=h))
+    sc = default_scenario(t1=0.0, t2=0.0, horizon=steps * h, h=h)
+    return sc, _model_of(sc)
 
 
 def simulate_linear(h, x0, steps):
     """states[k] = Φ^k x0 for the CWH map Φ over h: a lin_prox run through the
     sample engine that aborts into the passive mode at step 0."""
-    return _simulate_with_ctx(_coast_context(h, steps), x0, 0)
+    return _simulate_with_ctx(*_coast_context(h, steps), x0, 0)
 
 
 def test_matrix_exp_zero_and_diagonal():
@@ -211,7 +212,7 @@ def test_simulate_nonlinear_origin_equilibrium():
 def test_rendezvous_mode_logic_switches():
     # The verifier's switching rule, as indices into (prox_a, prox_b, passive),
     # on one state at a time and on the same states as one batch.
-    model = _VerifyContext(default_scenario()).model
+    model = _model_of(default_scenario())
     far = np.array([-900.0, -400.0, 0.0, 0.0])
     near = np.array([-50.0, 10.0, 0.0, 0.0])
     cases = [(0, far, 0), (1, near, 1), (2, far, 0), (50, near, 2), (60, far, 2)]

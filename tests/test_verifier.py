@@ -223,13 +223,13 @@ def test_settling_exemption_keeps_a_step_0_straddle(doc, pipes):
     sc = cli.scenario_from_dict(doc)
     rep = verify(sc)
     assert [(seg.mode, seg.n_steps) for seg in rep.segments] == pipes
-    model = verifier._VerifyContext(sc).model
+    model = verifier._model_of(sc)
     rows = np.vstack([model.guard2, -model.guard2])
     for seg in rep.segments[1:-1]:
         box = Box(lo=seg.lo[0, :2], hi=seg.hi[0, :2])
         assert verifier._classify(box.mid(), np.diag(box.halfwidth()), rows,
                                   model.aut.guard_offsets) == "straddle"
-    assert monte_carlo_containment(sc, 100, report=rep)["violations"] == 0
+    assert monte_carlo_containment(rep, 100)["violations"] == 0
 
 
 def test_restart_cap_is_inconclusive(tmp_path, monkeypatch, capsys):
@@ -296,12 +296,12 @@ def test_falsify_clean_on_safe_scenario(quick):
 
 def test_falsify_deterministic_given_seed():
     sc = default_scenario(h=10.0, property_overrides={"separation_halfwidth_m": 50.0})
-    a = falsify(sc, 25, seed=123)
-    b = falsify(sc, 25, seed=123)
+    a = falsify(replace(sc, seed=123), 25)
+    b = falsify(replace(sc, seed=123), 25)
     assert a is not None and b is not None
     assert np.array_equal(a.states, b.states)
     assert a.violation == b.violation
-    c = falsify(sc, 25, seed=124)
+    c = falsify(replace(sc, seed=124), 25)
     assert c is not None  # different seed still finds one, possibly elsewhere
 
 
@@ -343,16 +343,16 @@ def test_monte_carlo_containment_zero_violations(quick, quick_report):
     # which escape their boxes unless the crossing resets them.
     windowed = verify_windowed(quick, 60.0)
     assert [seg.mode for seg in windowed.segments].count(MODE_PASSIVE) == 5
-    cases = [(quick, quick_report), (quick, windowed),
-             (cli.scenario_from_dict(GRAZE), None), (cli.scenario_from_dict(CLOCK_BOUND), None),
-             (replace(quick, variant="lin_prox_th_tracking"), None)]
-    for sc, report in cases:
-        res = monte_carlo_containment(sc, 100, report=report)
+    reports = [quick_report, windowed, verify(cli.scenario_from_dict(GRAZE)),
+               verify(cli.scenario_from_dict(CLOCK_BOUND)),
+               verify(replace(quick, variant="lin_prox_th_tracking"))]
+    for report in reports:
+        res = monte_carlo_containment(report, 100)
         assert res["violations"] == 0
         assert res["max_excess"] <= 1e-9
     # No sample is no evidence of containment.
     with pytest.raises(ValueError, match="at least one sample"):
-        monte_carlo_containment(quick, 0, report=quick_report)
+        monte_carlo_containment(quick_report, 0)
 
 
 def _bounce_start(radius, bearing, speed, hw_x, hw_y, t2, properties=None):
@@ -374,7 +374,7 @@ def test_containment_of_bounce_starts(radius, bearing, speed, hw_x, hw_y, t2):
     sc = _bounce_start(radius, bearing, speed, hw_x, hw_y, t2)
     report = verify(sc)
     assume(report.verdict != "inconclusive")
-    assert monte_carlo_containment(sc, 30, report=report)["violations"] == 0
+    assert monte_carlo_containment(report, 30)["violations"] == 0
 
 
 def test_sweep_ordering_and_grid_order_invariance(quick):
@@ -391,7 +391,7 @@ def test_sweep_ordering_and_grid_order_invariance(quick):
 def test_sweep_worker_pool_matches_serial():
     # Slower far-range gains give one bearing a safe deadline and one none.
     sc = default_scenario(h=10.0, bryson={"prox_a": {"max_state": [1000.0, 1000.0, 0.1, 0.1]}})
-    args = (sc, [180.0, 230.0], 950.0, None, [600.0, 2400.0, 9600.0])
+    args = (sc, [180.0, 230.0], 950.0, [600.0, 2400.0, 9600.0])
     rows = sweep_passive_time(*args, jobs=1)
     assert [t for _a, _r, t in rows] == [9600.0, -1.0]
     assert sweep_passive_time(*args, jobs=2) == rows
@@ -412,7 +412,8 @@ def test_sweep_checks_window_width_before_any_angle_runs(monkeypatch, quick):
 
     monkeypatch.setattr(verifier, "_rendezvous_pipes", no_reach)
     with pytest.raises(ValueError, match="window width 1e-13"):
-        sweep_passive_time(quick, [180.0, 230.0], 950.0, w=1e-13, t_grid=[600.0])
+        sweep_passive_time(replace(quick, window_width=1e-13), [180.0, 230.0], 950.0,
+                           t_grid=[600.0])
 
 
 def test_sweep_rejects_nonlinear_variant_before_any_angle_runs(monkeypatch, quick):
@@ -446,11 +447,11 @@ class _RecordingPool:
 def test_sweep_pool_has_at_most_one_worker_per_angle(monkeypatch, quick):
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
-    args = (quick, [180.0, 230.0], 950.0, None, [600.0])
+    args = (quick, [180.0, 230.0], 950.0, [600.0])
     rows = sweep_passive_time(*args, jobs=64)
     assert _RecordingPool.made == [2]
     assert rows == sweep_passive_time(*args, jobs=1)
-    sweep_passive_time(quick, [180.0], 950.0, None, [600.0], jobs=64)
+    sweep_passive_time(quick, [180.0], 950.0, [600.0], jobs=64)
     assert _RecordingPool.made == [2]
 
 
@@ -533,7 +534,7 @@ def test_containment_with_intersample_bloat(quick):
         assert report.verdict != "inconclusive"
         assert [seg.mode for seg in report.segments][:2] in (
             [MODE_PROX_A, MODE_PROX_B], [MODE_PROX_B, MODE_PROX_A])
-        assert monte_carlo_containment(sc, 30, report=report)["violations"] == 0
+        assert monte_carlo_containment(report, 30)["violations"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +586,9 @@ def _class_runs(draw):
 @given(case=_class_runs())
 def test_restart_rule_matches_stepwise_reference(fresh_models, quick, case):
     mode, codes, cuts = case
-    # A context of its own per example, so the initial override dies with it.
-    ctx, n = verifier._VerifyContext(quick), len(codes)
-    h = ctx.model.h
+    model, n = verifier._model_of(quick), len(codes)
+    h = model.h
     start = Box(lo=np.zeros(4), hi=np.zeros(4))
-    ctx.initial = lambda: (mode, start)
     restarted = []
 
     def advance(model, seg, box):
@@ -608,7 +607,7 @@ def test_restart_rule_matches_stepwise_reference(fresh_models, quick, case):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verifier, "_advance", advance)
         m.setattr(verifier, "_restart_box", restart_box)
-        pipes = verifier._rendezvous_pipes(ctx, t_end=(n - 1) * h)
+        pipes = verifier._rendezvous_pipes(model, (mode, start), t_end=(n - 1) * h)
     ref, last = _stepwise_restarts([("inside", "outside", "straddle")[c] for c in codes], mode)
     assert pipes[0].n_steps == last + 1
     assert len(pipes) == len(restarted) + 1
@@ -734,13 +733,13 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, edit_
     assert 0 < crossing % verifier._BLOCK < verifier._BLOCK - 1
     # A prox_a property first met one step after the crossing, in the same
     # block: the blocked pipe computes that hit and must drop it.
-    ctx = verifier._VerifyContext(quick)
-    _, box = ctx.initial()
+    model = verifier._model_of(quick)
+    _, box = verifier._initial(model, quick.init)
     a = np.array([1.0, 0.0, 0.0, 0.0])
     c, V, support = box.mid(), np.diag(box.halfwidth()), []
     for _ in range(crossing + 2):
         support.append(a @ c + np.abs(a @ V).sum())
-        c, V = ctx.model.phis[MODE_PROX_A] @ c, ctx.model.phis[MODE_PROX_A] @ V
+        c, V = model.phis[MODE_PROX_A] @ c, model.phis[MODE_PROX_A] @ V
     assert max(support[:-1]) < support[-1]
     late = SafetyProperty(name="late", modes=(MODE_PROX_A,), normals=a[None],
                           offsets=np.array([0.5 * (max(support[:-1]) + support[-1])]), strict=False)
@@ -793,15 +792,14 @@ def test_overflow_after_a_crossing_is_not_reached(monkeypatch, edit_models, quic
 # block sample engine against a one-step-at-a-time reference
 
 
-def _stepwise_run(ctx, x0, abort):
+def _stepwise_run(sc, model, x0, abort):
     """Reference for ``verifier._simulate_with_ctx``: one step of the mode's
     map at a time (Φ, or RK4 for nlin_prox), with the switching rule and the
     reset applied at every sample.  Returns the states and the mode names."""
-    sc = ctx.sc
     abort = math.inf if abort is None else abort
 
     def rk4(mode, x):
-        kf = None if mode == 2 else sc.params.m_c * ctx.model.aut.gains[mode].K
+        kf = None if mode == 2 else sc.params.m_c * model.aut.gains[mode].K
 
         def rhs(s):
             return nonlinear_field(sc.params, s, (0.0, 0.0) if kf is None else -(kf @ s))
@@ -813,7 +811,7 @@ def _stepwise_run(ctx, x0, abort):
         return x + (sc.h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def phi(mode, x):
-        return ctx.model.phis[verifier._MODES[mode]] @ x
+        return model.phis[verifier._MODES[mode]] @ x
 
     step = rk4 if sc.variant == "nlin_prox" else phi
     mode, x = None, np.asarray(x0, dtype=float)
@@ -822,9 +820,9 @@ def _stepwise_run(ctx, x0, abort):
         if k:
             x = step(mode, x)
         if mode != 2:
-            new = int(verifier._mode_index(ctx.model, k, x, abort))
+            new = int(verifier._mode_index(model, k, x, abort))
             if new != mode:
-                mode, x = new, verifier._reset(ctx.model, new, x)
+                mode, x = new, verifier._reset(model, new, x)
         states.append(x)
         modes.append(verifier._MODES[mode])
     return np.array(states), tuple(modes)
@@ -849,9 +847,9 @@ _ENGINE_CASES = {
 def test_sample_engine_matches_stepwise_reference(case):
     sc, corner, abort, expected = _ENGINE_CASES[case]
     x0 = (sc.init.hi if corner == "hi" else sc.init.mid())[:4]
-    ctx = verifier._VerifyContext(sc)
-    ref_states, ref_modes = _stepwise_run(ctx, x0, abort)
-    traj = verifier._simulate_with_ctx(ctx, x0, abort)
+    model = verifier._model_of(sc)
+    ref_states, ref_modes = _stepwise_run(sc, model, x0, abort)
+    traj = verifier._simulate_with_ctx(sc, model, x0, abort)
     assert _mode_runs(ref_modes) == expected
     assert traj.modes == ref_modes
     scale = np.maximum(1.0, np.abs(ref_states).max(axis=0))
@@ -861,9 +859,9 @@ def test_sample_engine_matches_stepwise_reference(case):
 def test_nonlinear_sample_engine_is_bit_identical():
     sc = default_scenario(variant="nlin_prox", horizon=8000.0)
     x0 = sc.init.mid()[:4]
-    ctx = verifier._VerifyContext(sc)
-    ref_states, ref_modes = _stepwise_run(ctx, x0, 7300)
-    traj = verifier._simulate_with_ctx(ctx, x0, 7300)
+    model = verifier._model_of(sc)
+    ref_states, ref_modes = _stepwise_run(sc, model, x0, 7300)
+    traj = verifier._simulate_with_ctx(sc, model, x0, 7300)
     assert _mode_runs(ref_modes) == [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]
     assert traj.modes == ref_modes
     assert np.array_equal(traj.states, ref_states)
@@ -917,7 +915,7 @@ def _cached_arrays(model):
 @pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking"])
 def test_cached_model_cannot_be_written(variant):
     sc = default_scenario(h=10.0, variant=variant)
-    model = verifier._VerifyContext(sc).model
+    model = verifier._model_of(sc)
     assert verify(sc).gains is model.aut.gains
     for name, array in _cached_arrays(model).items():
         with pytest.raises(ValueError, match="read-only"):
@@ -966,15 +964,13 @@ _SHARED_CHANGES = {
 @pytest.mark.parametrize("field", sorted(_KEY_CHANGES))
 def test_each_key_field_gets_its_own_model(fresh_models, field):
     base, sc = default_scenario(h=10.0), replace(default_scenario(h=10.0), **_KEY_CHANGES[field])
-    model = verifier._VerifyContext(sc).model
-    assert model is not verifier._VerifyContext(base).model
-    assert model is verifier._VerifyContext(sc).model
+    model = verifier._model_of(sc)
+    assert model is not verifier._model_of(base)
+    assert model is verifier._model_of(sc)
 
 
 @pytest.mark.parametrize("field", sorted(_SHARED_CHANGES))
 def test_scenarios_of_one_physics_share_a_model(fresh_models, field):
     base, sc = default_scenario(h=10.0), replace(default_scenario(h=10.0), **_SHARED_CHANGES[field])
-    ctx, ref = verifier._VerifyContext(sc), verifier._VerifyContext(base)
-    assert ctx is not ref and ctx.sc is sc
-    assert ctx.model is ref.model
+    assert verifier._model_of(sc) is verifier._model_of(base)
     assert fresh_models.cache_info().currsize == 1
