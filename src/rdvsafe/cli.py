@@ -112,13 +112,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"/properties/{key}", str(exc)) from exc
 
-    c = np.array(center)
-    hw = np.array(halfwidth)
+    try:
+        params = OrbitalParams(mu=doc["mu"], r=doc["r_orbit"], m_c=doc["m_c"])
+    except ValueError as exc:
+        # mu and m_c are positive, so what is left is the orbit's mean motion.
+        raise ScenarioError("/r_orbit", str(exc)) from exc
+    # Python floats round an overflowing bound to inf without numpy's warning.
+    lo = [c - hw for c, hw in zip(center, halfwidth)]
+    hi = [c + hw for c, hw in zip(center, halfwidth)]
     try:
         return Scenario(
-            params=OrbitalParams(mu=doc["mu"], r=doc["r_orbit"], m_c=doc["m_c"]),
+            params=params,
             variant=doc["variant"],
-            init=Box(lo=c - hw, hi=c + hw),
+            init=Box(lo=lo, hi=hi),
             t1=t1, t2=t2, horizon=horizon, h=doc["step_s"], window_width=doc["window_width_s"],
             bryson=doc["bryson"], property_overrides=doc["properties"], seed=doc["seed"],
         )

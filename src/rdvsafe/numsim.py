@@ -3,9 +3,10 @@
 Linear modes are stepped with the one-step matrix exponential, which is exact
 at the sample instants, so repeated application reproduces the continuous
 flow there.  The nonlinear closed loop is integrated with fixed-step RK4 on
-4-vectors, with the force and the field of ``orbital.nonlinear_field``
-written out inline on Python floats, each sum in a fixed order, so a stage
-costs float arithmetic rather than numpy scalar indexing and a field call.
+four Python floats: the state, the force and the field of
+``orbital.nonlinear_field`` and the RK4 combination are written out inline,
+each sum in a fixed order, so a step costs float arithmetic rather than numpy
+small-array calls, and the states become one array at the end of the run.
 """
 
 from __future__ import annotations
@@ -83,11 +84,15 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     None; a mode's force gain is m_c K.  The gain is held over the run, so a
     caller that switches modes starts a new run at each switch.
 
-    The field is evaluated on the four Python floats of each stage state,
-    with every operation in the order of ``orbital.nonlinear_field`` and the
-    force's four products summed in a fixed order (see below).  The state and
-    the RK4 combination stay 4-vectors in their array form: each stage state
-    is x + (0.5 h) k, and the update is x + (h / 6) (k1 + 2 k2 + 2 k3 + k4).
+    The state is four Python floats x, y, vx, vy, and so is each stage's
+    field value, with every operation in the order of
+    ``orbital.nonlinear_field`` and the force's four products summed in a
+    fixed order (see below).  Each component is combined in the order numpy
+    uses in the array form, RK4 on 4-vectors over ``nonlinear_field``, so
+    the states are that form's bit for bit wherever the force sums agree: a
+    stage state is x + (0.5 h) k, and the update is
+    x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4).  A run that meets the Earth's
+    center, or comes close enough that r_c^-3 overflows, raises ValueError.
     """
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
@@ -119,30 +124,37 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     # build this was checked on: (g0 x + g2 vx) + (g1 y + g3 vy).  The
     # sequential and the (g0 x + g1 y) + (g2 vx + g3 vy) orders differ from it
     # in the last bit on ~40% of random states.
-    def field(s):
-        x, y, vx, vy = s.tolist()
+    def field(x, y, vx, vy):
         rx = r + x
         q = mu * (rx * rx + y * y) ** -1.5
-        return np.array([
+        return (
             vx,
             vy,
             nn * x + n2 * vy + mu_r2 - q * rx + (
                 0.0 if coast else -((gx0 * x + gx2 * vx) + (gx1 * y + gx3 * vy))) / m_c,
             nn * y - n2 * vx - q * y + (
                 0.0 if coast else -((gy0 * x + gy2 * vx) + (gy1 * y + gy3 * vy))) / m_c,
-        ])
+        )
 
-    x = x0
-    states = np.empty((n + 1, 4))
-    states[0] = x
+    x, y, vx, vy = x0.tolist()
+    out = [x, y, vx, vy]
     try:
-        for k in range(1, n + 1):
-            k1 = field(x)
-            k2 = field(x + c * k1)
-            k3 = field(x + c * k2)
-            k4 = field(x + h * k3)
-            x = states[k] = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(n):
+            a0, a1, a2, a3 = field(x, y, vx, vy)
+            b0, b1, b2, b3 = field(x + c * a0, y + c * a1, vx + c * a2, vy + c * a3)
+            c0, c1, c2, c3 = field(x + c * b0, y + c * b1, vx + c * b2, vy + c * b3)
+            d0, d1, d2, d3 = field(x + h * c0, y + h * c1, vx + h * c2, vy + h * c3)
+            x = x + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+            y = y + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            vx = vx + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            vy = vy + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+            out += (x, y, vx, vy)
     except ZeroDivisionError:
         # 0.0 ** -1.5, the field's only division by zero (m_c > 0).
         raise ValueError("chaser coincides with the Earth's center (r_c = 0)") from None
-    return Trajectory(times=h * np.arange(n + 1), states=states)
+    except OverflowError:
+        # r_c^2 ** -1.5 past the largest float: Python's float power raises
+        # where the other float operations round to inf.
+        raise ValueError("chaser passes too close to the Earth's center "
+                         "(r_c^-3 overflows)") from None
+    return Trajectory(times=h * np.arange(n + 1), states=np.array(out).reshape(n + 1, 4))

@@ -8,6 +8,7 @@ units (m, m/s, N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,15 @@ class OrbitalParams:
             raise ValueError(f"orbit radius must be positive, got {self.r}")
         if not (self.m_c > 0.0):
             raise ValueError(f"chaser mass must be positive, got {self.m_c}")
-        object.__setattr__(self, "n", float(np.sqrt(self.mu / self.r**3)))
+        try:
+            n = float(np.sqrt(self.mu / self.r**3))
+        except (OverflowError, ZeroDivisionError):
+            # r**3 past the largest float, or rounded to 0.0.
+            n = math.nan
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"mean motion sqrt(mu / r^3) must be finite and positive, "
+                             f"got mu = {self.mu}, r = {self.r}")
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)

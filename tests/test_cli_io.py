@@ -79,6 +79,8 @@ def test_empty_document_yields_default_scenario(tmp_path):
     ({"mu": 10 ** 400}, "/mu"),
     ({"init_center": [-900, -400, 0, 0, 0, 0], "init_halfwidth": [25, 25, 0, 0, 0, 0]},
      "/init_center"),
+    ({"r_orbit": 1e200}, "/r_orbit"),
+    ({"init_center": [1e308, 0, 0, 0], "init_halfwidth": [1e308, 0, 0, 0]}, "/init_center"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
@@ -481,8 +483,11 @@ def test_cli_nonlinear_sweep_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
-@pytest.mark.parametrize("cmd", [["verify"], ["simulate"], ["falsify", "--samples", "2"],
-                                 ["sweep", "--angles", "180:181:1"]])
+_EVERY_SCENARIO_COMMAND = [["verify"], ["simulate"], ["falsify", "--samples", "2"],
+                           ["sweep", "--angles", "180:181:1"]]
+
+
+@pytest.mark.parametrize("cmd", _EVERY_SCENARIO_COMMAND)
 def test_cli_six_dim_box_on_a_four_dim_variant_is_config_error(tmp_path, capsys, cmd):
     sc = _write(tmp_path, "sc.json", {**QUICK, "init_center": [-900.0, -400.0, 0, 0, 0, 0],
                                       "init_halfwidth": [25.0, 25.0, 0, 0, 0, 0]})
@@ -491,21 +496,43 @@ def test_cli_six_dim_box_on_a_four_dim_variant_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cmd", [["verify"], ["simulate"], ["falsify", "--samples", "2"],
-                                 ["sweep", "--angles", "180:181:1"]])
-@pytest.mark.parametrize("doc,message", [
-    ({"bryson": {"max_input": [0.0, 1.0]}}, "Bryson maxima must be strictly positive"),
-    ({"r_orbit": 1.0, "step_s": 30.0}, "CARE residual"),
-], ids=["zero_max_input", "tiny_orbit"])
-def test_cli_scenario_without_a_controller_is_config_error(tmp_path, capsys, cmd, doc, message):
+def _assert_one_error_line(tmp_path, capsys, cmd, doc, message):
+    """The command on doc exits 2, writes nothing and prints one error line:
+    no warning on the way reaches the user."""
     sc = _write(tmp_path, "sc.json", doc)
-    # No warning from the failed design reaches the user: one error line only.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main([cmd[0], sc, *cmd[1:], "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", _EVERY_SCENARIO_COMMAND)
+@pytest.mark.parametrize("doc,message", [
+    ({"bryson": {"max_input": [0.0, 1.0]}}, "Bryson maxima must be strictly positive"),
+    ({"r_orbit": 1.0, "step_s": 30.0}, "CARE residual"),
+], ids=["zero_max_input", "tiny_orbit"])
+def test_cli_scenario_without_a_controller_is_config_error(tmp_path, capsys, cmd, doc, message):
+    _assert_one_error_line(tmp_path, capsys, cmd, doc, message)
+
+
+@pytest.mark.parametrize("cmd", _EVERY_SCENARIO_COMMAND)
+@pytest.mark.parametrize("doc,message", [
+    ({"r_orbit": 1e200}, "/r_orbit: mean motion sqrt(mu / r^3) must be finite"),
+    ({"init_center": [1e308, 0, 0, 0], "init_halfwidth": [1e308, 0, 0, 0]},
+     "/init_center: box bounds must be finite"),
+], ids=["huge_orbit", "huge_box"])
+def test_cli_scenario_past_the_float_range_is_config_error(tmp_path, capsys, cmd, doc, message):
+    _assert_one_error_line(tmp_path, capsys, cmd, doc, message)
+
+
+@pytest.mark.parametrize("cmd", [["simulate"], ["falsify", "--samples", "2"]])
+def test_cli_nonlinear_run_past_the_earth_center_is_config_error(tmp_path, capsys, cmd):
+    # The chaser starts 1e-150 m from the Earth's center, where r_c^-3 overflows.
+    doc = {"variant": "nlin_prox", "init_center": [-42164000.0, 1e-150, 0, 0],
+           "init_halfwidth": [0, 0, 0, 0]}
+    _assert_one_error_line(tmp_path, capsys, cmd, doc, "r_c^-3 overflows")
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):

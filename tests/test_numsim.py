@@ -131,9 +131,31 @@ def test_simulate_nonlinear_matches_numpy_rk4_on_documented_field(pos, vel, h, m
         assert np.all(np.abs(got - ref) <= np.spacing(scale))
 
 
+@pytest.mark.parametrize("x0", [(-900.0, -400.0, 0.0, 0.0), (-50.0, 10.0, 0.1, -0.05)])
+@pytest.mark.parametrize("mode", [None, 0, 1])
+def test_simulate_nonlinear_matches_numpy_rk4_over_long_runs(mode, x0):
+    # 600 steps at the default 1 s step, longer than the sample engine's
+    # 255-step blocks, with the tolerances of the 4-step comparison above.
+    gain = None if mode is None else _MODE_FORCE_GAINS[mode]
+    got = simulate_nonlinear(GEO, gain, np.array(x0), 1.0, 600).states
+    ref = _rk4_reference(GEO, gain, np.array(x0), 1.0, 600)
+    assert got.shape == ref.shape == (601, 4)
+    if gain is None:
+        assert np.array_equal(got, ref)
+    else:
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= np.spacing(scale))
+
+
 def test_simulate_nonlinear_start_at_earth_center_is_rejected():
     with pytest.raises(ValueError, match="r_c = 0"):
         simulate_nonlinear(GEO, None, np.array([-GEO.r, 0.0, 0.0, 0.0]), 1.0, 3)
+
+
+def test_simulate_nonlinear_overflowing_gravity_is_rejected():
+    # r_c^2 = 1e-300 is a float, but r_c^-3 = 1e450 is not.
+    with pytest.raises(ValueError, match="r_c\\^-3 overflows"):
+        simulate_nonlinear(GEO, None, np.array([-GEO.r, 1e-150, 0.0, 0.0]), 1.0, 3)
 
 
 @pytest.mark.parametrize("h", [math.inf, math.nan, -1.0])

@@ -30,6 +30,9 @@ def test_mean_motion_unit_cases():
 
 @pytest.mark.parametrize("bad", [
     dict(mu=-1.0), dict(mu=0.0), dict(r=0.0), dict(r=-5.0), dict(m_c=0.0),
+    # The mean motion sqrt(mu / r^3) leaves the floats: r^3 overflows, r^3
+    # rounds to 0.0, or mu / r^3 overflows.
+    dict(r=1e200), dict(r=1e-200), dict(mu=1e300, r=1e-10),
 ])
 def test_params_validation(bad):
     with pytest.raises(ValueError):
