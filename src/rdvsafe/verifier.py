@@ -297,8 +297,11 @@ def _model(params: OrbitalParams, variant: str, h: float, bryson: tuple,
     first use in the process and shared by every later run with that key."""
     gains, settings = design_mode_gains(params, *bryson), dict(settings)
     aut = build_rendezvous_automaton(params, gains, variant, settings)
-    return _Model(params=params, aut=aut, h=h, settings=settings,
-                  phis={m: matrix_exp(flow * h) for m, flow in aut.flows.items()})
+    try:
+        phis = {m: matrix_exp(flow * h) for m, flow in aut.flows.items()}
+    except OverflowError:
+        raise ValueError(f"step {h} s is too long: the one-step map exp(A h) overflows") from None
+    return _Model(params=params, aut=aut, h=h, settings=settings, phis=phis)
 
 
 def _model_of(sc: Scenario) -> _Model:
@@ -372,27 +375,27 @@ def _empty_segment(model: _Model, mode: str, n_steps: int,
 
 def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
     """Step the box's star [c | V] = [mid | diag(halfwidth)] through the flow
-    of seg's mode, a block of samples at a time.
+    of seg's prox mode, a block of samples at a time.
 
     A block holds up to ``_BLOCK`` steps from its head set M = [c | V]: the
     set at step k0 + i is P[i] @ M with ``model.powers``' table P, and the
     next head is Φ^_BLOCK @ M.  One :func:`supports` call in ``model.directions``
     gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
-    property hits, which go into the same rows of ``seg.hits``, and in a prox
-    mode the guard class of each set, all three read after the opt-in
-    intersample bloat widens the supports.  Then ``(k0, codes)`` is yielded,
-    codes being the (m,) :func:`_classes` code per step k0..k0+m-1 (None in
-    passive).  A caller that stops at a step inside the block drops the
-    later rows.  A block ends before its first non-finite set, and resuming
-    past it raises :class:`InconclusiveError` at that step.
+    property hits, which go into the same rows of ``seg.hits``, and the guard
+    class of each set, all three read after the opt-in intersample bloat
+    widens the supports.  Then ``(k0, codes)`` is yielded, codes being the
+    (m,) :func:`_classes` code per step k0..k0+m-1.  A caller that stops at a
+    step inside the block drops the later rows.  A block ends before its
+    first non-finite set, and resuming past it raises
+    :class:`InconclusiveError` at that step.  Passive pipes step in
+    :func:`_passive_block` instead.
     """
     P, phi_block = model.powers[seg.mode]
     L, cols = model.directions[seg.mode]
     checker = model.checkers[seg.mode]
     abs_flow_t = np.abs(model.aut.flows[seg.mode]).T
-    where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
     dim = model.aut.dim
-    guard = slice(2 * dim, 2 * (dim + len(model.aut.guard_offsets)))     # prox modes only
+    guard = slice(2 * dim, 2 * (dim + len(model.aut.guard_offsets)))
     M = np.column_stack([box.mid(), np.diag(box.halfwidth())])
     for k0 in range(0, seg.n_steps, _BLOCK):
         n = min(_BLOCK, seg.n_steps - k0)
@@ -409,10 +412,9 @@ def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
         # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
         seg.lo[k0:k0 + m] = 0.0 - vals[:, dim:2 * dim]
         seg.hits[k0:k0 + m] = checker.check(vals[:, cols])
-        yield k0, (None if seg.mode == MODE_PASSIVE else
-                   _classes(vals[:, guard], model.aut.guard_offsets))
+        yield k0, _classes(vals[:, guard], model.aut.guard_offsets)
         if m < n:
-            raise InconclusiveError(f"numerical overflow in {where} at step {k0 + m}")
+            raise InconclusiveError(f"numerical overflow in mode {seg.mode} at step {k0 + m}")
         M = phi_block @ M
 
 
@@ -478,25 +480,149 @@ def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
     return segments
 
 
-def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float) -> list[Box]:
-    """Per pipe, the hull of its boxes whose time range meets [t1, t2]."""
+def _timed(seg: FlowpipeSegment) -> tuple[FlowpipeSegment, np.ndarray, np.ndarray]:
+    """seg with its steps' start and end times, both nondecreasing."""
+    return seg, seg.times_lo(), seg.times_hi()
+
+
+def _collect_window_boxes(timed, t1: float, t2: float) -> list[Box]:
+    """Per pipe of timed, :func:`_timed` triples, the hull of its boxes whose
+    time range meets [t1, t2].  As both time arrays are sorted, those boxes
+    are the rows from the first that ends by t1 to the last that starts by t2."""
     boxes: list[Box] = []
-    for seg in segments:
-        mask = (seg.times_hi() >= t1 - _TIME_EPS) & (seg.times_lo() <= t2 + _TIME_EPS)
-        if mask.any():
-            boxes.append(Box(lo=seg.lo[mask].min(axis=0), hi=seg.hi[mask].max(axis=0)))
+    for seg, times_lo, times_hi in timed:
+        rows = slice(np.searchsorted(times_hi, t1 - _TIME_EPS),
+                     np.searchsorted(times_lo, t2 + _TIME_EPS, side="right"))
+        if rows.start < rows.stop:
+            boxes.append(Box(lo=seg.lo[rows].min(axis=0), hi=seg.hi[rows].max(axis=0)))
     return boxes
 
 
+def _passive_block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: int,
+                   work: tuple[np.ndarray, np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, InconclusiveError | None]:
+    """One block of the passive pipes segs, n = min(_BLOCK, length - k0) steps
+    from step k0, n the same for every pipe, stepped all at once.
+
+    heads stacks the pipes' block-head stars [c | V] as (W, dim, dim + 1).
+    One stacked product with the rows P[:n] of ``model.powers``' table gives
+    each pipe's sets in the shape of a lone pipe's product.  The passive
+    directions are [I; -I], and the collision box's rows are among them, so
+    the supports are the box bounds c + reach and reach - c, with reach =
+    |V| 1; the opt-in intersample bloat widens them as in :func:`_advance`.
+    The boxes and hits go into each pipe's rows k0..k0+n-1.  Returns the
+    next heads Φ^_BLOCK [c | V] of the pipes that stepped and None, or, when
+    pipe i of segs meets a non-finite set, the heads of pipes 0..i-1 only
+    and the :class:`InconclusiveError` at that pipe's step.
+
+    The sets, reach and supports are written into work, arrays of at least
+    W pipes by ``_BLOCK`` steps that the caller allocates once: fresh arrays
+    of that size for every block cost thousands of page faults per run.
+    """
+    P, phi_block = model.powers[MODE_PASSIVE]
+    L, cols = model.directions[MODE_PASSIVE]
+    dim, W = model.aut.dim, len(segs)
+    n = min(_BLOCK, segs[0].n_steps - k0)
+    sets, reach_tmp, supp = work
+    S = np.matmul(P[:n].reshape(-1, dim), heads, out=sets[:W, :n * dim])
+    S = S.reshape(W, n, dim, dim + 1)
+    ok, error = W, None
+    if not np.isfinite(S).all():
+        finite = np.isfinite(S).all(axis=(2, 3))
+        ok = int(np.argmin(finite.all(axis=1)))
+        error = InconclusiveError(
+            f"numerical overflow in passive pipe at step {k0 + int(np.argmin(finite[ok]))}")
+        S = S[:ok]
+    # reach = |V| 1, summed over the generators in order; on these strided
+    # columns that is faster than a sum over the short last axis.
+    c, reach, tmp = S[..., 0], reach_tmp[0, :ok, :n], reach_tmp[1, :ok, :n]
+    np.abs(S[..., 1], out=reach)
+    for g in range(2, dim + 1):
+        reach += np.abs(S[..., g], out=tmp)
+    vals = supp[:ok, :n]
+    np.add(c, reach, out=vals[..., :dim])
+    np.subtract(reach, c, out=vals[..., dim:])
+    if model.bloat:
+        abs_flow_t = np.abs(model.aut.flows[MODE_PASSIVE]).T
+        vals += (model.h * (np.maximum(vals[..., :dim], vals[..., dim:]) @ abs_flow_t)
+                 @ np.abs(L).T)
+    # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
+    lo = np.subtract(0.0, vals[..., dim:], out=tmp)
+    checker = model.checkers[MODE_PASSIVE]
+    hits = checker.check(vals[..., cols].reshape(ok * n, len(cols)))
+    hits = hits.reshape(ok, n, len(checker.names))
+    for i, seg in enumerate(segs[:ok]):
+        seg.lo[k0:k0 + n], seg.hi[k0:k0 + n], seg.hits[k0:k0 + n] = lo[i], vals[i, :, :dim], hits[i]
+    return np.matmul(phi_block, heads[:ok]), error
+
+
 def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
-                     t1: float, t2: float, horizon: float) -> FlowpipeSegment:
-    boxes = _collect_window_boxes(segments, t1, t2)
-    if not boxes:
-        raise ValueError(f"abort window [{t1}, {t2}] covers no reachable sample")
-    seg = _empty_segment(model, MODE_PASSIVE, steps_within(horizon - t1, model.h) + 1, t1, t2)
-    for _ in _advance(model, seg, _enter(model, MODE_PASSIVE, hull_boxes(boxes))):
-        pass
-    return seg
+                     windows: list[tuple[float, float]], horizon: float) -> list[FlowpipeSegment]:
+    """The passive pipe of each abort window (a, b), in window order, from a
+    to the horizon with step-0 times a..b.
+
+    Window i's pipe starts from the hull of every box whose time range meets
+    the window: the boxes of segments and of the pipes of windows 0..i-1.
+    An earlier pipe's boxes that a later window meets lie in its steps that
+    start by the last window's end, so each pipe but the last steps alone,
+    in window order, through the blocks that hold those steps.  Then every
+    pipe steps its remaining blocks in lockstep with the others, one
+    :func:`_passive_block` per block and block length.  The pipes and their
+    rows are those of stepping one window at a time, bit for bit, and so is
+    an error: the first window whose hull fails or whose pipe overflows
+    raises, once every earlier pipe has run to its end.
+    """
+    t_end, dim, W = windows[-1][1], model.aut.dim, len(windows)
+    work = (np.empty((W, _BLOCK * dim, dim + 1)), np.empty((2, W, _BLOCK, dim)),
+            np.empty((W, _BLOCK, 2 * dim)))
+    timed = [_timed(seg) for seg in segments]
+    pipes: list[FlowpipeSegment] = []
+    heads, done = [], []        # per pipe: its next block head, and the steps stepped
+    failed: Exception | None = None
+    for i, (a, b) in enumerate(windows):
+        try:
+            boxes = _collect_window_boxes(timed, a, b)
+            if not boxes:
+                raise ValueError(f"abort window [{a}, {b}] covers no reachable sample")
+            box = _enter(model, MODE_PASSIVE, hull_boxes(boxes))
+            seg = _empty_segment(model, MODE_PASSIVE, steps_within(horizon - a, model.h) + 1,
+                                 a, b)
+            head, k0 = np.column_stack([box.mid(), np.diag(box.halfwidth())])[None], 0
+            if i < W - 1:
+                # The rows that a later window's hull reads: those that start
+                # by t_end.  Their times alone give every later window's rows.
+                times_lo, times_hi = seg.times_lo(), seg.times_hi()
+                need = np.searchsorted(times_lo, t_end + _TIME_EPS, side="right")
+                timed.append((seg, times_lo[:need].copy(), times_hi[:need].copy()))
+            else:
+                need = 0
+            while k0 < need:
+                head, error = _passive_block(model, [seg], head, k0, work)
+                if error is not None:
+                    raise error
+                k0 += _BLOCK
+        except (ValueError, InconclusiveError) as exc:
+            failed = exc
+            break
+        pipes.append(seg)
+        heads.append(head[0])
+        done.append(k0)
+    heads = np.array(heads)
+    stop = len(pipes)           # pipes from stop on are dropped: an earlier one failed
+    for k0 in range(0, max((seg.n_steps for seg in pipes), default=0), _BLOCK):
+        live = [j for j in range(stop) if done[j] <= k0 < pipes[j].n_steps]
+        # n_steps falls with the window's start, so each block length is a run.
+        for _, run in groupby(live, key=lambda j: min(_BLOCK, pipes[j].n_steps - k0)):
+            group = list(run)
+            nxt, error = _passive_block(model, [pipes[j] for j in group], heads[group], k0, work)
+            heads[group[:len(nxt)]] = nxt
+            if error is not None:
+                # The later runs hold only later windows.
+                stop, failed = group[len(nxt)], error
+                break
+    if failed is not None:
+        raise failed
+    return pipes
 
 
 def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
@@ -586,8 +712,10 @@ def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     The rendezvous pipes are shared across subwindows; each subwindow gets its
     own passive pipe, started from the hull of every box whose time range meets
     the subwindow.  Those boxes come from the rendezvous pipes and from the
-    passive pipes of the earlier subwindows.  The verdict is the conjunction,
-    so a single subwindow reproduces :func:`verify` exactly.
+    passive pipes of the earlier subwindows.  One :func:`_passive_segment`
+    call builds every subwindow's pipe, stepping them in lockstep.  The
+    verdict is the conjunction, so a single subwindow reproduces
+    :func:`verify` exactly.
     """
     t0 = time.perf_counter()
     _require_reach_variant(sc)
@@ -595,8 +723,7 @@ def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     model = _model_of(sc)
     try:
         segments = _rendezvous_pipes(model, _initial(model, sc.init), t_end=sc.t2)
-        for a, b in windows:
-            segments.append(_passive_segment(model, segments, a, b, sc.horizon))
+        segments += _passive_segment(model, segments, windows, sc.horizon)
     except InconclusiveError as exc:
         return _assemble(sc, model, [], t0, verdict="inconclusive", reason=str(exc))
     return _assemble(sc, model, segments, t0)
@@ -814,7 +941,7 @@ def _sweep_one(args) -> tuple[float, float, float]:
         key = (a, b)
         if key not in window_safe:
             try:
-                pseg = _passive_segment(model, segments, a, b, sc_a.horizon)
+                pseg, = _passive_segment(model, segments, [(a, b)], sc_a.horizon)
                 window_safe[key] = not pseg.hits.any()
             except InconclusiveError:
                 window_safe[key] = False

@@ -527,6 +527,15 @@ def test_cli_scenario_past_the_float_range_is_config_error(tmp_path, capsys, cmd
     _assert_one_error_line(tmp_path, capsys, cmd, doc, message)
 
 
+@pytest.mark.parametrize("cmd", [["verify"], ["verify", "--window", "1e300"], ["simulate"],
+                                 ["falsify", "--samples", "2"]])
+def test_cli_step_whose_one_step_map_overflows_is_config_error(tmp_path, capsys, cmd):
+    # exp(A h) of every mode overflows at h = 1e300 s.
+    doc = {"step_s": 1e300, "horizon_s": 1e300, "t2_s": 1e300, "t1_s": 0}
+    _assert_one_error_line(tmp_path, capsys, cmd, doc,
+                           "step 1e+300 s is too long: the one-step map exp(A h) overflows")
+
+
 @pytest.mark.parametrize("cmd", [["simulate"], ["falsify", "--samples", "2"]])
 def test_cli_nonlinear_run_past_the_earth_center_is_config_error(tmp_path, capsys, cmd):
     # The chaser starts 1e-150 m from the Earth's center, where r_c^-3 overflows.

@@ -490,8 +490,8 @@ def test_nonlinear_run_approaches_and_enters_close_range():
 
 
 def test_passive_hull_contains_every_collected_box(quick, quick_report):
-    from rdvsafe.verifier import _collect_window_boxes
-    rendezvous = [s for s in quick_report.segments if s.mode != MODE_PASSIVE]
+    from rdvsafe.verifier import _collect_window_boxes, _timed
+    rendezvous = [_timed(s) for s in quick_report.segments if s.mode != MODE_PASSIVE]
     passive = quick_report.segments[-1]
     hull_lo, hull_hi = passive.lo[0], passive.hi[0]
     boxes = _collect_window_boxes(rendezvous, quick.t1, quick.t2)
@@ -619,44 +619,67 @@ def test_restart_rule_matches_stepwise_reference(fresh_models, quick, case):
 # blocked propagation against a one-sample-at-a-time reference
 
 
-def _stepwise_advance(model, seg, box):
-    """Reference for ``verifier._advance``: the Φ recurrence one sample at a
-    time from the box's star, with each property's rows tested on their
-    supports and the guard class code (0 inside, 1 outside, 2 straddling)
-    evaluated per step, and every step yielded as a block of one.  With the
-    intersample bloat on, the box, every property row and every guard row
-    are widened by the same per-step term h |A| (|c| + reach)."""
-    phi = model.phis[seg.mode]
+def _stepwise_row(model, seg, k, c, V):
+    """Row k of seg from the set c + V [-1, 1]^n, as the blocked kernels
+    write it: the box, and each property's rows tested on their supports.
+    With the intersample bloat on, the box, every property row and every
+    guard row are widened by the same per-step term h |A| (|c| + reach).
+    Returns the guard class code (0 inside, 1 outside, 2 straddling) as a
+    block of one in a prox mode, None in passive."""
     props = [p for p in model.aut.properties if seg.mode in p.modes]
     assert seg.names == tuple(p.name for p in props)
     abs_flow = np.abs(model.aut.flows[seg.mode])
     G, g = model.aut.guard_normals, model.aut.guard_offsets
-    where = "passive pipe" if seg.mode == MODE_PASSIVE else f"mode {seg.mode}"
+    reach = np.abs(V).sum(axis=1)
+    bloat = model.h * (abs_flow @ (np.abs(c) + reach)) if model.bloat else np.zeros_like(c)
+    seg.lo[k], seg.hi[k] = c - reach - bloat, c + reach + bloat
+    for j, p in enumerate(props):
+        rows_hit = []
+        for a, b in zip(p.normals, p.offsets):
+            support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
+            rows_hit.append(support > b or (support == b and not p.strict))
+        seg.hits[k, j] = all(rows_hit)
+    if seg.mode == MODE_PASSIVE:
+        return None
+    spread = np.abs(G @ V).sum(axis=1) + np.abs(G) @ bloat
+    return np.array([0 if np.all(G @ c + spread <= g) else
+                     1 if np.any(G @ c - spread > g) else 2])
+
+
+def _stepwise_advance(model, seg, box):
+    """Reference for ``verifier._advance``: the Φ recurrence one sample at a
+    time from the box's star, every step yielded as a block of one."""
+    phi = model.phis[seg.mode]
     c, V = box.mid(), np.diag(box.halfwidth())
     for k in range(seg.n_steps):
         if not (np.isfinite(c).all() and np.isfinite(V).all()):
-            raise verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
-        reach = np.abs(V).sum(axis=1)
-        bloat = model.h * (abs_flow @ (np.abs(c) + reach)) if model.bloat else np.zeros_like(c)
-        seg.lo[k], seg.hi[k] = c - reach - bloat, c + reach + bloat
-        for j, p in enumerate(props):
-            rows_hit = []
-            for a, b in zip(p.normals, p.offsets):
-                support = a @ c + np.abs(a @ V).sum() + np.abs(a) @ bloat
-                rows_hit.append(support > b or (support == b and not p.strict))
-            seg.hits[k, j] = all(rows_hit)
-        code = None
-        if seg.mode != MODE_PASSIVE:
-            spread = np.abs(G @ V).sum(axis=1) + np.abs(G) @ bloat
-            code = np.array([0 if np.all(G @ c + spread <= g) else
-                             1 if np.any(G @ c - spread > g) else 2])
-        yield k, code
+            raise verifier.InconclusiveError(f"numerical overflow in mode {seg.mode} at step {k}")
+        yield k, _stepwise_row(model, seg, k, c, V)
         c, V = phi @ c, phi @ V
+
+
+def _stepwise_passive_block(model, segs, heads, k0, work):
+    """Reference for ``verifier._passive_block``: each pipe's block one sample
+    at a time by the Φ recurrence from its head, which comes back stepped
+    sample by sample, so a pipe's sets never pass through Φ^_BLOCK."""
+    phi, dim = model.phis[MODE_PASSIVE], model.aut.dim
+    out = []
+    for i, (seg, head) in enumerate(zip(segs, heads)):
+        c, V = head[:, 0], head[:, 1:]
+        for k in range(k0, min(k0 + verifier._BLOCK, seg.n_steps)):
+            if not (np.isfinite(c).all() and np.isfinite(V).all()):
+                return np.reshape(out, (i, dim, dim + 1)), verifier.InconclusiveError(
+                    f"numerical overflow in passive pipe at step {k}")
+            _stepwise_row(model, seg, k, c, V)
+            c, V = phi @ c, phi @ V
+        out.append(np.column_stack([c, V]))
+    return np.reshape(out, (len(segs), dim, dim + 1)), None
 
 
 def _stepwise(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(verifier, "_advance", _stepwise_advance)
+        m.setattr(verifier, "_passive_block", _stepwise_passive_block)
         return run()
 
 
@@ -786,6 +809,120 @@ def test_overflow_after_a_crossing_is_not_reached(monkeypatch, edit_models, quic
     assert rep.verdict != "inconclusive"
     assert (rep.segments[0].mode, rep.segments[0].n_steps) == (MODE_PROX_A, 3)
     _assert_same_report(rep, _stepwise(monkeypatch, lambda: verify(sc)))
+
+
+# ---------------------------------------------------------------------------
+# lockstep passive pipes against one window at a time
+
+
+def _window_at_a_time(model, segments, windows, horizon):
+    """Reference for the windows of ``verifier._passive_segment``: one call
+    per window, in window order, whose hull reads the rendezvous pipes and the
+    pipes of the earlier windows, each run to its end before the next starts."""
+    pipes = []
+    for window in windows:
+        pipes += verifier._passive_segment(model, segments + pipes, [window], horizon)
+    return pipes
+
+
+def _rendezvous_of(sc):
+    model = verifier._model_of(sc)
+    return model, verifier._rendezvous_pipes(model, verifier._initial(model, sc.init),
+                                             t_end=sc.t2)
+
+
+@pytest.mark.parametrize("variant", ["lin_prox", "lin_prox_th_tracking", "lin_prox_th_explicit"])
+@pytest.mark.parametrize("bloat", [False, True])
+def test_lockstep_passive_pipes_equal_window_at_a_time(variant, bloat):
+    overrides = {"intersample_bloat": bloat}
+    base = default_scenario(h=10.0, variant=variant, property_overrides=overrides)
+    # The last split's pipes have 770, 768 and 766 steps, either side of the
+    # 768-step block edge, so its last blocks step apart.
+    cases = [(base, w) for w in (20.0, 30.0, 60.0, 300.0)]
+    cases.append((replace(base, t1=8510.0, t2=8570.0), 20.0))
+    for sc, w in cases:
+        model, rendezvous = _rendezvous_of(sc)
+        windows = partition_window(sc.t1, sc.t2, w)
+        got = verifier._passive_segment(model, rendezvous, windows, sc.horizon)
+        ref = _window_at_a_time(model, rendezvous, windows, sc.horizon)
+        assert len(got) == len(ref) == len(windows)
+        for a, b in zip(got, ref):
+            assert (a.t_lo0, a.t_hi0, a.n_steps) == (b.t_lo0, b.t_hi0, b.n_steps)
+            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+            assert np.array_equal(a.hits, b.hits)
+    assert {seg.n_steps for seg in got} == {770, 768, 766}
+
+
+def test_windowed_start_hull_takes_in_earlier_passive_boxes(quick):
+    # Window i's hull reads the passive boxes of windows 0..i-1 as well as the
+    # rendezvous boxes, which widens the later windows' start boxes.
+    rep = verify_windowed(quick, 100.0)
+    rendezvous = [verifier._timed(s) for s in rep.segments if s.mode != MODE_PASSIVE]
+    passive = [s for s in rep.segments if s.mode == MODE_PASSIVE]
+    assert len(passive) == 3
+    widths, alone = [], []
+    for i, seg in enumerate(passive):
+        timed = rendezvous + [verifier._timed(s) for s in passive[:i]]
+        hull = verifier.hull_boxes(verifier._collect_window_boxes(timed, seg.t_lo0, seg.t_hi0))
+        assert np.allclose(seg.lo[0], hull.lo, rtol=0, atol=1e-9)
+        assert np.allclose(seg.hi[0], hull.hi, rtol=0, atol=1e-9)
+        widths.append(seg.hi[0, 0] - seg.lo[0, 0])
+        own = verifier._collect_window_boxes(rendezvous, seg.t_lo0, seg.t_hi0)
+        alone.append(verifier.hull_boxes(own).halfwidth()[0] * 2)
+    assert np.allclose(widths[0], alone[0])
+    assert widths[2] > widths[1] > widths[0] > alone[1] > alone[2]
+
+
+def _passive_grows(factor):
+    return lambda model: replace(
+        model, phis={**model.phis, MODE_PASSIVE: factor * np.eye(model.aut.dim)})
+
+
+def _overflow_reason(run):
+    with pytest.raises(verifier.InconclusiveError) as exc:
+        run()
+    return str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("factor", [2.0 ** 1.98, 4.0, 16.0],
+                         ids=["earlier_block", "same_block", "first_block"])
+def test_overflow_with_several_windows_names_the_first_window_that_overflows(edit_models,
+                                                                               factor):
+    # Passive sets grow factor-fold a step, and window 1's hull takes in
+    # window 0's boxes up to step 12, so window 1's pipe overflows 12 steps
+    # before window 0's: in the same block (4), in an earlier one (2^1.98),
+    # or within window 0's first block, stepped before window 1 starts (16).
+    edit_models(_passive_grows(factor))
+    sc = default_scenario(h=10.0, t1=7200.0, t2=7320.0)
+    windows = partition_window(sc.t1, sc.t2, 60.0)
+
+    def reasons(sc):
+        model, rendezvous = _rendezvous_of(sc)
+        return (_overflow_reason(lambda: verifier._passive_segment(model, rendezvous, windows,
+                                                                    sc.horizon)),
+                _overflow_reason(lambda: _window_at_a_time(model, rendezvous, windows,
+                                                           sc.horizon)))
+
+    got, ref = reasons(sc)
+    assert got == ref
+    s0 = int(got.rsplit(" ", 1)[1])
+    # With window 0's pipe cut to s0 steps it never overflows; window 1's does.
+    got, ref = reasons(replace(sc, horizon=sc.t1 + (s0 - 1) * sc.h))
+    assert got == ref
+    s1 = int(got.rsplit(" ", 1)[1])
+    assert s1 < s0 and (factor != 2.0 ** 1.98 or s1 // verifier._BLOCK < s0 // verifier._BLOCK)
+    # With window 1's pipe cut to s1 steps, its overflow lies one step past its
+    # end, in a block that window 0's longer pipe still steps: nothing raises.
+    short = replace(sc, horizon=windows[1][0] + (s1 - 1) * sc.h)
+    rep = verify_windowed(short, 60.0)
+    assert rep.verdict != "inconclusive"
+    assert [s.n_steps for s in rep.segments if s.mode == MODE_PASSIVE] == [s1 + 6, s1]
+    model, rendezvous = _rendezvous_of(short)
+    for a, b in zip(rep.segments[-2:],
+                    _window_at_a_time(model, rendezvous, windows, short.horizon)):
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
 
 
 # ---------------------------------------------------------------------------
