@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .hybrid import GUARD_RADIUS_M, VARIANTS, property_settings
 from .lqr import bryson_maxima
-from .numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
+from .numsim import _CSV_BLOCK, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
 from .orbital import OrbitalParams
 from .starset import Box
 from .verifier import (
@@ -38,7 +38,6 @@ from .verifier import (
 
 _PLANES = {"xy": (0, 1), "vxvy": (2, 3), "uxuy": (4, 5)}
 _MODE_COLORS = {MODE_PROX_A: "#5b8fd6", MODE_PROX_B: "#58b06a", MODE_PASSIVE: "#9a9a9a"}
-_CSV_BLOCK = 1024       # flowpipe rows formatted and written per template
 _MAX_ANGLES = 1_000_000     # sweep grid points, counted before the grid is built
 
 

@@ -3,16 +3,18 @@
 Linear modes are stepped with the one-step matrix exponential, which is exact
 at the sample instants, so repeated application reproduces the continuous
 flow there.  The nonlinear closed loop is integrated with fixed-step RK4 on
-four Python floats: the state, the force and the field of
-``orbital.nonlinear_field`` and the RK4 combination are written out inline,
-each sum in a fixed order, so a step costs float arithmetic rather than numpy
-small-array calls, and the states become one array at the end of the run.
+four Python floats: the step loop's body holds all four stages, each with the
+force and the field of ``orbital.nonlinear_field`` written out, and the RK4
+combination, each sum in a fixed order.  So a step costs float arithmetic,
+with no function call per stage and no numpy small-array call, and the states
+become one array at the end of the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import linalg
@@ -26,6 +28,8 @@ MODE_PASSIVE = "passive"
 # Slack on time comparisons, so that a time landing on a sample up to rounding
 # counts as reaching it.
 _TIME_EPS = 1e-9
+
+_CSV_BLOCK = 1024       # CSV rows formatted and written per template
 
 
 def steps_within(T: float, h: float) -> int:
@@ -55,15 +59,20 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     def to_csv(self, path):
+        """Write time_s, the state columns and mode, one row per sample,
+        ``_CSV_BLOCK`` rows per ``%`` template (``%.17g`` writes the bytes of
+        ``f"{v:.17g}"``; the mode goes in by ``%s``, so it is not a template)."""
         dim = self.states.shape[1]
         cols = ["time_s", "x", "y", "vx", "vy", "ux", "uy"][: 1 + dim]
-        lines = [",".join(cols) + ",mode"]
-        modes = self.modes if self.modes is not None else [""] * len(self.times)
-        for t, s, m in zip(self.times, self.states, modes):
-            nums = ",".join(f"{v:.17g}" for v in (t, *s))
-            lines.append(f"{nums},{m}")
+        times = self.times.tolist()
+        modes = self.modes if self.modes is not None else ("",) * len(times)
+        row_fmt = "%.17g" + ",%.17g" * dim + ",%s\n"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(cols) + ",mode\n")
+            for a in range(0, len(times), _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, len(times))
+                block = [times[a:b], *self.states[a:b].T.tolist(), modes[a:b]]
+                fh.write(row_fmt * (b - a) % tuple(chain.from_iterable(zip(*block))))
 
 
 def matrix_exp(M) -> np.ndarray:
@@ -84,13 +93,15 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     None; a mode's force gain is m_c K.  The gain is held over the run, so a
     caller that switches modes starts a new run at each switch.
 
-    The state is four Python floats x, y, vx, vy, and so is each stage's
-    field value, with every operation in the order of
-    ``orbital.nonlinear_field`` and the force's four products summed in a
-    fixed order (see below).  Each component is combined in the order numpy
-    uses in the array form, RK4 on 4-vectors over ``nonlinear_field``, so
-    the states are that form's bit for bit wherever the force sums agree: a
-    stage state is x + (0.5 h) k, and the update is
+    The state is four Python floats x, y, vx, vy.  The loop body computes
+    each of the four stages in turn: the stage state, then its field, whose
+    first two entries are the stage state's velocities and whose
+    accelerations follow ``orbital.nonlinear_field`` operation by operation,
+    with the force's four products summed in a fixed order (see below).  Each
+    component is combined in the order numpy uses in the array form, RK4 on
+    4-vectors over ``nonlinear_field``, so the states are that form's bit for
+    bit wherever the force sums agree: the second and third stage states are
+    x + (0.5 h) k, the fourth x + h k, and the update is
     x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4).  A run that meets the Earth's
     center, or comes close enough that r_c^-3 overflows, raises ValueError.
     """
@@ -118,34 +129,57 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
     c = 0.5 * h
     h6 = h / 6.0
 
-    # q = mu r_c^-3, then the field's accelerations with the thrust
-    # F = -(G @ s) / m_c, or 0.0 / m_c when coasting, as in the array form.
-    # F sums its products as numpy's 2x4 matrix-vector product does on the
+    # Each stage's field is written out inline: a stage state's velocities
+    # are its first two field entries, and its accelerations are the field's
+    # with q = mu r_c^-3 and the thrust F = -(G @ s) / m_c, or 0.0 / m_c when
+    # coasting, as in the array form (adding it turns a -0.0 into +0.0).  F
+    # sums its products as numpy's 2x4 matrix-vector product does on the
     # build this was checked on: (g0 x + g2 vx) + (g1 y + g3 vy).  The
     # sequential and the (g0 x + g1 y) + (g2 vx + g3 vy) orders differ from it
     # in the last bit on ~40% of random states.
-    def field(x, y, vx, vy):
-        rx = r + x
-        q = mu * (rx * rx + y * y) ** -1.5
-        return (
-            vx,
-            vy,
-            nn * x + n2 * vy + mu_r2 - q * rx + (
-                0.0 if coast else -((gx0 * x + gx2 * vx) + (gx1 * y + gx3 * vy))) / m_c,
-            nn * y - n2 * vx - q * y + (
-                0.0 if coast else -((gy0 * x + gy2 * vx) + (gy1 * y + gy3 * vy))) / m_c,
-        )
-
+    f0 = 0.0 / m_c
     x, y, vx, vy = x0.tolist()
     out = [x, y, vx, vy]
     try:
         for _ in range(n):
-            a0, a1, a2, a3 = field(x, y, vx, vy)
-            b0, b1, b2, b3 = field(x + c * a0, y + c * a1, vx + c * a2, vy + c * a3)
-            c0, c1, c2, c3 = field(x + c * b0, y + c * b1, vx + c * b2, vy + c * b3)
-            d0, d1, d2, d3 = field(x + h * c0, y + h * c1, vx + h * c2, vy + h * c3)
-            x = x + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
-            y = y + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            rx = r + x
+            q = mu * (rx * rx + y * y) ** -1.5
+            a2 = nn * x + n2 * vy + mu_r2 - q * rx + (
+                f0 if coast else -((gx0 * x + gx2 * vx) + (gx1 * y + gx3 * vy)) / m_c)
+            a3 = nn * y - n2 * vx - q * y + (
+                f0 if coast else -((gy0 * x + gy2 * vx) + (gy1 * y + gy3 * vy)) / m_c)
+            bx = x + c * vx
+            by = y + c * vy
+            bvx = vx + c * a2
+            bvy = vy + c * a3
+            rx = r + bx
+            q = mu * (rx * rx + by * by) ** -1.5
+            b2 = nn * bx + n2 * bvy + mu_r2 - q * rx + (
+                f0 if coast else -((gx0 * bx + gx2 * bvx) + (gx1 * by + gx3 * bvy)) / m_c)
+            b3 = nn * by - n2 * bvx - q * by + (
+                f0 if coast else -((gy0 * bx + gy2 * bvx) + (gy1 * by + gy3 * bvy)) / m_c)
+            cx = x + c * bvx
+            cy = y + c * bvy
+            cvx = vx + c * b2
+            cvy = vy + c * b3
+            rx = r + cx
+            q = mu * (rx * rx + cy * cy) ** -1.5
+            c2 = nn * cx + n2 * cvy + mu_r2 - q * rx + (
+                f0 if coast else -((gx0 * cx + gx2 * cvx) + (gx1 * cy + gx3 * cvy)) / m_c)
+            c3 = nn * cy - n2 * cvx - q * cy + (
+                f0 if coast else -((gy0 * cx + gy2 * cvx) + (gy1 * cy + gy3 * cvy)) / m_c)
+            dx = x + h * cvx
+            dy = y + h * cvy
+            dvx = vx + h * c2
+            dvy = vy + h * c3
+            rx = r + dx
+            q = mu * (rx * rx + dy * dy) ** -1.5
+            d2 = nn * dx + n2 * dvy + mu_r2 - q * rx + (
+                f0 if coast else -((gx0 * dx + gx2 * dvx) + (gx1 * dy + gx3 * dvy)) / m_c)
+            d3 = nn * dy - n2 * dvx - q * dy + (
+                f0 if coast else -((gy0 * dx + gy2 * dvx) + (gy1 * dy + gy3 * dvy)) / m_c)
+            x = x + h6 * (((vx + 2.0 * bvx) + 2.0 * cvx) + dvx)
+            y = y + h6 * (((vy + 2.0 * bvy) + 2.0 * cvy) + dvy)
             vx = vx + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
             vy = vy + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
             out += (x, y, vx, vy)
@@ -157,4 +191,5 @@ def simulate_nonlinear(params: OrbitalParams, force_gain, x0, h: float, n: int) 
         # where the other float operations round to inf.
         raise ValueError("chaser passes too close to the Earth's center "
                          "(r_c^-3 overflows)") from None
-    return Trajectory(times=h * np.arange(n + 1), states=np.array(out).reshape(n + 1, 4))
+    return Trajectory(times=h * np.arange(n + 1),
+                      states=np.fromiter(out, float, len(out)).reshape(n + 1, 4))

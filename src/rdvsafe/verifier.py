@@ -64,6 +64,8 @@ DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
 _MAX_WINDOWS = 1_000_000
+_SWEEP_T_STEP = 600.0           # spacing of the default sweep deadline grid
+_MAX_SWEEP_TIMES = 1_000_000    # default grid entries, counted before it is built
 
 # Samples per propagation block: a power of two, so that the Φ^i table fills
 # by doubling.
@@ -254,7 +256,8 @@ class _Model:
     """What a run reads that depends only on its physics: the orbital
     parameters, the automaton, the step h, the filled-in property settings
     and Φ per mode, and derived from them, per mode, the power table
-    (P, Φ^_BLOCK), the direction table (L, cols) and the checker.
+    (P, Φ^_BLOCK), the direction table (L, cols) and the checker, and per
+    mode index the nonlinear engine's force gain m_c K (None in passive).
 
     One model serves every run of its physics in the process (see
     :func:`_model`), so every array in it is read-only and every table a
@@ -270,6 +273,7 @@ class _Model:
     checkers: Mapping[str, _ModeChecker] = field(init=False)
     powers: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
     directions: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
+    force_gains: tuple[np.ndarray | None, ...] = field(init=False)
 
     def __post_init__(self):
         aut = replace(self.aut, flows=MappingProxyType(dict(self.aut.flows)))
@@ -284,6 +288,7 @@ class _Model:
             powers=MappingProxyType({m: _power_table(phi) for m, phi in self.phis.items()}),
             directions=MappingProxyType(
                 {m: _direction_table(aut, checkers[m], m) for m in _MODES}),
+            force_gains=tuple(self.params.m_c * np.asarray(g.K) for g in aut.gains) + (None,),
         )
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -802,10 +807,11 @@ def _simulate_with_ctx(sc: Scenario, model: _Model, x0_4: np.ndarray,
 
     The run advances its mode by blocks of n < ``_BLOCK`` steps: a linear
     flow as one product of the rows P[1..n] of ``model.powers``' table with the
-    state, nlin_prox by RK4 under the mode's force gain.  The switching rule
-    is applied to the whole block, which is cut at its first mode change; the
-    state there is reset and stepping goes on in the new mode.  A rendezvous
-    block stops at the abort step, and passive is absorbing.
+    state, nlin_prox by RK4 under the mode's force gain from
+    ``model.force_gains``.  The switching rule is applied to the whole block,
+    which is cut at its first mode change; the state there is reset and
+    stepping goes on in the new mode.  A rendezvous block stops at the abort
+    step, and passive is absorbing.
     """
     abort = math.inf if passive_step is None else passive_step
     n_steps = steps_within(sc.horizon, sc.h)
@@ -813,12 +819,13 @@ def _simulate_with_ctx(sc: Scenario, model: _Model, x0_4: np.ndarray,
     states = np.empty((n_steps + 1, model.aut.dim))
     states[0] = _reset(model, mode, np.asarray(x0_4, dtype=float))
     switches = [(0, mode)]          # (step, mode entered there)
+    nonlinear = sc.variant == VARIANT_NONLINEAR
     k = 0
     while k < n_steps:
         n = min(_BLOCK - 1, n_steps - k, math.inf if mode == 2 else abort - k)
-        if sc.variant == VARIANT_NONLINEAR:
-            gain = None if mode == 2 else sc.params.m_c * np.asarray(model.aut.gains[mode].K)
-            block = simulate_nonlinear(sc.params, gain, states[k], sc.h, n).states[1:]
+        if nonlinear:
+            block = simulate_nonlinear(sc.params, model.force_gains[mode], states[k], sc.h,
+                                       n).states[1:]
         else:
             P = model.powers[_MODES[mode]][0]
             block = (P[1:n + 1].reshape(-1, len(P[0])) @ states[k]).reshape(n, -1)
@@ -970,9 +977,11 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
     ``verify_windowed`` safe on the abort window [0, T], split at the
     scenario's window width, is recorded; -1 means no tested T was safe.
     Rows come back in the input angle order.  With jobs > 1 the angles run
-    in a pool of at most one worker per angle.  The width is checked on
-    [0, T] for the largest grid T within the horizon, and the variant for
-    reach, before any angle runs.
+    in a pool of at most one worker per angle.  The default grid is every
+    multiple of 600 s up to the horizon, refused past ``_MAX_SWEEP_TIMES``
+    entries.  The grid's length, the width on [0, T] for the largest grid T
+    within the horizon, and the variant for reach are checked before any
+    angle runs.
     """
     _require_reach_variant(sc)
     angles = [float(a) for a in angles_deg]
@@ -984,7 +993,10 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     if t_grid is None:
-        t_grid = np.arange(600.0, sc.horizon + _TIME_EPS, 600.0)
+        if sc.horizon / _SWEEP_T_STEP > _MAX_SWEEP_TIMES:
+            raise ValueError(f"horizon {sc.horizon} s needs over {_MAX_SWEEP_TIMES} deadlines "
+                             f"on the sweep's {_SWEEP_T_STEP:g} s grid")
+        t_grid = np.arange(_SWEEP_T_STEP, sc.horizon + _TIME_EPS, _SWEEP_T_STEP)
     t_grid = sorted(float(t) for t in t_grid)
     reachable = [T for T in t_grid if T <= sc.horizon + _TIME_EPS]
     if reachable:

@@ -536,6 +536,13 @@ def test_cli_step_whose_one_step_map_overflows_is_config_error(tmp_path, capsys,
                            "step 1e+300 s is too long: the one-step map exp(A h) overflows")
 
 
+def test_cli_sweep_deadline_grid_past_its_bound_is_config_error(tmp_path, capsys):
+    # The default grid of a 1e300 s horizon is counted, never built.
+    doc = {"step_s": 1e300, "horizon_s": 1e300, "t2_s": 1e300, "t1_s": 0}
+    _assert_one_error_line(tmp_path, capsys, ["sweep"], doc,
+                           "horizon 1e+300 s needs over 1000000 deadlines")
+
+
 @pytest.mark.parametrize("cmd", [["simulate"], ["falsify", "--samples", "2"]])
 def test_cli_nonlinear_run_past_the_earth_center_is_config_error(tmp_path, capsys, cmd):
     # The chaser starts 1e-150 m from the Earth's center, where r_c^-3 overflows.

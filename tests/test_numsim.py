@@ -17,11 +17,13 @@ from rdvsafe import (
     nonlinear_field,
     simulate_nonlinear,
 )
+from rdvsafe.numsim import _CSV_BLOCK
 from rdvsafe.verifier import (
     _mode_index,
     _model_of,
     _simulate_with_ctx,
     default_scenario,
+    simulate_scenario,
 )
 
 GEO = OrbitalParams()
@@ -147,6 +149,18 @@ def test_simulate_nonlinear_matches_numpy_rk4_over_long_runs(mode, x0):
         assert np.all(np.abs(got - ref) <= np.spacing(scale))
 
 
+@pytest.mark.parametrize("mode", [None, 0, 1])
+def test_simulate_nonlinear_runs_chain_bit_for_bit(mode):
+    # The sample engine cuts a run into blocks of at most 255 steps, each
+    # started from the last state of the one before.
+    gain = None if mode is None else _MODE_FORCE_GAINS[mode]
+    x0 = np.array([-900.0, -400.0, 0.3, -0.2])
+    whole = simulate_nonlinear(GEO, gain, x0, 1.0, 600).states
+    head = simulate_nonlinear(GEO, gain, x0, 1.0, 255).states
+    tail = simulate_nonlinear(GEO, gain, head[-1], 1.0, 345).states
+    assert np.array_equal(whole, np.concatenate([head, tail[1:]]))
+
+
 def test_simulate_nonlinear_start_at_earth_center_is_rejected():
     with pytest.raises(ValueError, match="r_c = 0"):
         simulate_nonlinear(GEO, None, np.array([-GEO.r, 0.0, 0.0, 0.0]), 1.0, 3)
@@ -259,3 +273,45 @@ def test_trajectory_validation_and_csv(tmp_path):
     assert lines[0] == "time_s,x,y,vx,vy,mode"
     assert len(lines) == 3
     assert lines[1].endswith("prox_a")
+
+
+def _csv_per_value(traj, path):
+    """Reference writer for ``Trajectory.to_csv``: each value by its own
+    f-string, one line per sample."""
+    dim = traj.states.shape[1]
+    cols = ["time_s", "x", "y", "vx", "vy", "ux", "uy"][: 1 + dim]
+    lines = [",".join(cols) + ",mode"]
+    modes = traj.modes if traj.modes is not None else [""] * len(traj.times)
+    for t, s, m in zip(traj.times, traj.states, modes):
+        nums = ",".join(f"{v:.17g}" for v in (t, *s))
+        lines.append(f"{nums},{m}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _odd_values_trajectory():
+    """2 * _CSV_BLOCK + 1 samples without modes, whose states hold signed
+    zeros, infinities, nan, subnormals and extremes among random doubles."""
+    rng = np.random.default_rng(3)
+    n = 2 * _CSV_BLOCK + 1
+    states = rng.normal(scale=1e3, size=(n, 4)) * 10.0 ** rng.integers(-300, 290, size=(n, 4))
+    odd = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.2345e-310,
+           2.2250738585072014e-308, 1.7976931308623157e308, 0.1, 1.0 / 3.0]
+    states.flat[rng.choice(states.size, size=200, replace=False)] = rng.choice(odd, size=200)
+    return Trajectory(times=0.5 * np.arange(n), states=states)
+
+
+@pytest.mark.parametrize("case,dim", [("lin_prox", 4), ("nlin_prox", 4),
+                                      ("lin_prox_th_tracking", 6), ("no_modes", 4)])
+def test_trajectory_csv_matches_per_value_writer(tmp_path, case, dim):
+    if case == "no_modes":
+        traj = _odd_values_trajectory()
+    else:
+        # 1621 samples: one full block of rows and a partial one, 3 modes.
+        sc = default_scenario(variant=case, h=10.0)
+        traj = simulate_scenario(sc, sc.init.hi[:4], 730)
+        assert len(set(traj.modes)) == 3
+    assert traj.states.shape[1] == dim
+    traj.to_csv(tmp_path / "got.csv")
+    _csv_per_value(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

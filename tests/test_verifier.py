@@ -1,6 +1,7 @@
 """Verification loop tests on step-coarsened scenarios (h=10 keeps them fast;
 the acceptance suite runs the full-resolution mission)."""
 
+import functools
 import json
 import math
 import os
@@ -414,6 +415,26 @@ def test_sweep_checks_window_width_before_any_angle_runs(monkeypatch, quick):
     with pytest.raises(ValueError, match="window width 1e-13"):
         sweep_passive_time(replace(quick, window_width=1e-13), [180.0, 230.0], 950.0,
                            t_grid=[600.0])
+
+
+class _AngleRan(Exception):
+    pass
+
+
+def test_sweep_bounds_its_default_grid_before_any_angle_runs(monkeypatch, quick):
+    def angle_ran(*args, **kwargs):
+        raise _AngleRan
+
+    monkeypatch.setattr(verifier, "_rendezvous_pipes", angle_ran)
+    # 1e9 s holds ~1.7e6 deadlines 600 s apart (harmless if the grid were built).
+    with pytest.raises(ValueError, match="horizon 1000000000.0 s needs over 1000000 deadlines"):
+        sweep_passive_time(replace(quick, horizon=1e9), [180.0], 950.0)
+    # The bound is on the grid's length: at it the angles run, past it none does.
+    monkeypatch.setattr(verifier, "_MAX_SWEEP_TIMES", 2)
+    with pytest.raises(_AngleRan):
+        sweep_passive_time(replace(quick, t1=0.0, t2=600.0, horizon=1200.0), [180.0], 950.0)
+    with pytest.raises(ValueError, match="horizon 1800.0 s needs over 2 deadlines"):
+        sweep_passive_time(replace(quick, t1=0.0, t2=600.0, horizon=1800.0), [180.0], 950.0)
 
 
 def test_sweep_rejects_nonlinear_variant_before_any_angle_runs(monkeypatch, quick):
@@ -993,15 +1014,48 @@ def test_sample_engine_matches_stepwise_reference(case):
     assert np.all(np.abs(traj.states - ref_states) <= 1e-9 * scale)
 
 
-def test_nonlinear_sample_engine_is_bit_identical():
+@functools.cache
+def _nonlinear_default_run():
+    """The default nlin_prox run from the box's center, aborting at step
+    7300, stepped one sample at a time: (scenario, states, modes)."""
     sc = default_scenario(variant="nlin_prox", horizon=8000.0)
-    x0 = sc.init.mid()[:4]
+    return sc, *_stepwise_run(sc, verifier._model_of(sc), sc.init.mid()[:4], 7300)
+
+
+def _assert_nonlinear_engine_bit_identical(sc, x0, abort):
+    """The block engine's run equals the one-step reference bit for bit and
+    goes prox_a, prox_b, passive; returns the reference modes."""
     model = verifier._model_of(sc)
-    ref_states, ref_modes = _stepwise_run(sc, model, x0, 7300)
-    traj = verifier._simulate_with_ctx(sc, model, x0, 7300)
+    ref_states, ref_modes = _stepwise_run(sc, model, x0, abort)
+    traj = verifier._simulate_with_ctx(sc, model, x0, abort)
     assert _mode_runs(ref_modes) == [MODE_PROX_A, MODE_PROX_B, MODE_PASSIVE]
     assert traj.modes == ref_modes
     assert np.array_equal(traj.states, ref_states)
+    return ref_modes
+
+
+def test_nonlinear_sample_engine_is_bit_identical():
+    sc, _states, _modes = _nonlinear_default_run()
+    _assert_nonlinear_engine_bit_identical(sc, sc.init.mid()[:4], 7300)
+
+
+@pytest.mark.parametrize("abort_shift", [-1, 0, 1])
+@pytest.mark.parametrize("switch_shift", [-1, 0, 1])
+def test_nonlinear_sample_engine_is_bit_identical_at_block_edges(switch_shift, abort_shift):
+    # Start on the default run where its prox_b switch lies one block ahead,
+    # shifted by switch_shift: the field is autonomous, so the switch falls
+    # on, one step before or one step after the engine's first block edge.
+    # The engine restarts its blocks at a switch, and the abort falls on,
+    # before or after the next edge.
+    sc, states, modes = _nonlinear_default_run()
+    block = verifier._BLOCK - 1
+    switch = block + switch_shift
+    abort = switch + block + abort_shift
+    sc = replace(sc, t1=0.0, t2=float(abort), horizon=float(abort + 300))
+    ref_modes = _assert_nonlinear_engine_bit_identical(
+        sc, states[modes.index(MODE_PROX_B) - switch], abort)
+    assert ref_modes.index(MODE_PROX_B) == switch
+    assert ref_modes.index(MODE_PASSIVE) == abort
 
 
 # ---------------------------------------------------------------------------
