@@ -1,9 +1,11 @@
 """Scenario files, report/flowpipe/plot emission, and the command line.
 
-Scenarios are JSON, reports are JSON, flowpipes are CSV, plots are SVG.  All
-numeric serialization uses 17 significant digits so doubles round-trip
-exactly, and every emitted file is deterministic for a fixed scenario and
-seed (wall-clock timing is never written).
+Scenarios are JSON, reports are JSON, flowpipes are CSV, plots are SVG.  The
+CSVs (flowpipe, trajectories, counterexample, sweep) and the SVG ``data-*``
+attributes write numbers as ``f"{x:.17g}"``; the JSON files use ``json``'s
+shortest round-trip repr (``0.02``, ``369800000000000.0``).  Both read back
+to the same doubles, and every emitted file is deterministic for a fixed
+scenario and seed (wall-clock timing is never written).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .hybrid import GUARD_RADIUS_M, VARIANTS, property_settings
 from .lqr import bryson_maxima
-from .numsim import _CSV_BLOCK, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
+from .numsim import _CSV_BLOCK, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _g17
 from .orbital import OrbitalParams
 from .starset import Box
 from .verifier import (
@@ -169,12 +171,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # report and flowpipe emission
 
@@ -216,8 +212,8 @@ def emit_report(report: VerificationReport, path: str, flowpipe_csv: str | None 
 
 
 def emit_flowpipe(report: VerificationReport, path: str) -> None:
-    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, formatted
-    ``_CSV_BLOCK`` rows per ``%`` template (``%.17g`` writes ``_fmt``'s bytes)."""
+    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, by
+    blocks of ``_CSV_BLOCK`` rows: `_g17` writes the numbers, a ``%`` template the rest."""
     dim = report.segments[0].dim if report.segments else 0
     header = (
         ["step", "time_s", "mode"]
@@ -225,20 +221,22 @@ def emit_flowpipe(report: VerificationReport, path: str) -> None:
         + [f"hi_{d + 1}" for d in range(dim)]
         + ["flags"]
     )
+    seps = "\n" + "," * (2 * dim - 1) + "\n"     # a row's time, then its box
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for seg in report.segments:
-            rows = list(map(tuple, seg.hits.tolist()))
-            labels = {row: ";".join(sorted(n for n, hit in zip(seg.names, row) if hit))
-                      for row in set(rows)}
-            flags = list(map(labels.__getitem__, rows))
-            times = seg.times_lo().tolist()
-            row_fmt = "%d,%.17g," + seg.mode.replace("%", "%%") + ",%.17g" * (2 * dim) + ",%s\n"
+            codes = seg.hits @ (1 << np.arange(len(seg.names)))
+            found, idx = np.unique(codes, return_inverse=True)
+            labels = [";".join(sorted(n for j, n in enumerate(seg.names) if code >> j & 1))
+                      for code in found.tolist()]
+            flags = list(map(labels.__getitem__, idx.tolist()))
+            times = seg.times_lo()
+            row_fmt = "%d,%s," + seg.mode.replace("%", "%%") + ",%s,%s\n"
             for a in range(0, seg.n_steps, _CSV_BLOCK):
                 b = min(a + _CSV_BLOCK, seg.n_steps)
-                cols = [range(a, b), times[a:b], *seg.lo[a:b].T.tolist(),
-                        *seg.hi[a:b].T.tolist(), flags[a:b]]
-                fh.write(row_fmt * (b - a) % tuple(itertools.chain.from_iterable(zip(*cols))))
+                cells = _g17(np.column_stack((times[a:b], seg.lo[a:b], seg.hi[a:b])), seps)
+                fh.write(row_fmt * (b - a) % tuple(itertools.chain.from_iterable(
+                    zip(range(a, b), cells[0::2], cells[1::2], flags[a:b]))))
 
 
 def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
@@ -414,16 +412,10 @@ def emit_plot_segments(segments: list[FlowpipeSegment], sc: Scenario, plane: str
         fh.write("\n".join(out) + "\n")
 
 
-def emit_plot(report: VerificationReport, plane: str, path: str) -> None:
-    emit_plot_segments(report.segments, report.scenario, plane, path)
-
-
 def _emit_sweep_csv(rows, path):
-    lines = ["angle_deg,radius_m,max_safe_T_s"]
-    for angle, radius, max_t in rows:
-        lines.append(f"{_fmt(angle)},{_fmt(radius)},{_fmt(max_t)}")
+    lines = _g17(np.array(rows, float).reshape(-1, 3), ",,\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["angle_deg,radius_m,max_safe_T_s", *lines]) + "\n")
 
 
 def _emit_sweep_svg(rows, horizon, path):

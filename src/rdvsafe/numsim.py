@@ -7,7 +7,8 @@ four Python floats: the step loop's body holds all four stages, each with the
 force and the field of ``orbital.nonlinear_field`` written out, and the RK4
 combination, each sum in a fixed order.  So a step costs float arithmetic,
 with no function call per stage and no numpy small-array call, and the states
-become one array at the end of the run.
+become one array at the end of the run.  The CSV writers format numbers with
+`_g17`, a numpy kernel that writes the bytes of ``f"{x:.17g}"`` a block at once.
 """
 
 from __future__ import annotations
@@ -29,12 +30,74 @@ MODE_PASSIVE = "passive"
 # counts as reaching it.
 _TIME_EPS = 1e-9
 
-_CSV_BLOCK = 1024       # CSV rows formatted and written per template
+_CSV_BLOCK = 256        # CSV rows per `_g17` call, which keeps its arrays near 100 KB
 
 
 def steps_within(T: float, h: float) -> int:
     """Number of whole steps of size h that fit in a span of length T."""
     return int(math.floor(T / h + _TIME_EPS))
+
+
+# `_g17` cuts each cell from a 40-byte canvas: a sign, "0.000", and the 17
+# digits, each followed by a slot byte, "." or, after the last, the separator.
+# `_G4[v]` holds the bytes "d.d.d.d." of v < 10^4, `_HEAD[d]` those up to the
+# leading digit d, and `_SIG[j, v]` the place (1-16) of v's last nonzero digit
+# as digit group j after the leading digit (0 if v = 0).  `_KEEP` holds the
+# bytes that print at ((row * 18 + significant digits) * 2 + sign); rows 0-19
+# are the exponents -4..15, row 20 a zero, row 21 a Python cell, marked "-.".
+_P10 = np.array([float(10 ** k) for k in range(22)])      # exact doubles
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1)   # of 0..9999, leading first
+_G4 = np.stack((ord("0") + _DIGITS.T, np.full((10_000, 4), ord("."), np.uint8)), -1)
+_G4 = _G4.reshape(-1, 8).view(np.uint64).ravel()
+_HEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+_TZ = np.cumprod(_DIGITS[::-1] == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
+_SIG = np.where(np.arange(10_000) > 0, np.arange(4, 17, 4, dtype=np.int8)[:, None] - _TZ, 0)
+_E, _S, _B = np.ogrid[-4:16, :18, :40]     # (_B - 6) // 2: the digit a byte is or follows
+_KEEP = np.zeros((22, 18, 2, 40), bool)
+_KEEP[:20] = (((_B >= 6) & (_B % 2 == 0) & ((_B - 6) // 2 < np.maximum(_S, _E + 1)))  # digits
+              | ((_B >= 7) & (_B % 2 == 1) & ((_B - 6) // 2 == _E) & (_S - 1 > _E))   # point
+              | ((_E < 0) & (_B >= 1) & (_B <= 1 - _E)))[:, :, None]                  # "0.0.."
+_KEEP[20, :, :, 1] = _KEEP[:21, :, 1, 0] = True                    # a zero; the sign
+_KEEP[21, :, :, 0] = _KEEP[21, :, :, 7] = _KEEP[..., 39] = True     # "-."; separator
+_KEEP = _KEEP.reshape(-1, 40).view(np.uint64)
+
+
+def _g17(X, seps: str) -> list[str]:
+    """The float rows X as text, split at each "\\n": cell (i, j) is
+    ``f"{X[i, j]:.17g}"`` followed by ``seps[j]``, and ``seps`` ends in "\\n".
+
+    Where 1e-4 <= |x| < 1e16, the digits N = round-half-even(|x| 10^(16 - E)),
+    with E = floor(log10 |x|) moved by one until 10^16 <= N < 10^17, are
+    exact: 10^(16 - E) is an exact double, Dekker's two-product splits the
+    product into hi + lo, and hi >= 2^53 is an integer."""
+    a = np.abs(X)
+    fixed = (a >= 1e-4) & (a < 1e16)        # False on nan
+    a = np.where(fixed, a, 1.0)
+    ah = a * 134217729.0 - (a * 134217729.0 - a)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    for _ in range(2):      # a second pass only where E started one off
+        p = _P10[16 - e]
+        ph = p * 134217729.0 - (p * 134217729.0 - p)
+        hi = a * p
+        lo = (a - ah) * (p - ph) - (((hi - ah * ph) - (a - ah) * ph) - ah * (p - ph))
+        n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        off = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
+        if not off.any():
+            break
+        e += off
+    d0, r = np.divmod(n, 10 ** 16)
+    g12, g34 = np.divmod(r, 10 ** 8)
+    (g1, g2), (g3, g4) = np.divmod(g12, 10 ** 4), np.divmod(g34, 10 ** 4)
+    s = 1 + np.maximum(np.maximum(_SIG[0][g1], _SIG[1][g2]), np.maximum(_SIG[2][g3], _SIG[3][g4]))
+    row = np.where(fixed, e + 4, np.where(X == 0.0, 20, 21))
+    chars = np.stack([_HEAD[d0], _G4[g1], _G4[g2], _G4[g3], _G4[g4]], -1).view(np.uint8)
+    chars[..., 39] = np.frombuffer(seps.encode("ascii"), np.uint8)
+    keep = _KEEP[(row * 18 + s) * 2 + np.signbit(X)].view(bool).ravel()
+    text = np.compress(keep, chars).tobytes().decode("ascii")
+    rest = [f"{x:.17g}" for x in X[row == 21].tolist()]
+    if rest:
+        text = "".join(chain.from_iterable(zip(text.split("-."), rest + [""])))
+    return text.split("\n")[:-1]
 
 
 @dataclass(frozen=True)
@@ -59,20 +122,19 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     def to_csv(self, path):
-        """Write time_s, the state columns and mode, one row per sample,
-        ``_CSV_BLOCK`` rows per ``%`` template (``%.17g`` writes the bytes of
-        ``f"{v:.17g}"``; the mode goes in by ``%s``, so it is not a template)."""
+        """Write time_s, the state columns and mode, one row per sample, by
+        blocks of ``_CSV_BLOCK`` rows: `_g17` writes the numbers, ``%s`` the modes."""
         dim = self.states.shape[1]
         cols = ["time_s", "x", "y", "vx", "vy", "ux", "uy"][: 1 + dim]
-        times = self.times.tolist()
-        modes = self.modes if self.modes is not None else ("",) * len(times)
-        row_fmt = "%.17g" + ",%.17g" * dim + ",%s\n"
+        n = len(self.times)
+        modes = self.modes if self.modes is not None else ("",) * n
+        seps = "," * dim + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + ",mode\n")
-            for a in range(0, len(times), _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, len(times))
-                block = [times[a:b], *self.states[a:b].T.tolist(), modes[a:b]]
-                fh.write(row_fmt * (b - a) % tuple(chain.from_iterable(zip(*block))))
+            for a in range(0, n, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, n)
+                rows = _g17(np.column_stack((self.times[a:b], self.states[a:b])), seps)
+                fh.write("%s,%s\n" * (b - a) % tuple(chain.from_iterable(zip(rows, modes[a:b]))))
 
 
 def matrix_exp(M) -> np.ndarray:

@@ -44,10 +44,6 @@ class Box:
     def halfwidth(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo - slack) and np.all(p <= self.hi + slack))
-
 
 def supports(C, V, L) -> np.ndarray:
     """Support of each star c_k + V_k [-1, 1]^n in each direction l (a row of

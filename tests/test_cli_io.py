@@ -19,12 +19,10 @@ from rdvsafe.cli import (
     ScenarioError,
     cli_main,
     emit_flowpipe,
-    emit_plot,
     emit_report,
     load_flowpipe_csv,
     load_scenario,
     report_to_dict,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -32,6 +30,16 @@ from rdvsafe.hybrid import PROPERTY_DEFAULTS
 
 QUICK = {"step_s": 30.0}  # coarse step keeps CLI runs fast
 HEADER_4D = "step,time_s,mode,lo_1,lo_2,lo_3,lo_4,hi_1,hi_2,hi_3,hi_4,flags\n"
+
+
+def _save_scenario(sc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(sc), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _emit_plot(report, plane, path):
+    cli.emit_plot_segments(report.segments, report.scenario, plane, path)
 
 
 def _write(tmp_path, name, doc):
@@ -113,13 +121,13 @@ def test_scenario_roundtrip_is_canonical_and_exact(tmp_path):
            "properties": {"velocity_limit_mps": 0.0625}}
     sc = load_scenario(_write(tmp_path, "sc.json", doc))
     out = tmp_path / "canon.json"
-    save_scenario(sc, out)
+    _save_scenario(sc, out)
     sc2 = load_scenario(str(out))
     assert scenario_to_dict(sc2) == scenario_to_dict(sc)
     assert sc2.params.mu == 3.986e14 and sc2.t2 == 7212.5
     assert sc2.property_overrides["velocity_limit_mps"] == 0.0625
     out2 = tmp_path / "canon2.json"
-    save_scenario(sc2, out2)
+    _save_scenario(sc2, out2)
     assert out.read_text() == out2.read_text()
 
 
@@ -279,21 +287,21 @@ def test_flowpipe_bytes_match_a_per_value_reference(tmp_path, quick_report, case
 
 def test_plot_structure_and_plane_validation(tmp_path, quick_report):
     path = tmp_path / "plot.svg"
-    emit_plot(quick_report, "xy", path)
+    _emit_plot(quick_report, "xy", path)
     root = ET.parse(path).getroot()
     groups = [g for g in root if g.tag.endswith("g")]
     assert len(groups) == len(quick_report.segments)
     for g in groups:
         assert len(list(g)) >= 1
     with pytest.raises(ValueError):
-        emit_plot(quick_report, "uxuy", tmp_path / "nope.svg")
+        _emit_plot(quick_report, "uxuy", tmp_path / "nope.svg")
     with pytest.raises(ValueError):
-        emit_plot(quick_report, "sideways", tmp_path / "nope.svg")
+        _emit_plot(quick_report, "sideways", tmp_path / "nope.svg")
 
 
 def test_plot_rectangles_invert_to_flowpipe_boxes(tmp_path, quick_report):
     svg_path = tmp_path / "plot.svg"
-    emit_plot(quick_report, "xy", svg_path)
+    _emit_plot(quick_report, "xy", svg_path)
     root = ET.parse(svg_path).getroot()
     xmin, xmax = float(root.get("data-xmin")), float(root.get("data-xmax"))
     ymin, ymax = float(root.get("data-ymin")), float(root.get("data-ymax"))

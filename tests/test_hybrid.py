@@ -32,6 +32,12 @@ GEO = OrbitalParams()
 GAINS = design_mode_gains(GEO)
 
 
+def _in_box(box, point, slack):
+    """Whether point lies in box widened by slack on every side."""
+    p = np.asarray(point, dtype=float)
+    return bool(np.all(p >= box.lo - slack) and np.all(p <= box.hi + slack))
+
+
 def _violated(normals, offsets, p):
     return np.nonzero(normals @ p > offsets)[0]
 
@@ -257,7 +263,7 @@ def test_initial_thrust_box_contains_corner_commands():
     from itertools import product
     for corner in product(*zip(init.lo, init.hi)):
         u = -GEO.m_c * (K @ np.array(corner))
-        assert box.contains(u, slack=1e-9)
+        assert _in_box(box, u, 1e-9)
 
 
 def test_guard_octagon_radius_constant():

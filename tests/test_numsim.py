@@ -17,7 +17,7 @@ from rdvsafe import (
     nonlinear_field,
     simulate_nonlinear,
 )
-from rdvsafe.numsim import _CSV_BLOCK
+from rdvsafe.numsim import _CSV_BLOCK, _g17
 from rdvsafe.verifier import (
     _mode_index,
     _model_of,
@@ -315,3 +315,71 @@ def test_trajectory_csv_matches_per_value_writer(tmp_path, case, dim):
     traj.to_csv(tmp_path / "got.csv")
     _csv_per_value(traj, tmp_path / "ref.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _g17_per_value(X, seps):
+    """Reference for ``_g17``: each value by its own f-string, then its separator."""
+    text = "".join(f"{x:.17g}{sep}" for row in X.tolist() for x, sep in zip(row, seps))
+    return text.split("\n")[:-1]
+
+
+def _assert_g17_matches(values, width=7):
+    """``_g17`` on the values laid out as rows of ``width`` cells, split after
+    the first cell as the flowpipe writer splits, against the reference."""
+    v = np.asarray(values, dtype=float).ravel()
+    X = np.concatenate([v, np.zeros(-len(v) % width)]).reshape(-1, width)
+    seps = "\n" + "," * (width - 2) + "\n"
+    got = _g17(X, seps)
+    want = _g17_per_value(X, seps)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, bad[:5]
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_g17_matches_per_value_format_in_every_decade(sign):
+    # Exponents -7..18 span both of Python's notations and the kernel's
+    # fixed-notation range 1e-4 <= |x| < 1e16 with a decade either side.
+    rng = np.random.default_rng(21)
+    mant = rng.uniform(1.0, 10.0, size=(26, 2000))
+    _assert_g17_matches(sign * mant * 10.0 ** np.arange(-7, 19)[:, None])
+
+
+def test_g17_matches_per_value_format_next_to_powers_of_ten():
+    # Where floor(log10 |x|) may start one off, and where 17 digits round up
+    # to the next power of ten.
+    p = np.array([10.0 ** k for k in range(-8, 20)] + [float(10 ** k) for k in range(23)])
+    down, up = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+    near = np.concatenate([p, down, up, np.nextafter(down, 0.0), np.nextafter(up, np.inf)])
+    _assert_g17_matches(np.concatenate([near, -near]))
+
+
+def test_g17_rounds_exact_ties_half_to_even():
+    # x = 1e15 + k/8 puts the 18th significant digit on a 5 followed by zeros
+    # for every other k; values with few mantissa bits are exact short
+    # decimals, many of them ties at 17 digits.
+    rng = np.random.default_rng(22)
+    few_bits = np.ldexp(rng.integers(1, 2 ** 20, 50_000).astype(float),
+                        rng.integers(-40, 54, 50_000))
+    _assert_g17_matches(np.concatenate([1e15 + np.arange(-4000, 4000) / 8.0, few_bits]))
+
+
+def test_g17_matches_per_value_format_on_integers_and_odd_values():
+    ints = np.concatenate([np.arange(100_000.0), 2.0 ** 53 + np.arange(-50.0, 50.0),
+                           1e16 - 2.0 * np.arange(50.0), 1e15 + np.arange(50.0)])
+    odd = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1.2345e-310,
+           2.2250738585072014e-308, 1.7976931308623157e308, -1.7976931308623157e308,
+           1e-4, 9.9999999999999991e-05, -1e-4, 0.1, 1.0 / 3.0, 1e16, -9999999999999998.0]
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(float)
+    _assert_g17_matches(np.concatenate([ints, -ints, odd * 3, bits]))
+    # One column, and rows with no split: the trajectory writer's layout.
+    X = np.array(odd)[:, None]
+    assert _g17(X, "\n") == [f"{x:.17g}" for x in odd]
+    assert _g17(np.reshape(odd, (-1, 2)), ",\n") == _g17_per_value(np.reshape(odd, (-1, 2)), ",\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_matches_per_value_format_property(values):
+    _assert_g17_matches(values, width=5)
