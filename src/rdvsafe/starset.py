@@ -5,7 +5,7 @@ A star ``<c, V>`` with center c and n generator columns V represents the set
 (map the center and the generators), which is what makes simulation-driven
 reach computation exact for linear modes; boxes only enter when sets are
 aggregated or exported.  Stars are plain arrays, a batch of centers C and
-generators V, and :func:`supports` is the one formula that reads them.
+generators V, and :func:`supports` gives their support functions.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ def supports(C, V, L) -> np.ndarray:
 
     C is (m, d) and V (m, d, n), or None for the points C.  The generator
     term is one 2-D product whose columns run generator-major, so the sum
-    over generators adds contiguous rows of length m.  For m = 256 sets in
-    4 dims and 35 rows this takes ~65 us against ~240 us for a stacked
-    ``np.matmul(L, V)`` (one BLAS thread).  For the rows of +/-I the sum is
-    exactly the box reach |V_k| 1, added in the same order.
+    over generators adds contiguous rows of length m, in generator order:
+    ~65 us for 256 sets in 4 dims and 35 rows, against ~240 us for a stacked
+    ``np.matmul(L, V)``.  The one block kernel ``verifier._block`` sums the
+    rows of +/-I by hand in that order and calls this for its other rows.
     """
     vals = C @ L.T
     if V is None:

@@ -378,49 +378,87 @@ def _empty_segment(model: _Model, mode: str, n_steps: int,
                            h=model.h, names=names, hits=np.zeros((n_steps, len(names)), dtype=bool))
 
 
-def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
-    """Step the box's star [c | V] = [mid | diag(halfwidth)] through the flow
-    of seg's prox mode, a block of samples at a time.
+def _work(model: _Model, mode: str, W: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for :func:`_block` on up to W pipes of mode, for a
+    caller to allocate once: fresh arrays for every block cost thousands of
+    page faults per run."""
+    dim, rows, m = model.aut.dim, len(model.directions[mode][0]), W * _BLOCK
+    return np.empty((m, dim, dim + 1)), np.empty((2, m, dim)), np.empty((m, rows))
 
-    A block holds up to ``_BLOCK`` steps from its head set M = [c | V]: the
-    set at step k0 + i is P[i] @ M with ``model.powers``' table P, and the
-    next head is Φ^_BLOCK @ M.  One :func:`supports` call in ``model.directions``
-    gives the block's boxes, which go into ``seg.lo``/``seg.hi``, its
-    property hits, which go into the same rows of ``seg.hits``, and the guard
-    class of each set, all three read after the opt-in intersample bloat
-    widens the supports.  Then ``(k0, codes)`` is yielded, codes being the
-    (m,) :func:`_classes` code per step k0..k0+m-1.  A caller that stops at a
-    step inside the block drops the later rows.  A block ends before its
-    first non-finite set, and resuming past it raises
-    :class:`InconclusiveError` at that step.  Passive pipes step in
-    :func:`_passive_block` instead.
+
+def _block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: int,
+           work: tuple) -> tuple[np.ndarray, np.ndarray | None, Exception | None]:
+    """One block of the pipes segs, all of one mode: n = min(_BLOCK, length -
+    k0) steps from step k0, n the same for every pipe, stepped all at once.
+
+    heads stacks the pipes' block-head stars [c | V] as (W, dim, dim + 1).
+    One stacked product with the rows P[:n] of ``model.powers``' table gives
+    the W n sets, in (pipe, step) order, cut before the first non-finite
+    one.  Their supports in the rows of ``model.directions`` are: for [I; -I],
+    c + reach and reach - c, reach = |V| 1 summed by hand in the order of
+    :func:`supports`; for the rest (guard rows, property rows off the box),
+    one :func:`supports` call.  The opt-in intersample bloat widens them all.
+    The boxes and property hits go into each pipe's rows from k0.
+
+    Returns the next heads Φ^_BLOCK [c | V] of the pipes stepped whole, the
+    :func:`_classes` guard codes of the sets kept (None in passive), and the
+    :class:`InconclusiveError` at the step cut, or None.
     """
-    P, phi_block = model.powers[seg.mode]
-    L, cols = model.directions[seg.mode]
-    checker = model.checkers[seg.mode]
-    abs_flow_t = np.abs(model.aut.flows[seg.mode]).T
-    dim = model.aut.dim
-    guard = slice(2 * dim, 2 * (dim + len(model.aut.guard_offsets)))
-    M = np.column_stack([box.mid(), np.diag(box.halfwidth())])
+    mode = segs[0].mode
+    (P, phi_block), (L, cols) = model.powers[mode], model.directions[mode]
+    dim, W, rows = model.aut.dim, len(segs), len(L)
+    n = min(_BLOCK, segs[0].n_steps - k0)
+    sets, reach_tmp, supp = work
+    m, error = W * n, None
+    S = sets[:m]
+    np.matmul(P[:n].reshape(-1, dim), heads, out=S.reshape(W, n * dim, dim + 1))
+    if not np.isfinite(S).all():
+        m = int(np.argmin(np.isfinite(S).all(axis=(1, 2))))
+        where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
+        error = InconclusiveError(f"numerical overflow in {where} at step {k0 + m % n}")
+        S = S[:m]
+    c, vals = S[:, :, 0], supp[:m]
+    reach, tmp = reach_tmp[:, :m]
+    # reach = |V| 1, summed over the generators in order as supports sums
+    # them; these strided columns coalesce into one loop each.
+    np.abs(S[:, :, 1], out=reach)
+    for g in range(2, dim + 1):
+        reach += np.abs(S[:, :, g], out=tmp)
+    np.add(c, reach, out=vals[:, :dim])
+    np.subtract(reach, c, out=vals[:, dim:2 * dim])
+    if rows > 2 * dim:
+        vals[:, 2 * dim:] = supports(c, S[:, :, 1:], L[2 * dim:])
+    if model.bloat:
+        # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
+        # widens each row l's support by |l| w; the heads stay unwidened.
+        w = model.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim])
+                       @ np.abs(model.aut.flows[mode]).T)
+        vals += w @ np.abs(L).T
+    hits = model.checkers[mode].check(vals[:, cols])
+    # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
+    lo = np.subtract(0.0, vals[:, dim:2 * dim], out=reach)
+    for seg, i in zip(segs, range(0, m, n)):
+        j = k0 + min(n, m - i)
+        seg.lo[k0:j], seg.hi[k0:j], seg.hits[k0:j] = lo[i:i + n], vals[i:i + n, :dim], hits[i:i + n]
+    codes = None if mode == MODE_PASSIVE else _classes(
+        vals[:, 2 * dim:2 * (dim + len(model.aut.guard_offsets))], model.aut.guard_offsets)
+    return np.matmul(phi_block, heads[:m // n]), codes, error
+
+
+def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
+    """Step the box's star through the flow of seg's prox mode, one
+    :func:`_block` at a time, yielding ``(k0, codes)`` per block, codes being
+    the guard codes of steps k0..k0+m-1.  A caller that stops at a step
+    inside the block drops the later rows.  Resuming past a block cut before
+    a non-finite set raises the :class:`InconclusiveError` at that step.
+    """
+    heads = np.column_stack([box.mid(), np.diag(box.halfwidth())])[None]
+    work = _work(model, seg.mode, 1)
     for k0 in range(0, seg.n_steps, _BLOCK):
-        n = min(_BLOCK, seg.n_steps - k0)
-        S = (P[:n].reshape(-1, dim) @ M).reshape(n, dim, dim + 1)
-        finite = np.isfinite(S).all(axis=(1, 2))
-        m = n if finite.all() else int(np.argmin(finite))
-        vals = supports(S[:m, :, 0], S[:m, :, 1:], L)
-        if model.bloat:
-            # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
-            # widens each row l's support by |l| w; M itself stays unwidened.
-            w = model.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim]) @ abs_flow_t)
-            vals += w @ np.abs(L).T
-        seg.hi[k0:k0 + m] = vals[:, :dim]
-        # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-        seg.lo[k0:k0 + m] = 0.0 - vals[:, dim:2 * dim]
-        seg.hits[k0:k0 + m] = checker.check(vals[:, cols])
-        yield k0, _classes(vals[:, guard], model.aut.guard_offsets)
-        if m < n:
-            raise InconclusiveError(f"numerical overflow in mode {seg.mode} at step {k0 + m}")
-        M = phi_block @ M
+        heads, codes, error = _block(model, [seg], heads, k0, work)
+        yield k0, codes
+        if error is not None:
+            raise error
 
 
 def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
@@ -503,64 +541,6 @@ def _collect_window_boxes(timed, t1: float, t2: float) -> list[Box]:
     return boxes
 
 
-def _passive_block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: int,
-                   work: tuple[np.ndarray, np.ndarray, np.ndarray]
-                   ) -> tuple[np.ndarray, InconclusiveError | None]:
-    """One block of the passive pipes segs, n = min(_BLOCK, length - k0) steps
-    from step k0, n the same for every pipe, stepped all at once.
-
-    heads stacks the pipes' block-head stars [c | V] as (W, dim, dim + 1).
-    One stacked product with the rows P[:n] of ``model.powers``' table gives
-    each pipe's sets in the shape of a lone pipe's product.  The passive
-    directions are [I; -I], and the collision box's rows are among them, so
-    the supports are the box bounds c + reach and reach - c, with reach =
-    |V| 1; the opt-in intersample bloat widens them as in :func:`_advance`.
-    The boxes and hits go into each pipe's rows k0..k0+n-1.  Returns the
-    next heads Φ^_BLOCK [c | V] of the pipes that stepped and None, or, when
-    pipe i of segs meets a non-finite set, the heads of pipes 0..i-1 only
-    and the :class:`InconclusiveError` at that pipe's step.
-
-    The sets, reach and supports are written into work, arrays of at least
-    W pipes by ``_BLOCK`` steps that the caller allocates once: fresh arrays
-    of that size for every block cost thousands of page faults per run.
-    """
-    P, phi_block = model.powers[MODE_PASSIVE]
-    L, cols = model.directions[MODE_PASSIVE]
-    dim, W = model.aut.dim, len(segs)
-    n = min(_BLOCK, segs[0].n_steps - k0)
-    sets, reach_tmp, supp = work
-    S = np.matmul(P[:n].reshape(-1, dim), heads, out=sets[:W, :n * dim])
-    S = S.reshape(W, n, dim, dim + 1)
-    ok, error = W, None
-    if not np.isfinite(S).all():
-        finite = np.isfinite(S).all(axis=(2, 3))
-        ok = int(np.argmin(finite.all(axis=1)))
-        error = InconclusiveError(
-            f"numerical overflow in passive pipe at step {k0 + int(np.argmin(finite[ok]))}")
-        S = S[:ok]
-    # reach = |V| 1, summed over the generators in order; on these strided
-    # columns that is faster than a sum over the short last axis.
-    c, reach, tmp = S[..., 0], reach_tmp[0, :ok, :n], reach_tmp[1, :ok, :n]
-    np.abs(S[..., 1], out=reach)
-    for g in range(2, dim + 1):
-        reach += np.abs(S[..., g], out=tmp)
-    vals = supp[:ok, :n]
-    np.add(c, reach, out=vals[..., :dim])
-    np.subtract(reach, c, out=vals[..., dim:])
-    if model.bloat:
-        abs_flow_t = np.abs(model.aut.flows[MODE_PASSIVE]).T
-        vals += (model.h * (np.maximum(vals[..., :dim], vals[..., dim:]) @ abs_flow_t)
-                 @ np.abs(L).T)
-    # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-    lo = np.subtract(0.0, vals[..., dim:], out=tmp)
-    checker = model.checkers[MODE_PASSIVE]
-    hits = checker.check(vals[..., cols].reshape(ok * n, len(cols)))
-    hits = hits.reshape(ok, n, len(checker.names))
-    for i, seg in enumerate(segs[:ok]):
-        seg.lo[k0:k0 + n], seg.hi[k0:k0 + n], seg.hits[k0:k0 + n] = lo[i], vals[i, :, :dim], hits[i]
-    return np.matmul(phi_block, heads[:ok]), error
-
-
 def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
                      windows: list[tuple[float, float]], horizon: float) -> list[FlowpipeSegment]:
     """The passive pipe of each abort window (a, b), in window order, from a
@@ -572,14 +552,13 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
     start by the last window's end, so each pipe but the last steps alone,
     in window order, through the blocks that hold those steps.  Then every
     pipe steps its remaining blocks in lockstep with the others, one
-    :func:`_passive_block` per block and block length.  The pipes and their
+    :func:`_block` call per block and block length.  The pipes and their
     rows are those of stepping one window at a time, bit for bit, and so is
     an error: the first window whose hull fails or whose pipe overflows
     raises, once every earlier pipe has run to its end.
     """
-    t_end, dim, W = windows[-1][1], model.aut.dim, len(windows)
-    work = (np.empty((W, _BLOCK * dim, dim + 1)), np.empty((2, W, _BLOCK, dim)),
-            np.empty((W, _BLOCK, 2 * dim)))
+    t_end, W = windows[-1][1], len(windows)
+    work = _work(model, MODE_PASSIVE, W)
     timed = [_timed(seg) for seg in segments]
     pipes: list[FlowpipeSegment] = []
     heads, done = [], []        # per pipe: its next block head, and the steps stepped
@@ -602,7 +581,7 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
             else:
                 need = 0
             while k0 < need:
-                head, error = _passive_block(model, [seg], head, k0, work)
+                head, _, error = _block(model, [seg], head, k0, work)
                 if error is not None:
                     raise error
                 k0 += _BLOCK
@@ -619,7 +598,7 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
         # n_steps falls with the window's start, so each block length is a run.
         for _, run in groupby(live, key=lambda j: min(_BLOCK, pipes[j].n_steps - k0)):
             group = list(run)
-            nxt, error = _passive_block(model, [pipes[j] for j in group], heads[group], k0, work)
+            nxt, _, error = _block(model, [pipes[j] for j in group], heads[group], k0, work)
             heads[group[:len(nxt)]] = nxt
             if error is not None:
                 # The later runs hold only later windows.
@@ -718,9 +697,9 @@ def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     own passive pipe, started from the hull of every box whose time range meets
     the subwindow.  Those boxes come from the rendezvous pipes and from the
     passive pipes of the earlier subwindows.  One :func:`_passive_segment`
-    call builds every subwindow's pipe, stepping them in lockstep.  The
-    verdict is the conjunction, so a single subwindow reproduces
-    :func:`verify` exactly.
+    call builds every subwindow's pipe, stepping them in lockstep through
+    the one block kernel :func:`_block`.  The verdict is the conjunction, so
+    a single subwindow reproduces :func:`verify` exactly.
     """
     t0 = time.perf_counter()
     _require_reach_variant(sc)

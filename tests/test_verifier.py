@@ -641,8 +641,8 @@ def test_restart_rule_matches_stepwise_reference(fresh_models, quick, case):
 
 
 def _stepwise_row(model, seg, k, c, V):
-    """Row k of seg from the set c + V [-1, 1]^n, as the blocked kernels
-    write it: the box, and each property's rows tested on their supports.
+    """Row k of seg from the set c + V [-1, 1]^n, as the block kernel
+    writes it: the box, and each property's rows tested on their supports.
     With the intersample bloat on, the box, every property row and every
     guard row are widened by the same per-step term h |A| (|c| + reach).
     Returns the guard class code (0 inside, 1 outside, 2 straddling) as a
@@ -667,40 +667,33 @@ def _stepwise_row(model, seg, k, c, V):
                      1 if np.any(G @ c - spread > g) else 2])
 
 
-def _stepwise_advance(model, seg, box):
-    """Reference for ``verifier._advance``: the Φ recurrence one sample at a
-    time from the box's star, every step yielded as a block of one."""
-    phi = model.phis[seg.mode]
-    c, V = box.mid(), np.diag(box.halfwidth())
-    for k in range(seg.n_steps):
-        if not (np.isfinite(c).all() and np.isfinite(V).all()):
-            raise verifier.InconclusiveError(f"numerical overflow in mode {seg.mode} at step {k}")
-        yield k, _stepwise_row(model, seg, k, c, V)
-        c, V = phi @ c, phi @ V
-
-
-def _stepwise_passive_block(model, segs, heads, k0, work):
-    """Reference for ``verifier._passive_block``: each pipe's block one sample
-    at a time by the Φ recurrence from its head, which comes back stepped
-    sample by sample, so a pipe's sets never pass through Φ^_BLOCK."""
-    phi, dim = model.phis[MODE_PASSIVE], model.aut.dim
-    out = []
-    for i, (seg, head) in enumerate(zip(segs, heads)):
+def _stepwise_block(model, segs, heads, k0, work):
+    """Reference for ``verifier._block``: each pipe's block one sample at a
+    time by the Φ recurrence from its head, which comes back stepped sample
+    by sample, so a pipe's sets never pass through Φ^_BLOCK.  Stepping stops
+    at the first non-finite set in (pipe, step) order, with the rows and
+    codes before it kept."""
+    mode, dim = segs[0].mode, model.aut.dim
+    phi, out, codes, error = model.phis[mode], [], [], None
+    for seg, head in zip(segs, heads):
         c, V = head[:, 0], head[:, 1:]
         for k in range(k0, min(k0 + verifier._BLOCK, seg.n_steps)):
             if not (np.isfinite(c).all() and np.isfinite(V).all()):
-                return np.reshape(out, (i, dim, dim + 1)), verifier.InconclusiveError(
-                    f"numerical overflow in passive pipe at step {k}")
-            _stepwise_row(model, seg, k, c, V)
+                where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
+                error = verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
+                break
+            codes.append(_stepwise_row(model, seg, k, c, V))
             c, V = phi @ c, phi @ V
+        if error is not None:
+            break
         out.append(np.column_stack([c, V]))
-    return np.reshape(out, (len(segs), dim, dim + 1)), None
+    codes = None if mode == MODE_PASSIVE else np.concatenate([np.empty(0, int)] + codes)
+    return np.reshape(out, (len(out), dim, dim + 1)), codes, error
 
 
 def _stepwise(monkeypatch, run):
     with monkeypatch.context() as m:
-        m.setattr(verifier, "_advance", _stepwise_advance)
-        m.setattr(verifier, "_passive_block", _stepwise_passive_block)
+        m.setattr(verifier, "_block", _stepwise_block)
         return run()
 
 
