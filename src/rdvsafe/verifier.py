@@ -52,7 +52,7 @@ from .numsim import (
     steps_within,
 )
 from .orbital import OrbitalParams
-from .starset import Box, clip_box_to_halfspace, hull_boxes, supports
+from .starset import Box, clip_box_to_halfspaces, hull_boxes, supports
 
 DEFAULT_INIT_CENTER = (-900.0, -400.0, 0.0, 0.0)
 DEFAULT_INIT_HALFWIDTH = (25.0, 25.0, 0.0, 0.0)
@@ -191,7 +191,9 @@ def default_scenario(**overrides) -> Scenario:
 
 class _ModeChecker:
     """Batched property evaluation for one mode: the properties' rows stacked,
-    and per property in ``rows`` its row indices, padded with its last row."""
+    and per property in ``rows`` its row indices, padded with its last row.
+    A support meets a row when >= its floor: b, or nextafter(b, inf) (NaN for
+    b = inf) on a strict row (> b)."""
 
     def __init__(self, props: tuple[SafetyProperty, ...], mode: str, dim: int):
         mine = [p for p in props if mode in p.modes]
@@ -203,11 +205,12 @@ class _ModeChecker:
         self.strict = np.repeat(np.array([p.strict for p in mine], dtype=bool), counts)
         width = max((len(p.offsets) for p in mine), default=1)
         self.rows = np.minimum((ends - counts)[:, None] + np.arange(width), ends[:, None] - 1)
+        above = np.where(self.offsets == np.inf, np.nan, np.nextafter(self.offsets, np.inf))
+        self.floors = np.where(self.strict, above, self.offsets)[:, None]
 
     def check(self, vals) -> np.ndarray:
         """The (m, len(names)) hits of m sets from their supports vals in ``normals``."""
-        hits = np.where(self.strict, vals > self.offsets, vals >= self.offsets)
-        return hits[:, self.rows].all(axis=2)
+        return np.logical_and.reduce((vals.T >= self.floors)[self.rows], axis=1).T
 
 
 def _power_table(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,15 +227,14 @@ def _power_table(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _direction_table(aut: HybridAutomaton, checker: _ModeChecker,
                      mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows L of the supports that one block of mode needs, and the
-    column of L for each row of mode's checker: [I; -I] for the box, [G; -G]
-    for the guard normals G (prox modes only), then the checker's rows not
-    among these.  The collision box and the thrust limits are unit rows, so
-    they read box columns."""
-    eye, G = np.eye(aut.dim), aut.guard_normals
-    base = np.vstack([eye, -eye] + ([] if mode == MODE_PASSIVE else [G, -G]))
-    rows = checker.normals
-    L = np.vstack([base, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)]])
+    """The rows L of the supports that one block of mode needs, and the row
+    of L for each row of mode's checker: [I; -I] for the box, the checker's
+    rows not among these or the guard normals G, and G last (prox modes
+    only).  The collision box and the thrust limits read box rows."""
+    eye, rows = np.eye(aut.dim), checker.normals
+    G = aut.guard_normals[:0 if mode == MODE_PASSIVE else None]
+    base = np.vstack([eye, -eye, G])
+    L = np.vstack([eye, -eye, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)], G])
     # Each checker row reads the first row of L equal to it.
     return L, (L[:, None] == rows).all(axis=2).argmax(axis=0)
 
@@ -342,19 +344,19 @@ def _enter(model: _Model, mode: str, box: Box) -> Box:
 
 
 def _classes(vals, offsets) -> np.ndarray:
-    """Class code of each set against the polytope G x <= offsets, from its
-    supports vals = [rho(G) | rho(-G)]: 0 inside it (every rho(g) <= b),
-    1 outside it (some -rho(-g) > b), 2 straddling it."""
-    g = len(offsets)
-    return np.where(np.all(vals[:, :g] <= offsets, axis=1), 0,
-                    np.where(np.any(-vals[:, g:] > offsets, axis=1), 1, 2))
+    """Class code of each of m sets against the polytope G x <= offsets, from
+    the (2 g, m) rows vals = [rho(G); -rho(-G)]: 0 inside it (every rho(g)
+    <= b), 1 outside it (some -rho(-g) > b), 2 straddling it."""
+    above = np.logical_or.reduce(vals.reshape(2, len(offsets), -1) > offsets[:, None], axis=1)
+    return np.where(above[0], 2 - above[1], 0)
 
 
 def _classify(c, V, rows, offsets) -> str:
     """Class of the one set c + V [-1, 1]^n, as in :func:`_classes`, rows
     being [G; -G]."""
-    code = _classes(supports(c[None], V[None], rows), offsets)[0]
-    return ("inside", "outside", "straddle")[code]
+    vals = supports(c[None], V[None], rows).T
+    vals[len(offsets):] *= -1.0
+    return ("inside", "outside", "straddle")[_classes(vals, offsets)[0]]
 
 
 def _restart_box(model: _Model, dest: str, lo, hi) -> Box | None:
@@ -362,12 +364,9 @@ def _restart_box(model: _Model, dest: str, lo, hi) -> Box | None:
     to the guard octagon (prox_b's invariant) when dest is prox_b."""
     hull = Box(lo=lo.min(axis=0), hi=hi.max(axis=0))
     if dest == MODE_PROX_B:
-        for a, b in zip(model.aut.guard_normals, model.aut.guard_offsets):
-            hull = clip_box_to_halfspace(hull, a, b)
-            if hull is None:
-                return None
+        hull = clip_box_to_halfspaces(hull, model.aut.guard_normals, model.aut.guard_offsets)
     # The commanded thrust re-derives from the destination gain at the switch.
-    return _enter(model, dest, hull)
+    return None if hull is None else _enter(model, dest, hull)
 
 
 def _empty_segment(model: _Model, mode: str, n_steps: int,
@@ -379,11 +378,12 @@ def _empty_segment(model: _Model, mode: str, n_steps: int,
 
 
 def _work(model: _Model, mode: str, W: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for :func:`_block` on up to W pipes of mode, for a
-    caller to allocate once: fresh arrays for every block cost thousands of
-    page faults per run."""
-    dim, rows, m = model.aut.dim, len(model.directions[mode][0]), W * _BLOCK
-    return np.empty((m, dim, dim + 1)), np.empty((2, m, dim)), np.empty((m, rows))
+    """Flat scratch arrays for :func:`_block` on up to W pipes of mode, for a
+    caller to allocate once: fresh arrays per block cost many page faults."""
+    dim, L, m = model.aut.dim, model.directions[mode][0], W * _BLOCK
+    g = 0 if mode == MODE_PASSIVE else len(model.aut.guard_offsets)
+    return (np.empty(m * (dim + 1) * dim), np.empty((2, m * dim)),
+            np.empty(m * (dim + 1) * (len(L) - 2 * dim)), np.empty((len(L) + g, m)))
 
 
 def _block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: int,
@@ -392,66 +392,71 @@ def _block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: in
     k0) steps from step k0, n the same for every pipe, stepped all at once.
 
     heads stacks the pipes' block-head stars [c | V] as (W, dim, dim + 1).
-    One stacked product with the rows P[:n] of ``model.powers``' table gives
-    the W n sets, in (pipe, step) order, cut before the first non-finite
-    one.  Their supports in the rows of ``model.directions`` are: for [I; -I],
-    c + reach and reach - c, reach = |V| 1 summed by hand in the order of
-    :func:`supports`; for the rest (guard rows, property rows off the box),
-    one :func:`supports` call.  The opt-in intersample bloat widens them all.
-    The boxes and property hits go into each pipe's rows from k0.
+    One product heads^T P[:n]^T with ``model.powers``' table lays out the W n
+    sets, (pipe, step) order, cut before the first non-finite one: per pipe,
+    c and each generator as an (n, dim) slab.  The box is c +/- |V| 1.  The
+    other rows X of ``model.directions`` take one product with the slabs:
+    a = X c and r = ||X V||_1, summed in generator order as in :func:`supports`,
+    give rho = a + r, and -rho(-G) = a - r on the guard rows G, as rows of m
+    sets.  The opt-in intersample bloat widens them all.  The boxes and hits
+    go into each pipe's rows from k0.
 
-    Returns the next heads Φ^_BLOCK [c | V] of the pipes stepped whole, the
-    :func:`_classes` guard codes of the sets kept (None in passive), and the
-    :class:`InconclusiveError` at the step cut, or None.
+    Returns the next heads Phi^_BLOCK [c | V] of the pipes stepped whole,
+    the :func:`_classes` guard codes of the sets kept (None in passive), and
+    the :class:`InconclusiveError` at the step cut, or None.
     """
     mode = segs[0].mode
     (P, phi_block), (L, cols) = model.powers[mode], model.directions[mode]
-    dim, W, rows = model.aut.dim, len(segs), len(L)
+    sets, boxes, prod, supp = work
+    # x rows of L off the box, the last g of them guard rows.
+    dim, W, x, g = model.aut.dim, len(segs), len(L) - 2 * model.aut.dim, len(supp) - len(L)
     n = min(_BLOCK, segs[0].n_steps - k0)
-    sets, reach_tmp, supp = work
     m, error = W * n, None
-    S = sets[:m]
-    np.matmul(P[:n].reshape(-1, dim), heads, out=S.reshape(W, n * dim, dim + 1))
-    if not np.isfinite(S).all():
-        m = int(np.argmin(np.isfinite(S).all(axis=(1, 2))))
+    Z = sets[:m * (dim + 1) * dim].reshape(W, dim + 1, n, dim)
+    np.matmul(heads.transpose(0, 2, 1), P[:n].reshape(-1, dim).T, out=Z.reshape(W, dim + 1, -1))
+    if not np.isfinite(Z).all():
+        m = int(np.argmin(np.isfinite(Z).all(axis=(1, 3))))
         where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
         error = InconclusiveError(f"numerical overflow in {where} at step {k0 + m % n}")
-        S = S[:m]
-    c, vals = S[:, :, 0], supp[:m]
-    reach, tmp = reach_tmp[:, :m]
-    # reach = |V| 1, summed over the generators in order as supports sums
-    # them; these strided columns coalesce into one loop each.
-    np.abs(S[:, :, 1], out=reach)
-    for g in range(2, dim + 1):
-        reach += np.abs(S[:, :, g], out=tmp)
-    np.add(c, reach, out=vals[:, :dim])
-    np.subtract(reach, c, out=vals[:, dim:2 * dim])
-    if rows > 2 * dim:
-        vals[:, 2 * dim:] = supports(c, S[:, :, 1:], L[2 * dim:])
+        # Zeroed, the sets dropped keep the arithmetic below finite.
+        Z[m // n, :, m % n:] = 0.0
+        Z[m // n + 1:] = 0.0
+    # vals: the supports, a row per row of L, then one per row of -rho(-G).
+    vals = supp[:, :W * n]
+    if x:
+        Q = prod[:W * (dim + 1) * x * n].reshape(W, dim + 1, x, n)
+        np.matmul(L[2 * dim:], Z.transpose(0, 1, 3, 2), out=Q)
+        rows, V = vals[2 * dim:].reshape(-1, W, n).transpose(1, 0, 2), Q[:, 1:]
+        # r = ||X V||_1, as reach below: |.| in place, summed in generator order.
+        r = np.add.reduce(np.abs(V, out=V), axis=1, out=rows[:, :x])
+        np.subtract(Q[:, 0, x - g:], r[:, x - g:], out=rows[:, x:])
+        np.add(Q[:, 0], r, out=r)
+    hi, nlo = box = boxes[:, :W * n * dim].reshape(2, W, n, dim)
+    reach = np.add.reduce(np.abs(V := Z[:, 1:], out=V), axis=1, out=nlo)
+    np.add(Z[:, 0], reach, out=hi)
+    np.subtract(reach, Z[:, 0], out=nlo)
     if model.bloat:
         # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
         # widens each row l's support by |l| w; the heads stay unwidened.
-        w = model.h * (np.maximum(vals[:, :dim], vals[:, dim:2 * dim])
-                       @ np.abs(model.aut.flows[mode]).T)
-        vals += w @ np.abs(L).T
-    hits = model.checkers[mode].check(vals[:, cols])
+        w = model.h * (np.maximum(hi, nlo).reshape(-1, dim) @ np.abs(model.aut.flows[mode]).T)
+        box += w.reshape(hi.shape)
+        bw = np.abs(L[2 * dim:]) @ w.T
+        vals[2 * dim:] += np.vstack([bw, -bw[x - g:]])
+    vals[:2 * dim].reshape(2, dim, -1)[:] = box.reshape(2, -1, dim).transpose(0, 2, 1)
+    hits = model.checkers[mode].check(vals[cols, :m].T)
     # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-    lo = np.subtract(0.0, vals[:, dim:2 * dim], out=reach)
+    lo, hi = np.subtract(0.0, nlo, out=nlo).reshape(-1, dim)[:m], hi.reshape(-1, dim)[:m]
     for seg, i in zip(segs, range(0, m, n)):
         j = k0 + min(n, m - i)
-        seg.lo[k0:j], seg.hi[k0:j], seg.hits[k0:j] = lo[i:i + n], vals[i:i + n, :dim], hits[i:i + n]
-    codes = None if mode == MODE_PASSIVE else _classes(
-        vals[:, 2 * dim:2 * (dim + len(model.aut.guard_offsets))], model.aut.guard_offsets)
+        seg.lo[k0:j], seg.hi[k0:j], seg.hits[k0:j] = lo[i:i + n], hi[i:i + n], hits[i:i + n]
+    codes = _classes(vals[len(L) - g:], model.aut.guard_offsets)[:m] if g else None
     return np.matmul(phi_block, heads[:m // n]), codes, error
 
 
 def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
-    """Step the box's star through the flow of seg's prox mode, one
-    :func:`_block` at a time, yielding ``(k0, codes)`` per block, codes being
-    the guard codes of steps k0..k0+m-1.  A caller that stops at a step
-    inside the block drops the later rows.  Resuming past a block cut before
-    a non-finite set raises the :class:`InconclusiveError` at that step.
-    """
+    """Step the box's star through seg's prox mode one :func:`_block` at a time,
+    yielding ``(k0, codes)``, the guard codes of steps k0 on (a caller stopping
+    inside a block drops its later rows); resuming past a cut block raises its error."""
     heads = np.column_stack([box.mid(), np.diag(box.halfwidth())])[None]
     work = _work(model, seg.mode, 1)
     for k0 in range(0, seg.n_steps, _BLOCK):

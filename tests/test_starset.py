@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from rdvsafe import Box, hull_boxes, supports
-from rdvsafe.starset import clip_box_to_halfspace
+from rdvsafe.hybrid import octagon_halfspaces
+from rdvsafe.starset import clip_box_to_halfspaces
 
 WORKED_C = np.array([1.0, 2.0])
 WORKED_V = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -232,11 +233,43 @@ def test_hull_boxes():
 
 def test_clip_box_to_halfspace():
     unit = Box(lo=-np.ones(2), hi=np.ones(2))
-    clipped = clip_box_to_halfspace(unit, np.array([1.0, 0.0]), 0.5)
+    clipped = clip_box_to_halfspaces(unit, np.array([[1.0, 0.0]]), [0.5])
     assert clipped.hi[0] == 0.5 and clipped.lo[0] == -1.0
     assert clipped.hi[1] == 1.0
     # Diagonal constraint through the box tightens nothing per axis beyond
     # the interval bound but keeps containment of the true intersection.
-    diag = clip_box_to_halfspace(unit, np.array([1.0, 1.0]), 0.0)
+    diag = clip_box_to_halfspaces(unit, np.array([[1.0, 1.0]]), [0.0])
     assert np.all(diag.lo == unit.lo) and np.all(diag.hi == unit.hi)
-    assert clip_box_to_halfspace(unit, np.array([1.0, 0.0]), -2.0) is None
+    assert clip_box_to_halfspaces(unit, np.array([[1.0, 0.0]]), [-2.0]) is None
+
+
+def test_clip_by_many_rows_is_one_row_clips_in_turn():
+    """A clip by the rows of A is the one-row clips in row order, bit for
+    bit, and empty as soon as one of them is: on the guard octagon, as a
+    restart clips its hull, and on random rows with zero entries."""
+    rng = np.random.default_rng(11)
+    octagon, radius = octagon_halfspaces(100.0)
+    empty = two_rows = 0
+    for trial in range(400):
+        if trial % 2:
+            A, b = octagon, radius
+        else:
+            A = rng.normal(size=(5, 3)) * (rng.uniform(size=(5, 3)) < 0.7)
+            b = rng.normal(scale=20.0, size=5)
+        center = rng.normal(scale=70.0, size=A.shape[1])
+        box = Box(lo=center - rng.uniform(0.0, 40.0, size=A.shape[1]),
+                  hi=center + rng.uniform(0.0, 40.0, size=A.shape[1]))
+        got, want, tightened = clip_box_to_halfspaces(box, A, b), box, 0
+        for a, b_i in zip(A, b):
+            prev, want = want, clip_box_to_halfspaces(want, a[None], [b_i])
+            if want is None:
+                break
+            tightened += not (np.array_equal(want.lo, prev.lo) and np.array_equal(want.hi, prev.hi))
+        if want is None:
+            assert got is None
+            empty += 1
+        else:
+            assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
+            two_rows += tightened >= 2
+    # Both outcomes occur, and some boxes are tightened by two rows or more.
+    assert empty > 50 and two_rows > 10

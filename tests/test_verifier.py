@@ -790,6 +790,92 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, edit_
     assert rep.verdict == "safe"
 
 
+def test_checker_reads_either_layout_as_a_per_row_test():
+    """``_ModeChecker.check`` gives the same hits for C-ordered (m, rows)
+    supports and for the transposed view of C-ordered (rows, m) ones, as
+    the block kernel passes them, and both are a per-row brute force: each
+    property is met when every one of its rows is, a strict row above its
+    offset and another at it or above.  Supports sit at, and one ulp
+    either side of, offsets that include +/-0 and inf."""
+    rng = np.random.default_rng(23)
+    offsets = [np.array([1.5]), np.array([0.0, -2.0, 7.25]), np.array([-0.0]),
+               np.array([np.inf, 3.0]), np.array([1e300])]
+    props = tuple(SafetyProperty(f"p{i}_{strict}", (MODE_PROX_B,), rng.normal(size=(len(b), 4)),
+                                 b, strict)
+                  for i, b in enumerate(offsets) for strict in (True, False))
+    checker = verifier._ModeChecker(props, MODE_PROX_B, 4)
+    m, b = 400, checker.offsets
+    pick = rng.integers(0, 5, size=(m, len(b)))
+    vals = np.select([pick == 0, pick == 1, pick == 2, pick == 3],
+                     [b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf), np.full_like(b, np.inf)],
+                     b + rng.normal(scale=3.0, size=(m, len(b))))
+    want = np.array([[all(v[r] > p.offsets[i] if p.strict else v[r] >= p.offsets[i]
+                          for i, r in enumerate(range(start, start + len(p.offsets))))
+                      for p, start in zip(props, np.cumsum([0] + [len(p.offsets) for p in props]))]
+                     for v in vals])
+    for got in (checker.check(np.ascontiguousarray(vals)), checker.check(vals.T.copy().T)):
+        assert got.shape == (m, len(props)) and got.tolist() == want.tolist()
+    # Every property is met by some sets and missed by others, but a strict
+    # row at offset inf, which nothing meets.
+    met = dict(zip(checker.names, want.mean(axis=0)))
+    assert met.pop("p3_True") == 0 and 0 < min(met.values()) and max(met.values()) < 1
+
+
+# A star, guard and flow of small dyadic numbers: every support of it below
+# is exact, whatever the order of the sums.
+_TIE_C = np.array([3.0, -2.0, 1.5, 0.5])
+_TIE_V = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, -1.0, 0.25, 0.0],
+                   [0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.25]])
+_TIE_G = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                   [0.0, -1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [-0.5, 0.5, 0.0, 0.0],
+                   [-0.5, -0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bloat", [False, True])
+@pytest.mark.parametrize("tie, code", [("rho", 0), ("lower", 2), ("past", 1)])
+def test_block_ties_match_stepwise_reference(quick, bloat, tie, code):
+    """Supports that meet their offsets exactly.  A set with rho(g) = b on
+    every guard row is inside (<=); -rho(-g) = b on one row leaves it
+    straddling, and b one step below that makes it outside (>).  A strict
+    property row is not met at its offset, a non-strict one is, on a box
+    row, a guard row and a row off both.  The kernel's codes, boxes and hits
+    equal the one-sample reference's, on one prox pipe and on two passive
+    pipes in lockstep, with the bloat on and off."""
+    base = verifier._model_of(quick)
+    flow = np.full((4, 4), 0.125)
+    w = base.h * flow @ (np.abs(_TIE_C) + np.abs(_TIE_V).sum(axis=1)) if bloat else 0.0 * _TIE_C
+
+    def rho(l, sign=1.0):
+        return l @ _TIE_C + sign * (np.abs(l @ _TIE_V).sum() + np.abs(l) @ w)
+
+    b = np.array([rho(g) for g in _TIE_G])
+    b[4] = rho(_TIE_G[4], -1.0) - (0.25 if tie == "past" else 0.0) if tie != "rho" else b[4]
+    # Property rows on a box row, on a guard row and off both.
+    named = {"box": [np.eye(4)[2]], "guard": [_TIE_G[7]], "off": [np.array([0.25, -0.5, 0.5, 0.0])]}
+    named["all"] = [row for rows in named.values() for row in rows]
+    props = [SafetyProperty(f"{name}_{strict}", (MODE_PROX_B, MODE_PASSIVE), np.array(rows),
+                            np.array([rho(l) for l in rows]), strict)
+             for name, rows in named.items() for strict in (True, False)]
+    aut = replace(base.aut, guard_normals=_TIE_G, guard_offsets=b, properties=tuple(props),
+                  flows={**base.aut.flows, MODE_PROX_B: flow, MODE_PASSIVE: flow})
+    model = replace(base, aut=aut, settings={**base.settings, "intersample_bloat": bloat})
+    head = np.column_stack([_TIE_C, _TIE_V])
+    for mode, W in ((MODE_PROX_B, 1), (MODE_PASSIVE, 2)):
+        runs = []
+        for kernel in (verifier._block, _stepwise_block):
+            segs = [verifier._empty_segment(model, mode, 1, 0.0, 0.0) for _ in range(W)]
+            _, codes, _ = kernel(model, segs, np.array([head] * W), 0, verifier._work(model, mode, W))
+            runs.append((codes, segs))
+        (codes, segs), (ref_codes, ref_segs) = runs
+        for seg, ref in zip(segs, ref_segs):
+            assert np.array_equal(seg.lo, ref.lo) and np.array_equal(seg.hi, ref.hi)
+            assert seg.hits.tolist() == ref.hits.tolist() == [[False, True] * 4]
+        if mode == MODE_PASSIVE:
+            assert codes is None and ref_codes is None
+        else:
+            assert codes.tolist() == ref_codes.tolist() == [code]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode, where", [(MODE_PASSIVE, "passive pipe"),
