@@ -11,7 +11,7 @@ scenario and seed (wall-clock timing is never written).
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import os
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .hybrid import GUARD_RADIUS_M, VARIANTS, property_settings
 from .lqr import bryson_maxima
-from .numsim import _CSV_BLOCK, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _g17
+from .numsim import _END, _MODE, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _write_csv_rows
 from .orbital import OrbitalParams
 from .starset import Box
 from .verifier import (
@@ -212,8 +212,9 @@ def emit_report(report: VerificationReport, path: str, flowpipe_csv: str | None 
 
 
 def emit_flowpipe(report: VerificationReport, path: str) -> None:
-    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, by
-    blocks of ``_CSV_BLOCK`` rows: `_g17` writes the numbers, a ``%`` template the rest."""
+    """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, with
+    `_write_csv_rows`: the step is a float cell, the mode replaces the
+    separator after time_s, and the flags end each row as its `_END` separator."""
     dim = report.segments[0].dim if report.segments else 0
     header = (
         ["step", "time_s", "mode"]
@@ -221,22 +222,18 @@ def emit_flowpipe(report: VerificationReport, path: str) -> None:
         + [f"hi_{d + 1}" for d in range(dim)]
         + ["flags"]
     )
-    seps = "\n" + "," * (2 * dim - 1) + "\n"     # a row's time, then its box
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    seps = b"," + _MODE + b"," * (2 * dim - 1) + _END
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
         for seg in report.segments:
             codes = seg.hits @ (1 << np.arange(len(seg.names)))
-            found, idx = np.unique(codes, return_inverse=True)
+            found, which = np.unique(codes, return_inverse=True)
             labels = [";".join(sorted(n for j, n in enumerate(seg.names) if code >> j & 1))
                       for code in found.tolist()]
-            flags = list(map(labels.__getitem__, idx.tolist()))
-            times = seg.times_lo()
-            row_fmt = "%d,%s," + seg.mode.replace("%", "%%") + ",%s,%s\n"
-            for a in range(0, seg.n_steps, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, seg.n_steps)
-                cells = _g17(np.column_stack((times[a:b], seg.lo[a:b], seg.hi[a:b])), seps)
-                fh.write(row_fmt * (b - a) % tuple(itertools.chain.from_iterable(
-                    zip(range(a, b), cells[0::2], cells[1::2], flags[a:b]))))
+            ends = [b",%s\n" % label.encode() for label in labels]
+            steps = np.arange(seg.n_steps, dtype=float)
+            _write_csv_rows(fh, np.column_stack((steps, seg.times_lo(), seg.lo, seg.hi)), seps,
+                            b",%s," % seg.mode.encode(), ends, which)
 
 
 def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:
@@ -413,9 +410,9 @@ def emit_plot_segments(segments: list[FlowpipeSegment], sc: Scenario, plane: str
 
 
 def _emit_sweep_csv(rows, path):
-    lines = _g17(np.array(rows, float).reshape(-1, 3), ",,\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(["angle_deg,radius_m,max_safe_T_s", *lines]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"angle_deg,radius_m,max_safe_T_s\n")
+        _write_csv_rows(fh, np.array(rows, float).reshape(-1, 3), b",,\n")
 
 
 def _emit_sweep_svg(rows, horizon, path):
@@ -459,6 +456,7 @@ def _emit_sweep_svg(rows, horizon, path):
 # command line
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rdvsafe",

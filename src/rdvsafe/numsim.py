@@ -7,8 +7,9 @@ four Python floats: the step loop's body holds all four stages, each with the
 force and the field of ``orbital.nonlinear_field`` written out, and the RK4
 combination, each sum in a fixed order.  So a step costs float arithmetic,
 with no function call per stage and no numpy small-array call, and the states
-become one array at the end of the run.  The CSV writers format numbers with
-`_g17`, a numpy kernel that writes the bytes of ``f"{x:.17g}"`` a block at once.
+become one array at the end of the run.  The CSV writers write their rows
+with `_write_csv_rows`: `_g17`, a numpy kernel, writes the bytes of
+``f"{x:.17g}"`` a block at once, and the row's text goes in at placeholder bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ MODE_PASSIVE = "passive"
 _TIME_EPS = 1e-9
 
 _CSV_BLOCK = 256        # CSV rows per `_g17` call, which keeps its arrays near 100 KB
+_MODE = b"\x01"         # separators that `_write_csv_rows` replaces by a row's text
+_END = b"\x02"
 
 
 def steps_within(T: float, h: float) -> int:
@@ -62,9 +65,9 @@ _KEEP[21, :, :, 0] = _KEEP[21, :, :, 7] = _KEEP[..., 39] = True     # "-."; sepa
 _KEEP = _KEEP.reshape(-1, 40).view(np.uint64)
 
 
-def _g17(X, seps: str) -> list[str]:
-    """The float rows X as text, split at each "\\n": cell (i, j) is
-    ``f"{X[i, j]:.17g}"`` followed by ``seps[j]``, and ``seps`` ends in "\\n".
+def _g17(X, seps: bytes) -> bytes:
+    """The float rows X as text: cell (i, j) is ``f"{X[i, j]:.17g}"`` followed
+    by the one byte ``seps[j]``.
 
     Where 1e-4 <= |x| < 1e16, the digits N = round-half-even(|x| 10^(16 - E)),
     with E = floor(log10 |x|) moved by one until 10^16 <= N < 10^17, are
@@ -91,13 +94,29 @@ def _g17(X, seps: str) -> list[str]:
     s = 1 + np.maximum(np.maximum(_SIG[0][g1], _SIG[1][g2]), np.maximum(_SIG[2][g3], _SIG[3][g4]))
     row = np.where(fixed, e + 4, np.where(X == 0.0, 20, 21))
     chars = np.stack([_HEAD[d0], _G4[g1], _G4[g2], _G4[g3], _G4[g4]], -1).view(np.uint8)
-    chars[..., 39] = np.frombuffer(seps.encode("ascii"), np.uint8)
+    chars[..., 39] = np.frombuffer(seps, np.uint8)
     keep = _KEEP[(row * 18 + s) * 2 + np.signbit(X)].view(bool).ravel()
-    text = np.compress(keep, chars).tobytes().decode("ascii")
-    rest = [f"{x:.17g}" for x in X[row == 21].tolist()]
+    text = np.compress(keep, chars).tobytes()
+    rest = [f"{x:.17g}".encode() for x in X[row == 21].tolist()]
     if rest:
-        text = "".join(chain.from_iterable(zip(text.split("-."), rest + [""])))
-    return text.split("\n")[:-1]
+        text = b"".join(chain.from_iterable(zip(text.split(b"-."), rest + [b""])))
+    return text
+
+
+def _write_csv_rows(fh, X, seps: bytes, mode: bytes = b"", ends=(b"\n",), which=None) -> None:
+    """Write the float rows X to the binary file fh by blocks of `_CSV_BLOCK`
+    rows, each cell as `_g17` writes it.  In ``seps`` the byte `_MODE` stands
+    for ``mode`` and the byte `_END` for row i's ``ends[which[i]]``, or
+    ``ends[0]`` when ``ends`` has one entry: one ``replace`` a block, and a
+    split at `_END` only in a block whose rows have different ends."""
+    for a in range(0, len(X), _CSV_BLOCK):
+        text = _g17(X[a:a + _CSV_BLOCK], seps).replace(_MODE, mode)
+        w = which[a:a + _CSV_BLOCK] if len(ends) > 1 else None
+        if w is None or w.min() == w.max():
+            fh.write(text.replace(_END, ends[0 if w is None else w[0]]))
+        else:
+            rows = text.split(_END)
+            fh.write(b"".join(chain.from_iterable(zip(rows, map(ends.__getitem__, w.tolist())))))
 
 
 @dataclass(frozen=True)
@@ -122,19 +141,17 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     def to_csv(self, path):
-        """Write time_s, the state columns and mode, one row per sample, by
-        blocks of ``_CSV_BLOCK`` rows: `_g17` writes the numbers, ``%s`` the modes."""
+        """Write time_s, the state columns and mode, one row per sample, with
+        `_write_csv_rows`: the mode ends each row as its `_END` separator."""
         dim = self.states.shape[1]
         cols = ["time_s", "x", "y", "vx", "vy", "ux", "uy"][: 1 + dim]
-        n = len(self.times)
-        modes = self.modes if self.modes is not None else ("",) * n
-        seps = "," * dim + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + ",mode\n")
-            for a in range(0, n, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, n)
-                rows = _g17(np.column_stack((self.times[a:b], self.states[a:b])), seps)
-                fh.write("%s,%s\n" * (b - a) % tuple(chain.from_iterable(zip(rows, modes[a:b]))))
+        modes = self.modes if self.modes is not None else ("",) * len(self.times)
+        found, which = np.unique(modes, return_inverse=True)
+        ends = [b",%s\n" % m.encode() for m in found.tolist()]
+        with open(path, "wb") as fh:
+            fh.write(",".join(cols).encode() + b",mode\n")
+            _write_csv_rows(fh, np.column_stack((self.times, self.states)),
+                            b"," * dim + _END, ends=ends, which=which)
 
 
 def matrix_exp(M) -> np.ndarray:

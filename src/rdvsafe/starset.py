@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Box:
@@ -75,18 +77,24 @@ def hull_boxes(boxes) -> Box:
 def clip_box_to_halfspaces(box: Box, A, b) -> Box | None:
     """Tightest box around ``box`` intersected with { x : a.x <= b_i } for
     each row a of A in turn, or None once one is empty: one interval-arithmetic
-    tightening pass per row and coordinate, on the bounds, and one Box at the end."""
+    tightening pass per row and coordinate, on the bounds, and one Box at the end.
+
+    Where the box meets a half-space in a face, rounding may put the box's
+    least a.x past b_i or a tightened bound an ulp past the opposite bound:
+    the box counts as empty only beyond the rounding of a.x, and a bound
+    stops at the opposite bound, so the face is kept, not dropped or inverted."""
     lo, hi = box.lo.copy(), box.hi.copy()
     for a, b_i in zip(np.asarray(A, dtype=float), b):
         # Minimum of a.x over the box, split per coordinate contribution.
         mins = np.where(a >= 0.0, a * lo, a * hi)
         total_min = mins.sum()
-        if total_min > b_i:
+        # Empty only past the rounding of the n-term sum, at most n eps sum|mins|.
+        if total_min > b_i and total_min - b_i > len(mins) * _EPS * np.abs(mins).sum():
             return None
         for d in np.nonzero(a)[0]:
             budget = b_i - (total_min - mins[d])
             if a[d] > 0.0:
-                hi[d] = min(hi[d], budget / a[d])
+                hi[d] = max(min(hi[d], budget / a[d]), lo[d])
             else:
-                lo[d] = max(lo[d], budget / a[d])
+                lo[d] = min(max(lo[d], budget / a[d]), hi[d])
     return Box(lo=lo, hi=hi)

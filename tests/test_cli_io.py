@@ -15,7 +15,6 @@ import pytest
 import rdvsafe
 from rdvsafe import Scenario, cli, default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
-    _CSV_BLOCK,
     ScenarioError,
     cli_main,
     emit_flowpipe,
@@ -27,6 +26,7 @@ from rdvsafe.cli import (
     scenario_to_dict,
 )
 from rdvsafe.hybrid import PROPERTY_DEFAULTS
+from rdvsafe.numsim import _CSV_BLOCK
 
 QUICK = {"step_s": 30.0}  # coarse step keeps CLI runs fast
 HEADER_4D = "step,time_s,mode,lo_1,lo_2,lo_3,lo_4,hi_1,hi_2,hi_3,hi_4,flags\n"
@@ -233,22 +233,52 @@ def _reference_flowpipe_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _hand_built_segments():
+# Cells that Python formats (exponent notation), a signed zero and a subnormal.
+_PYTHON_PATH_CELLS = [1e-5, -1e-5, 1e17, -1e17, -0.0, 5e-324, 1.2345e-300]
+
+
+def _hand_built_segments(dim=4):
     """Pipes of 1, B-1, B, B+1 and 2B+1 rows around the emitter's block size
-    B, with values over many magnitudes and rows hitting several of the
-    unsorted names."""
+    B, with values over many magnitudes, cells on Python's path, and rows
+    hitting several of the unsorted names."""
     rng = np.random.default_rng(16)
     names = ("velocity_045", "los_range", "collision", "los_cone_lower")
     segments = []
     for i, n in enumerate((1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1)):
-        lo = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-12, 12, (n, 4))
+        lo = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-12, 12, (n, dim))
         lo[:, 3] = 0.0
+        hi = lo + rng.random((n, dim))
+        odd = rng.choice(lo.size, min(lo.size, 40), replace=False)
+        lo.flat[odd] = rng.choice(_PYTHON_PATH_CELLS, len(odd))
         hits = rng.random((n, len(names))) < 0.5
-        hits[0, :3] = True
+        hits[0] = [True, True, True, False]
         segments.append(verifier.FlowpipeSegment(
-            mode=("prox_a", "passive")[i % 2], lo=lo, hi=lo + rng.random((n, 4)),
+            mode=("prox_a", "passive")[i % 2], lo=lo, hi=hi,
             t_lo0=7200.0 + i / 3, t_hi0=7300.0, h=0.1, names=names, hits=hits))
     return segments
+
+
+def _block_edge_segments():
+    """One 4-dim pipe of 3B+5 rows whose flags change exactly at the block
+    edges B, 2B and 3B: none, then collision, then labels that change from
+    row to row, then both names."""
+    n, B = 3 * _CSV_BLOCK + 5, _CSV_BLOCK
+    names = ("los_range", "collision")
+    hits = np.zeros((n, 2), bool)
+    hits[B:2 * B, 1] = True
+    hits[2 * B:3 * B, 1] = np.arange(B) % 2 == 0
+    hits[2 * B:3 * B, 0] = np.arange(B) % 3 == 0
+    hits[3 * B:] = True
+    lo = np.linspace(-900.0, 40.0, 4 * n).reshape(n, 4)
+    return [verifier.FlowpipeSegment(mode="prox_b", lo=lo, hi=lo + 0.5, t_lo0=1.0, t_hi0=1.0,
+                                     h=1.0, names=names, hits=hits)]
+
+
+def _inconclusive_report():
+    """A real run that ends inconclusive, at its first restart, so it has no pipes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_MAX_SEGMENTS", 1)
+        return verify(default_scenario(h=30.0))
 
 
 _FLOWPIPE_REPORTS = {
@@ -258,7 +288,10 @@ _FLOWPIPE_REPORTS = {
     "explicit": lambda quick: verify(default_scenario(variant="lin_prox_th_explicit", h=10.0)),
     "windowed_60": lambda quick: verifier.verify_windowed(default_scenario(h=10.0), 60.0),
     "no_pipes": lambda quick: dataclasses.replace(quick, segments=[]),
+    "inconclusive": lambda quick: _inconclusive_report(),
     "hand_built": lambda quick: dataclasses.replace(quick, segments=_hand_built_segments()),
+    "hand_built_6d": lambda quick: dataclasses.replace(quick, segments=_hand_built_segments(6)),
+    "block_edge_flags": lambda quick: dataclasses.replace(quick, segments=_block_edge_segments()),
 }
 
 
@@ -278,11 +311,33 @@ def test_flowpipe_bytes_match_a_per_value_reference(tmp_path, quick_report, case
         assert report.segments[0].dim == 6
     elif case == "windowed_60":
         assert sum(seg.mode == "passive" for seg in report.segments) >= 3
-    elif case == "no_pipes":
+    elif case in ("no_pipes", "inconclusive"):
         assert text == "step,time_s,mode,flags\n"
-    elif case == "hand_built":
+        assert report.verdict == ("inconclusive" if case == "inconclusive" else "safe")
+    elif case.startswith("hand_built"):
         assert len(lines) == 1 + 5 * _CSV_BLOCK + 2
+        assert len(lines[0].split(",")) == 4 + 2 * (6 if case == "hand_built_6d" else 4)
         assert lines[1].endswith(",collision;los_range;velocity_045")
+        assert all(f",{x:.17g}," in text for x in (1e-05, 1e17, -0.0))
+    elif case == "block_edge_flags":
+        B = _CSV_BLOCK
+        flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert flags[B - 1:B + 1] == ["", "collision"]
+        assert flags[2 * B - 1:2 * B + 2] == ["collision", "collision;los_range", ""]
+        assert flags[3 * B - 1:3 * B + 1] == ["los_range", "collision;los_range"]
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_sweep_csv_bytes_match_a_per_value_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    rows = [(float(a), 950.0, float(t)) for a, t in
+            zip(np.arange(150.0, 150.0 + 0.37 * n, 0.37), rng.choice([-1.0, 600.0, 7290.5], n))]
+    rows[0] = (1e-5, 1e17, -0.0)
+    cli._emit_sweep_csv(rows, tmp_path / "sweep.csv")
+    want = "angle_deg,radius_m,max_safe_T_s\n" + "".join(
+        f"{a:.17g},{r:.17g},{t:.17g}\n" for a, r, t in rows)
+    assert (tmp_path / "sweep.csv").read_bytes() == want.encode()
+    assert want.splitlines()[1] == "1.0000000000000001e-05,1e+17,-0"
 
 
 def test_plot_structure_and_plane_validation(tmp_path, quick_report):
@@ -640,3 +695,29 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "verdict: unsafe" in proc.stdout
     assert json.loads((out / "report.json").read_text())["verdict"] == "unsafe"
+
+
+def test_one_process_runs_two_subcommands_as_two_processes_do(tmp_path):
+    """The parser is built once per process; the second command parses its
+    own arguments: the exit codes and files match one process per command."""
+    src = str(Path(rdvsafe.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    sc = _write(tmp_path, "sc.json", {**QUICK, "properties": {"separation_halfwidth_m": 50.0}})
+    commands = [["verify", sc], ["simulate", sc, "--samples", "2"]]
+    codes = {}
+    for how in ("one", "each"):
+        for i, cmd in enumerate(commands):
+            argv = cmd + ["--out", str(tmp_path / how / str(i))]
+            if how == "one":
+                codes[how, i] = cli_main(argv)
+            else:
+                codes[how, i] = subprocess.run([sys.executable, "-m", "rdvsafe.cli", *argv],
+                                               env=env, capture_output=True, timeout=300).returncode
+    assert cli._build_parser() is cli._build_parser()
+    assert [codes["one", i] for i in range(2)] == [codes["each", i] for i in range(2)] == [1, 0]
+    files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*.*"))
+    assert [str(p) for p in files] == ["0/flowpipe.csv", "0/report.json",
+                                       "1/trajectory_000.csv", "1/trajectory_001.csv"]
+    for p in files:
+        assert (tmp_path / "one" / p).read_bytes() == (tmp_path / "each" / p).read_bytes()

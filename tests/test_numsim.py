@@ -301,11 +301,27 @@ def _odd_values_trajectory():
     return Trajectory(times=0.5 * np.arange(n), states=states)
 
 
+def _switching_trajectory():
+    """2 * _CSV_BLOCK + 3 six-dim samples whose mode switches inside the
+    first block, at the second block's edge and for one row inside it, with
+    cells on Python's path (1e-5, 1e17, -0.0) among them."""
+    rng = np.random.default_rng(4)
+    n, B = 2 * _CSV_BLOCK + 3, _CSV_BLOCK
+    states = rng.normal(scale=500.0, size=(n, 6))
+    states[::7, 1], states[1::7, 2], states[2::7, 4] = 1e-5, 1e17, -0.0
+    modes = ["prox_a"] * 100 + ["prox_b"] * (B - 100) + ["passive"] * (n - B)
+    modes[B + 9] = "prox_b"
+    return Trajectory(times=10.0 * np.arange(n), states=states, modes=tuple(modes))
+
+
 @pytest.mark.parametrize("case,dim", [("lin_prox", 4), ("nlin_prox", 4),
-                                      ("lin_prox_th_tracking", 6), ("no_modes", 4)])
+                                      ("lin_prox_th_tracking", 6), ("no_modes", 4),
+                                      ("switching", 6)])
 def test_trajectory_csv_matches_per_value_writer(tmp_path, case, dim):
     if case == "no_modes":
         traj = _odd_values_trajectory()
+    elif case == "switching":
+        traj = _switching_trajectory()
     else:
         # 1621 samples: one full block of rows and a partial one, 3 modes.
         sc = default_scenario(variant=case, h=10.0)
@@ -323,13 +339,18 @@ def _g17_per_value(X, seps):
     return text.split("\n")[:-1]
 
 
+def _g17_lines(X, seps):
+    """``_g17``'s bytes decoded and split at each "\\n", as `_g17_per_value` gives them."""
+    return _g17(X, seps.encode()).decode("ascii").split("\n")[:-1]
+
+
 def _assert_g17_matches(values, width=7):
     """``_g17`` on the values laid out as rows of ``width`` cells, split after
-    the first cell as the flowpipe writer splits, against the reference."""
+    the first cell and at each row's end, against the reference."""
     v = np.asarray(values, dtype=float).ravel()
     X = np.concatenate([v, np.zeros(-len(v) % width)]).reshape(-1, width)
     seps = "\n" + "," * (width - 2) + "\n"
-    got = _g17(X, seps)
+    got = _g17_lines(X, seps)
     want = _g17_per_value(X, seps)
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert not bad, bad[:5]
@@ -375,8 +396,8 @@ def test_g17_matches_per_value_format_on_integers_and_odd_values():
     _assert_g17_matches(np.concatenate([ints, -ints, odd * 3, bits]))
     # One column, and rows with no split: the trajectory writer's layout.
     X = np.array(odd)[:, None]
-    assert _g17(X, "\n") == [f"{x:.17g}" for x in odd]
-    assert _g17(np.reshape(odd, (-1, 2)), ",\n") == _g17_per_value(np.reshape(odd, (-1, 2)), ",\n")
+    assert _g17_lines(X, "\n") == [f"{x:.17g}" for x in odd]
+    assert _g17_lines(np.reshape(odd, (-1, 2)), ",\n") == _g17_per_value(np.reshape(odd, (-1, 2)), ",\n")
 
 
 @settings(max_examples=300, deadline=None)

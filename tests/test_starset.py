@@ -5,6 +5,8 @@ from a box as [mid | diag(halfwidth)], moves it by phi @ [c | V], and reads
 every support from :func:`supports`.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -273,3 +275,44 @@ def test_clip_by_many_rows_is_one_row_clips_in_turn():
             two_rows += tightened >= 2
     # Both outcomes occur, and some boxes are tightened by two rows or more.
     assert empty > 50 and two_rows > 10
+
+
+def test_clip_keeps_the_faces_rounding_would_drop_or_invert():
+    """Points and 1e-12-wide boxes on the guard octagon's edges, moved by
+    0 or 1e-14 per axis, meet the half-spaces in a point or a sliver: no clip
+    raises, and every corner of a box that satisfies all half-spaces
+    exactly, in rationals, lies in the clipped box."""
+    A, b = octagon_halfspaces(100.0)
+    rows = list(zip(A.tolist(), b.tolist(), [[Fraction(v) for v in a] for a in A.tolist()],
+                    [Fraction(v) for v in b.tolist()]))
+
+    def exact_slack(x):
+        """The least b_i - a.x, exact where the float sum is within 1e-9 of 0."""
+        least = math.inf
+        for a, b_i, a_q, b_q in rows:
+            gap = b_i - (a[0] * x[0] + a[1] * x[1])
+            if abs(gap) < 1e-9:
+                gap = b_q - (a_q[0] * Fraction(x[0]) + a_q[1] * Fraction(x[1]))
+            least = min(least, gap)
+        return least
+
+    rng = np.random.default_rng(5)
+    n = 10_000
+    ang = np.radians(45.0 * np.arange(9))
+    verts = 100.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    k, t = rng.integers(0, 8, n), rng.uniform(size=(n, 1))
+    centers = verts[k] + t * (verts[k + 1] - verts[k]) + rng.choice([-1e-14, 0.0, 1e-14], (n, 2))
+    halfwidths = rng.choice([0.0, 1e-12], (n, 2))
+    dropped = on_edge = 0
+    for c, hw in zip(centers, halfwidths):
+        box = Box(lo=c - hw, hi=c + hw)
+        got = clip_box_to_halfspaces(box, A, b)
+        dropped += got is None
+        for corner in set(product(*zip(box.lo.tolist(), box.hi.tolist()))):
+            gap = exact_slack(corner)
+            if gap >= 0:
+                on_edge += gap < 1e-9
+                assert got is not None, (box, corner)
+                assert np.all(got.lo <= corner) and np.all(corner <= got.hi), (box, corner, got)
+    # Corners exactly on or inside an edge abound, and boxes wholly outside are still dropped.
+    assert on_edge > 1000 and dropped > 0
