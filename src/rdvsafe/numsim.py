@@ -9,7 +9,9 @@ combination, each sum in a fixed order.  So a step costs float arithmetic,
 with no function call per stage and no numpy small-array call, and the states
 become one array at the end of the run.  The CSV writers write their rows
 with `_write_csv_rows`: `_g17`, a numpy kernel, writes the bytes of
-``f"{x:.17g}"`` a block at once, and the row's text goes in at placeholder bytes.
+``f"{x:.17g}"`` a block at once: it ANDs a byte canvas with a byte mask and
+deletes the zeroed bytes with one ``bytes.translate``.  The row's text goes in
+at placeholder bytes.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ def steps_within(T: float, h: float) -> int:
 # digits, each followed by a slot byte, "." or, after the last, the separator.
 # `_G4[v]` holds the bytes "d.d.d.d." of v < 10^4, `_HEAD[d]` those up to the
 # leading digit d, and `_SIG[j, v]` the place (1-16) of v's last nonzero digit
-# as digit group j after the leading digit (0 if v = 0).  `_KEEP` holds the
-# bytes that print at ((row * 18 + significant digits) * 2 + sign); rows 0-19
-# are the exponents -4..15, row 20 a zero, row 21 a Python cell, marked "-.".
+# as digit group j after the leading digit (0 if v = 0).  `_KEEP` masks the
+# bytes that print, 0xFF, at ((row * 18 + significant digits) * 2 + sign);
+# rows 0-19 are the exponents -4..15, row 20 a zero, row 21 a Python cell,
+# marked "-.".  The canvas ANDed with its mask row is zero exactly where a
+# byte does not print, since no kept byte (a canvas byte or a separator) is
+# NUL, so one ``translate`` deleting b"\0" leaves the text.
 _P10 = np.array([float(10 ** k) for k in range(22)])      # exact doubles
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1)   # of 0..9999, leading first
 _G4 = np.stack((ord("0") + _DIGITS.T, np.full((10_000, 4), ord("."), np.uint8)), -1)
@@ -62,7 +67,7 @@ _KEEP[:20] = (((_B >= 6) & (_B % 2 == 0) & ((_B - 6) // 2 < np.maximum(_S, _E + 
               | ((_E < 0) & (_B >= 1) & (_B <= 1 - _E)))[:, :, None]                  # "0.0.."
 _KEEP[20, :, :, 1] = _KEEP[:21, :, 1, 0] = True                    # a zero; the sign
 _KEEP[21, :, :, 0] = _KEEP[21, :, :, 7] = _KEEP[..., 39] = True     # "-."; separator
-_KEEP = _KEEP.reshape(-1, 40).view(np.uint64)
+_KEEP = (_KEEP.reshape(-1, 40) * np.uint8(0xFF)).view(np.uint64)
 
 
 def _g17(X, seps: bytes) -> bytes:
@@ -95,8 +100,8 @@ def _g17(X, seps: bytes) -> bytes:
     row = np.where(fixed, e + 4, np.where(X == 0.0, 20, 21))
     chars = np.stack([_HEAD[d0], _G4[g1], _G4[g2], _G4[g3], _G4[g4]], -1).view(np.uint8)
     chars[..., 39] = np.frombuffer(seps, np.uint8)
-    keep = _KEEP[(row * 18 + s) * 2 + np.signbit(X)].view(bool).ravel()
-    text = np.compress(keep, chars).tobytes()
+    chars &= np.take(_KEEP, (row * 18 + s) * 2 + np.signbit(X), axis=0).view(np.uint8)
+    text = chars.tobytes().translate(None, b"\0")
     rest = [f"{x:.17g}".encode() for x in X[row == 21].tolist()]
     if rest:
         text = b"".join(chain.from_iterable(zip(text.split(b"-."), rest + [b""])))
@@ -108,7 +113,10 @@ def _write_csv_rows(fh, X, seps: bytes, mode: bytes = b"", ends=(b"\n",), which=
     rows, each cell as `_g17` writes it.  In ``seps`` the byte `_MODE` stands
     for ``mode`` and the byte `_END` for row i's ``ends[which[i]]``, or
     ``ends[0]`` when ``ends`` has one entry: one ``replace`` a block, and a
-    split at `_END` only in a block whose rows have different ends."""
+    split at `_END` only in a block whose rows have different ends.  A NUL
+    separator is refused: `_g17` deletes the NUL bytes of its canvas."""
+    if b"\0" in seps:
+        raise ValueError("a CSV separator must not be a NUL byte")
     for a in range(0, len(X), _CSV_BLOCK):
         text = _g17(X[a:a + _CSV_BLOCK], seps).replace(_MODE, mode)
         w = which[a:a + _CSV_BLOCK] if len(ends) > 1 else None

@@ -66,6 +66,7 @@ _MAX_SEGMENTS = 64
 _MAX_WINDOWS = 1_000_000
 _SWEEP_T_STEP = 600.0           # spacing of the default sweep deadline grid
 _MAX_SWEEP_TIMES = 1_000_000    # default grid entries, counted before it is built
+_MAX_SAMPLES = 1_000_000        # sampled runs, counted before their arrays are built
 
 # Samples per propagation block: a power of two, so that the Φ^i table fills
 # by doubling.
@@ -726,10 +727,13 @@ def sample_initial_points(box: Box, count: int) -> np.ndarray:
     """Deterministic initial states: distinct box corners, then Halton points.
 
     The Halton points start at the sequence's second point, as its first is
-    the cube's origin, i.e. the box's ``lo`` corner.
+    the cube's origin, i.e. the box's ``lo`` corner.  A count over
+    ``_MAX_SAMPLES`` is refused before any array is built.
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    if count > _MAX_SAMPLES:
+        raise ValueError(f"{count} samples exceed the limit of {_MAX_SAMPLES}")
     corners = list(dict.fromkeys(product(*zip(box.lo, box.hi))))
     pts = [np.array(c) for c in corners[:count]]
     if len(pts) < count:

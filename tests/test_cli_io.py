@@ -599,6 +599,19 @@ def test_cli_step_whose_one_step_map_overflows_is_config_error(tmp_path, capsys,
                            "step 1e+300 s is too long: the one-step map exp(A h) overflows")
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "falsify"])
+def test_cli_sample_count_past_its_bound_is_config_error(tmp_path, capsys, monkeypatch, cmd):
+    # 10^12 samples: counted, never drawn, so no Halton sampler is built.
+    from scipy.stats import qmc
+
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("a Halton sampler was built")
+
+    monkeypatch.setattr(qmc, "Halton", no_sampler)
+    _assert_one_error_line(tmp_path, capsys, [cmd, "--samples", str(10 ** 12)], QUICK,
+                           "1000000000000 samples exceed the limit of 1000000")
+
+
 def test_cli_sweep_deadline_grid_past_its_bound_is_config_error(tmp_path, capsys):
     # The default grid of a 1e300 s horizon is counted, never built.
     doc = {"step_s": 1e300, "horizon_s": 1e300, "t2_s": 1e300, "t1_s": 0}

@@ -11,19 +11,22 @@ from hypothesis import strategies as st
 from rdvsafe import (
     OrbitalParams,
     Trajectory,
+    cli,
     cwh_matrices,
     design_mode_gains,
     matrix_exp,
     nonlinear_field,
+    numsim,
     simulate_nonlinear,
 )
-from rdvsafe.numsim import _CSV_BLOCK, _g17
+from rdvsafe.numsim import _CSV_BLOCK, _g17, _write_csv_rows
 from rdvsafe.verifier import (
     _mode_index,
     _model_of,
     _simulate_with_ctx,
     default_scenario,
     simulate_scenario,
+    verify,
 )
 
 GEO = OrbitalParams()
@@ -404,3 +407,54 @@ def test_g17_matches_per_value_format_on_integers_and_odd_values():
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_g17_matches_per_value_format_property(values):
     _assert_g17_matches(values, width=5)
+
+
+def test_no_canvas_byte_is_nul():
+    # `_g17` deletes the NUL bytes of its masked canvas, so a NUL that should
+    # print would vanish: no byte of the canvas tables may be one.
+    assert 0 not in numsim._HEAD.view(np.uint8)
+    assert 0 not in numsim._G4.view(np.uint8)
+
+
+def test_no_separator_the_writers_pass_is_nul(tmp_path, monkeypatch):
+    seen = []
+    kernel = numsim._g17
+
+    def recording(X, seps):
+        seen.append(seps)
+        return kernel(X, seps)
+
+    monkeypatch.setattr(numsim, "_g17", recording)
+    for variant in ("lin_prox", "lin_prox_th_explicit"):
+        cli.emit_flowpipe(verify(default_scenario(variant=variant, h=30.0)), tmp_path / "f.csv")
+    for dim in (4, 6):
+        Trajectory(times=np.arange(3.0), states=np.ones((3, dim)),
+                   modes=("prox_a",) * 3).to_csv(tmp_path / "t.csv")
+    cli._emit_sweep_csv([(180.0, 950.0, 600.0)], tmp_path / "s.csv")
+    assert {len(seps) for seps in seen} == {3, 5, 7, 10, 14}
+    assert not [seps for seps in seen if 0 in seps]
+
+
+def test_keep_mask_is_the_bool_table_of_printed_bytes_times_0xff():
+    # The bool table of printed bytes, built by the rules `_KEEP` is built
+    # from; the byte mask must be 0xFF exactly where it is True.
+    E, S, B = numsim._E, numsim._S, numsim._B
+    keep = np.zeros((22, 18, 2, 40), bool)
+    keep[:20] = (((B >= 6) & (B % 2 == 0) & ((B - 6) // 2 < np.maximum(S, E + 1)))
+                 | ((B >= 7) & (B % 2 == 1) & ((B - 6) // 2 == E) & (S - 1 > E))
+                 | ((E < 0) & (B >= 1) & (B <= 1 - E)))[:, :, None]
+    keep[20, :, :, 1] = keep[:21, :, 1, 0] = True
+    keep[21, :, :, 0] = keep[21, :, :, 7] = keep[..., 39] = True
+    assert numsim._KEEP.dtype == np.uint64 and numsim._KEEP.shape == (22 * 18 * 2, 5)
+    got = numsim._KEEP.view(np.uint8).reshape(22, 18, 2, 40)
+    assert np.array_equal(got, keep.astype(np.uint8) * np.uint8(0xFF))
+
+
+@pytest.mark.parametrize("rows", [0, 2 * _CSV_BLOCK + 1])
+def test_write_csv_rows_refuses_a_nul_separator_before_writing(tmp_path, rows):
+    # Checked once per call, so a call with no block refuses it too, and a
+    # call with many blocks writes none of them.
+    path = tmp_path / "nul.csv"
+    with open(path, "wb") as fh, pytest.raises(ValueError, match="NUL"):
+        _write_csv_rows(fh, np.ones((rows, 3)), b",\0\n")
+    assert path.read_bytes() == b""

@@ -335,6 +335,8 @@ def test_sample_points_are_distinct_and_halton_after_the_corners(v_halfwidth, n_
     for count in (0, -3):
         with pytest.raises(ValueError, match="need at least one sample"):
             sample_initial_points(box, count)
+    with pytest.raises(ValueError, match="exceed the limit of 1000000"):
+        sample_initial_points(box, 1_000_001)
 
 
 def test_monte_carlo_containment_zero_violations(quick, quick_report):
