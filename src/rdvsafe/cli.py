@@ -21,10 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .hybrid import GUARD_RADIUS_M, VARIANTS, property_settings
+from .hybrid import GUARD_RADIUS_M, property_settings
 from .lqr import bryson_maxima
 from .numsim import _END, _MODE, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _write_csv_rows
-from .orbital import OrbitalParams
+from .orbital import FieldError, OrbitalParams
 from .starset import Box
 from .verifier import (
     FlowpipeSegment,
@@ -41,6 +41,9 @@ from .verifier import (
 _PLANES = {"xy": (0, 1), "vxvy": (2, 3), "uxuy": (4, 5)}
 _MODE_COLORS = {MODE_PROX_A: "#5b8fd6", MODE_PROX_B: "#58b06a", MODE_PASSIVE: "#9a9a9a"}
 _MAX_ANGLES = 1_000_000     # sweep grid points, counted before the grid is built
+# The file's key of each model field whose name differs.
+_POINTERS = dict(r="r_orbit", t1="t1_s", t2="t2_s", horizon="horizon_s", h="step_s",
+                 window_width="window_width_s", init="init_center", property_overrides="properties")
 
 
 class ScenarioError(ValueError):
@@ -86,54 +89,30 @@ def _checked(val, default, pointer: str):
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a document whose keys override the echo of the default
     scenario, ``scenario_to_dict(Scenario())``; each value must have the type
-    and shape of the echo's, and a key the echo lacks is an error."""
+    and shape of the echo's, and a key the echo lacks is an error.  The model's
+    value rules raise a FieldError, whose field becomes the error's pointer."""
     defaults = scenario_to_dict(Scenario())
     doc = {**defaults, **_checked(doc, defaults, "")}
-    if doc["variant"] not in VARIANTS:
-        raise ScenarioError("/variant",
-                            f"unknown variant {doc['variant']!r}; expected one of {list(VARIANTS)}")
     center, halfwidth = doc["init_center"], doc["init_halfwidth"]
     if len(halfwidth) != len(center):
         raise ScenarioError("/init_halfwidth", f"expected a list of length {len(center)}")
-    for key in ("mu", "r_orbit", "m_c", "step_s", "window_width_s"):
-        if doc[key] <= 0.0:
-            raise ScenarioError(f"/{key}", "must be positive")
     if any(hw < 0.0 for hw in halfwidth):
         raise ScenarioError("/init_halfwidth", "half-widths must be nonnegative")
-    t1, t2, horizon = doc["t1_s"], doc["t2_s"], doc["horizon_s"]
-    if t1 < 0.0 or t1 > t2:
-        raise ScenarioError("/t1_s", "need 0 <= t1 <= t2")
-    if t2 > horizon:
-        raise ScenarioError("/t2_s", "abort window must end by the horizon")
-    if doc["seed"] < 0:
-        raise ScenarioError("/seed", "must be nonnegative")
-    for key, val in doc["properties"].items():
-        try:
-            property_settings({key: val})
-        except ValueError as exc:
-            raise ScenarioError(f"/properties/{key}", str(exc)) from exc
-
     try:
-        params = OrbitalParams(mu=doc["mu"], r=doc["r_orbit"], m_c=doc["m_c"])
+        # Python floats round an overflowing bound to inf without numpy's warning.
+        init = Box(lo=[c - hw for c, hw in zip(center, halfwidth)],
+                   hi=[c + hw for c, hw in zip(center, halfwidth)])
     except ValueError as exc:
-        # mu and m_c are positive, so what is left is the orbit's mean motion.
-        raise ScenarioError("/r_orbit", str(exc)) from exc
-    # Python floats round an overflowing bound to inf without numpy's warning.
-    lo = [c - hw for c, hw in zip(center, halfwidth)]
-    hi = [c + hw for c, hw in zip(center, halfwidth)]
+        raise ScenarioError("/init_center", str(exc)) from exc
     try:
         return Scenario(
-            params=params,
-            variant=doc["variant"],
-            init=Box(lo=lo, hi=hi),
-            t1=t1, t2=t2, horizon=horizon, h=doc["step_s"], window_width=doc["window_width_s"],
-            bryson=doc["bryson"], property_overrides=doc["properties"], seed=doc["seed"],
-        )
-    except ValueError as exc:
-        # Every other rule of Scenario is checked above, so what is left is a
-        # rule of the initial box as a whole: its dimension against the
-        # variant's, or bounds that overflow.  init_center sets its dimension.
-        raise ScenarioError("/init_center", str(exc)) from exc
+            params=OrbitalParams(mu=doc["mu"], r=doc["r_orbit"], m_c=doc["m_c"]),
+            variant=doc["variant"], init=init, t1=doc["t1_s"], t2=doc["t2_s"],
+            horizon=doc["horizon_s"], h=doc["step_s"], window_width=doc["window_width_s"],
+            bryson=doc["bryson"], property_overrides=doc["properties"], seed=doc["seed"])
+    except FieldError as exc:
+        head, sep, rest = exc.field.partition("/")
+        raise ScenarioError(f"/{_POINTERS.get(head, head)}{sep}{rest}", str(exc)) from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .lqr import GainMatrix
 from .numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B
-from .orbital import OrbitalParams, closed_loop_matrix, cwh_matrices
+from .orbital import FieldError, OrbitalParams, closed_loop_matrix, cwh_matrices
 from .starset import Box
 
 VARIANT_LIN = "lin_prox"
@@ -159,15 +159,16 @@ def property_settings(overrides: dict | None = None) -> dict:
     collision box, so passive safety would hold vacuously),
     velocity_limit_mps > 0, thrust_limit_n > 0 and 0 < los_half_angle_deg < 90.
     An unknown key, a value of another type or one out of range is a
-    ValueError naming the key."""
+    FieldError whose field is the key."""
     ov = overrides or {}
     unknown = sorted(set(ov) - set(PROPERTY_DEFAULTS))
     if unknown:
-        raise ValueError(f"unknown property overrides: {unknown}")
+        raise FieldError(unknown[0], f"unknown property overrides: {unknown}")
     for key, val in ov.items():
         default = PROPERTY_DEFAULTS[key]
         if isinstance(val, bool) != isinstance(default, bool) or not isinstance(val, numbers.Real):
-            raise ValueError(f"property {key!r} expects a {type(default).__name__}, got {val!r}")
+            raise FieldError(key, f"property {key!r} expects a {type(default).__name__},"
+                                  f" got {val!r}")
     s = {key: type(val)(ov.get(key, val)) for key, val in PROPERTY_DEFAULTS.items()}
     for key, in_range, rule in (
         ("separation_halfwidth_m", s["separation_halfwidth_m"] >= 0.0, ">= 0"),
@@ -176,7 +177,7 @@ def property_settings(overrides: dict | None = None) -> dict:
         ("los_half_angle_deg", 0.0 < s["los_half_angle_deg"] < 90.0, "in (0, 90)"),
     ):
         if not in_range:
-            raise ValueError(f"property {key!r} must be {rule}, got {s[key]!r}")
+            raise FieldError(key, f"property {key!r} must be {rule}, got {s[key]!r}")
     return s
 
 

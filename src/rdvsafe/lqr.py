@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .orbital import OrbitalParams, cwh_matrices
+from .orbital import FieldError, OrbitalParams, cwh_matrices
 
 # Default Bryson maxima: positions from the mode separation ranges, inputs
 # from the 10 N thrust limit on a 500 kg craft.  Velocity maxima are tuned so
@@ -65,20 +65,23 @@ def bryson_weights(max_state, max_input) -> Weights:
     """Weights with Q_ii = 1/max_state_i^2 and R_ii = 1/max_input_i^2."""
     ms = np.asarray(max_state, dtype=float)
     mi = np.asarray(max_input, dtype=float)
-    if np.any(ms <= 0.0) or np.any(mi <= 0.0):
+    if not (np.all(ms > 0.0) and np.all(mi > 0.0)):      # NaN too
         raise ValueError("Bryson maxima must be strictly positive")
     return Weights(Q=np.diag(1.0 / ms**2), R=np.diag(1.0 / mi**2))
 
 
 def bryson_maxima(bryson: dict | None = None) -> tuple:
     """The three Bryson vectors of a scenario's ``bryson`` settings, defaults
-    filled in: (prox_a max state, prox_b max state, max input)."""
+    filled in: (prox_a max state, prox_b max state, max input).  A maximum
+    that is not strictly positive is a FieldError naming it: ``max_input/0``."""
     br = bryson or {}
-    return (
-        br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE),
-        br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE),
-        br.get("max_input", DEFAULT_MAX_INPUT),
-    )
+    maxima = {"prox_a/max_state": br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE),
+              "prox_b/max_state": br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE),
+              "max_input": br.get("max_input", DEFAULT_MAX_INPUT)}
+    bad = [f"{name}/{i}" for name, vec in maxima.items() for i, v in enumerate(vec) if not v > 0.0]
+    if bad:
+        raise FieldError(bad[0], "Bryson maxima must be strictly positive")
+    return tuple(maxima.values())
 
 
 def care_residual(A, B, weights: Weights, P) -> float:

@@ -25,6 +25,17 @@ R_ORBIT_DEFAULT = 42164e3
 CHASER_MASS_DEFAULT = 500.0
 
 
+class FieldError(ValueError):
+    """A broken value rule; ``field`` names the attribute, or is "a/b" for entry b of a."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(field, message)
+        self.field = field
+
+    def __str__(self) -> str:
+        return self.args[1]
+
+
 @dataclass(frozen=True)
 class OrbitalParams:
     """Orbital constants of the scenario.
@@ -47,20 +58,18 @@ class OrbitalParams:
     n: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError(f"gravitational parameter must be positive, got {self.mu}")
-        if not (self.r > 0.0):
-            raise ValueError(f"orbit radius must be positive, got {self.r}")
-        if not (self.m_c > 0.0):
-            raise ValueError(f"chaser mass must be positive, got {self.m_c}")
+        for name, what in (("mu", "gravitational parameter"), ("r", "orbit radius"),
+                           ("m_c", "chaser mass")):
+            if not getattr(self, name) > 0.0:
+                raise FieldError(name, f"{what} must be positive, got {getattr(self, name)}")
         try:
             n = float(np.sqrt(self.mu / self.r**3))
         except (OverflowError, ZeroDivisionError):
             # r**3 past the largest float, or rounded to 0.0.
             n = math.nan
         if not 0.0 < n < math.inf:
-            raise ValueError(f"mean motion sqrt(mu / r^3) must be finite and positive, "
-                             f"got mu = {self.mu}, r = {self.r}")
+            raise FieldError("r", f"mean motion sqrt(mu / r^3) must be finite and positive, "
+                                  f"got mu = {self.mu}, r = {self.r}")
         object.__setattr__(self, "n", n)
 
 

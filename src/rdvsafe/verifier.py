@@ -51,7 +51,7 @@ from .numsim import (
     simulate_nonlinear,
     steps_within,
 )
-from .orbital import OrbitalParams
+from .orbital import FieldError, OrbitalParams
 from .starset import Box, clip_box_to_halfspaces, hull_boxes, supports
 
 DEFAULT_INIT_CENTER = (-900.0, -400.0, 0.0, 0.0)
@@ -64,6 +64,7 @@ DEFAULT_WINDOW_WIDTH_S = 300.0
 
 _MAX_SEGMENTS = 64
 _MAX_WINDOWS = 1_000_000
+_MAX_STEPS = 1_000_000          # steps horizon / h, compared without the floor
 _SWEEP_T_STEP = 600.0           # spacing of the default sweep deadline grid
 _MAX_SWEEP_TIMES = 1_000_000    # default grid entries, counted before it is built
 _MAX_SAMPLES = 1_000_000        # sampled runs, counted before their arrays are built
@@ -85,7 +86,8 @@ class InconclusiveError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full configuration of one verification run."""
+    """Full configuration of one verification run.  A value that breaks a rule,
+    its own or property_settings' or bryson_maxima's, is a FieldError naming it."""
 
     params: OrbitalParams = OrbitalParams()
     variant: str = VARIANT_LIN
@@ -104,27 +106,32 @@ class Scenario:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not all(math.isfinite(t) for t in (self.t1, self.t2, self.horizon, self.h)):
-            raise ValueError(
-                f"times must be finite, got t1={self.t1}, t2={self.t2},"
-                f" horizon={self.horizon}, h={self.h}"
-            )
-        if not (0.0 <= self.t1 <= self.t2 <= self.horizon):
-            raise ValueError(
-                f"need 0 <= t1 <= t2 <= horizon, got t1={self.t1}, t2={self.t2},"
-                f" horizon={self.horizon}"
-            )
-        if not (self.h > 0.0):
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if not (self.window_width > 0.0):
-            raise ValueError(f"window width must be positive, got {self.window_width}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("variant", f"unknown variant {self.variant!r};"
+                                        f" expected one of {list(VARIANTS)}")
+        for name in ("t1", "t2", "horizon", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise FieldError(name, f"times must be finite, got {name}={getattr(self, name)}")
+        for name, ok, rule in (
+            ("t1", 0.0 <= self.t1 <= self.t2, f"need 0 <= t1 <= t2 = {self.t2}"),
+            ("t2", self.t2 <= self.horizon, f"abort window must end by the horizon {self.horizon}"),
+            ("h", self.h > 0.0, "step size must be positive"),
+            ("window_width", self.window_width > 0.0, "window width must be positive"),
+            ("seed", self.seed >= 0, "seed must be nonnegative"),
+        ):
+            if not ok:
+                raise FieldError(name, f"{rule}, got {name}={getattr(self, name)}")
+        if self.horizon / self.h > _MAX_STEPS:
+            raise FieldError("h", f"horizon / h = {self.horizon / self.h:g} steps exceed the"
+                                  f" limit of {_MAX_STEPS}")
         dims = sorted({4, VARIANT_DIMS[self.variant]})
         if self.init.dim not in dims:
-            raise ValueError(f"initial box dim {self.init.dim} incompatible with variant"
-                             f" {self.variant}, which takes {' or '.join(map(str, dims))}")
+            raise FieldError("init", f"initial box dim {self.init.dim} incompatible with variant"
+                                     f" {self.variant}, which takes {' or '.join(map(str, dims))}")
+        for name, rules in (("property_overrides", property_settings), ("bryson", bryson_maxima)):
+            try:
+                rules(getattr(self, name))
+            except FieldError as exc:
+                raise FieldError(f"{name}/{exc.field}", str(exc)) from exc
 
 
 @dataclass

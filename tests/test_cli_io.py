@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import rdvsafe
-from rdvsafe import Scenario, cli, default_scenario, falsify, verifier, verify
+from rdvsafe import Box, OrbitalParams, Scenario, cli, default_scenario, falsify, verifier, verify
 from rdvsafe.cli import (
     ScenarioError,
     cli_main,
@@ -27,6 +28,7 @@ from rdvsafe.cli import (
 )
 from rdvsafe.hybrid import PROPERTY_DEFAULTS
 from rdvsafe.numsim import _CSV_BLOCK
+from rdvsafe.orbital import FieldError
 
 QUICK = {"step_s": 30.0}  # coarse step keeps CLI runs fast
 HEADER_4D = "step,time_s,mode,lo_1,lo_2,lo_3,lo_4,hi_1,hi_2,hi_3,hi_4,flags\n"
@@ -89,6 +91,10 @@ def test_empty_document_yields_default_scenario(tmp_path):
      "/init_center"),
     ({"r_orbit": 1e200}, "/r_orbit"),
     ({"init_center": [1e308, 0, 0, 0], "init_halfwidth": [1e308, 0, 0, 0]}, "/init_center"),
+    ({"bryson": {"max_input": [0.0, 1.0]}}, "/bryson/max_input/0"),
+    ({"bryson": {"prox_b": {"max_state": [100.0, 100.0, 0.025, -0.025]}}},
+     "/bryson/prox_b/max_state/3"),
+    ({"step_s": 1e-9}, "/step_s"),
 ])
 def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     with pytest.raises(ScenarioError) as err:
@@ -112,6 +118,43 @@ def test_a_null_at_any_echo_path_is_refused_there(path):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.pointer == "/" + path
+
+
+def _broken(params=None, **overrides):
+    return default_scenario(params=OrbitalParams(**(params or {})), **overrides)
+
+
+# One bad value per rule of Scenario and OrbitalParams, and the field it names.
+@pytest.mark.parametrize("overrides,field", [
+    ({"variant": "bogus"}, "variant"),
+    ({"t1": math.nan}, "t1"),
+    ({"t2": math.inf}, "t2"),
+    ({"horizon": math.nan}, "horizon"),
+    ({"h": math.inf}, "h"),
+    ({"t1": -1.0}, "t1"),
+    ({"horizon": 7000.0}, "t2"),
+    ({"h": 0.0}, "h"),
+    ({"h": 1e-9}, "h"),
+    ({"window_width": 0.0}, "window_width"),
+    ({"seed": -1}, "seed"),
+    ({"init": Box(lo=np.zeros(6), hi=np.ones(6))}, "init"),
+    ({"property_overrides": {"los_half_angle_deg": 90.0}}, "property_overrides/los_half_angle_deg"),
+    ({"bryson": {"prox_a": {"max_state": [1.0, 0.0, 1.0, 1.0]}}}, "bryson/prox_a/max_state/1"),
+    ({"bryson": {"prox_b": {"max_state": [1.0, 1.0, 1.0, 0.0]}}}, "bryson/prox_b/max_state/3"),
+    ({"bryson": {"max_input": [1.0, -1.0]}}, "bryson/max_input/1"),
+    ({"params": {"mu": 0.0}}, "mu"),
+    ({"params": {"r": -1.0}}, "r"),
+    ({"params": {"m_c": 0.0}}, "m_c"),
+    ({"params": {"r": 1e200}}, "r"),
+])
+def test_every_field_a_rule_names_is_a_path_of_the_echo(overrides, field):
+    with pytest.raises(FieldError) as err:
+        _broken(**overrides)
+    assert err.value.field == field
+    head, _, rest = field.partition("/")
+    node = scenario_to_dict(Scenario())
+    for key in [cli._POINTERS.get(head, head), *filter(None, rest.split("/"))]:
+        node = node[int(key)] if isinstance(node, list) else node[key]     # else KeyError
 
 
 def test_scenario_roundtrip_is_canonical_and_exact(tmp_path):
@@ -588,6 +631,14 @@ def test_cli_scenario_without_a_controller_is_config_error(tmp_path, capsys, cmd
 ], ids=["huge_orbit", "huge_box"])
 def test_cli_scenario_past_the_float_range_is_config_error(tmp_path, capsys, cmd, doc, message):
     _assert_one_error_line(tmp_path, capsys, cmd, doc, message)
+
+
+@pytest.mark.parametrize("cmd", _EVERY_SCENARIO_COMMAND)
+def test_cli_step_count_past_its_bound_is_config_error(tmp_path, capsys, cmd):
+    # 1.62e13 steps: refused when the scenario is read, before any array of
+    # them is allocated.
+    _assert_one_error_line(tmp_path, capsys, cmd, {"step_s": 1e-9},
+                           "/step_s: horizon / h = 1.62e+13 steps exceed the limit of 1000000")
 
 
 @pytest.mark.parametrize("cmd", [["verify"], ["verify", "--window", "1e300"], ["simulate"],

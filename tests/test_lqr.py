@@ -20,9 +20,10 @@ def test_bryson_unit_and_decade():
     assert w10.Q[0, 0] == pytest.approx(0.01, rel=1e-15)
 
 
-@pytest.mark.parametrize("ms,mi", [((0, 1, 1, 1), (1, 1)), ((1, 1, 1, 1), (-2, 1))])
+@pytest.mark.parametrize("ms,mi", [((0, 1, 1, 1), (1, 1)), ((1, 1, 1, 1), (-2, 1)),
+                                   ((float("nan"), 1, 1, 1), (1, 1))])
 def test_bryson_rejects_nonpositive(ms, mi):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Bryson maxima must be strictly positive"):
         bryson_weights(ms, mi)
 
 

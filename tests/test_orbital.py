@@ -1,5 +1,6 @@
 """Dynamics model tests: mean motion, CWH matrices, nonlinear field, closed loop."""
 
+import pickle
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from rdvsafe import (
     cwh_matrices,
     nonlinear_field,
 )
+from rdvsafe.orbital import FieldError
 
 GEO = OrbitalParams()  # mu=3.698e14, r=4.2164e7, m_c=500
 
@@ -37,6 +39,13 @@ def test_mean_motion_unit_cases():
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         OrbitalParams(**bad)
+
+
+def test_field_error_reads_as_its_message_and_pickles():
+    # A sweep worker's error reaches the parent process pickled.
+    err = pickle.loads(pickle.dumps(FieldError("bryson/max_input/0", "must be positive")))
+    assert isinstance(err, ValueError)
+    assert (err.field, str(err)) == ("bryson/max_input/0", "must be positive")
 
 
 def test_cwh_matrix_entries():

@@ -33,7 +33,8 @@ from rdvsafe import (
 )
 from rdvsafe.hybrid import PROPERTY_DEFAULTS, SafetyProperty
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
-from rdvsafe.verifier import sample_initial_points, simulate_scenario
+from rdvsafe.orbital import FieldError
+from rdvsafe.verifier import Scenario, sample_initial_points, simulate_scenario
 
 # Close-range starts that leave and re-enter the guard octagon.  The 2 m/s
 # velocity maxima let the controller tolerate the outward speed long enough
@@ -122,6 +123,30 @@ def test_scenario_validation():
                       {"h": math.inf}, {"h": math.nan}]:
         with pytest.raises(ValueError, match="must be finite"):
             default_scenario(**overrides)
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"property_overrides": {"bogus": 1}}, "property_overrides/bogus"),
+    ({"property_overrides": {"thrust_limit_n": True}}, "property_overrides/thrust_limit_n"),
+    ({"bryson": {"max_input": [0.0, 1.0]}}, "bryson/max_input/0"),
+    ({"bryson": {"prox_a": {"max_state": [1.0, 1.0, 1.0, math.nan]}}},
+     "bryson/prox_a/max_state/3"),
+], ids=["unknown_property", "bool_thrust_limit", "zero_max_input", "nan_max_state"])
+def test_scenario_refuses_a_bad_mapping_entry_when_built(overrides, field):
+    # Refused by the constructor, not at the first verify.
+    with pytest.raises(FieldError) as err:
+        Scenario(**overrides)
+    assert err.value.field == field
+
+
+def test_step_count_past_its_bound_is_refused_without_the_floor(monkeypatch):
+    # The default mission takes 16,200 steps of 1 s; 16200 / 0.99999 floors to
+    # 16,200 but is above it.
+    monkeypatch.setattr(verifier, "_MAX_STEPS", 16200)
+    assert default_scenario().h == 1.0
+    with pytest.raises(FieldError, match="steps exceed the limit of 16200") as err:
+        default_scenario(h=0.99999)
+    assert err.value.field == "h"
 
 
 def test_default_mission_is_safe_with_expected_pipes(quick_report):
@@ -428,9 +453,10 @@ def test_sweep_bounds_its_default_grid_before_any_angle_runs(monkeypatch, quick)
         raise _AngleRan
 
     monkeypatch.setattr(verifier, "_rendezvous_pipes", angle_ran)
-    # 1e9 s holds ~1.7e6 deadlines 600 s apart (harmless if the grid were built).
+    # 1e9 s holds ~1.7e6 deadlines 600 s apart (harmless if the grid were built),
+    # and 1e6 steps of 1000 s, the most a scenario may take.
     with pytest.raises(ValueError, match="horizon 1000000000.0 s needs over 1000000 deadlines"):
-        sweep_passive_time(replace(quick, horizon=1e9), [180.0], 950.0)
+        sweep_passive_time(replace(quick, horizon=1e9, h=1000.0), [180.0], 950.0)
     # The bound is on the grid's length: at it the angles run, past it none does.
     monkeypatch.setattr(verifier, "_MAX_SWEEP_TIMES", 2)
     with pytest.raises(_AngleRan):
