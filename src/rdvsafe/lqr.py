@@ -7,11 +7,9 @@ Bryson's rule from per-mode maximum desired state and input magnitudes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .orbital import FieldError, OrbitalParams, cwh_matrices
 
@@ -94,10 +92,15 @@ def care_residual(A, B, weights: Weights, P) -> float:
 def solve_care(A, B, weights: Weights) -> GainMatrix:
     """Solve the continuous algebraic Riccati equation for (A, B, Q, R).
 
-    Uses the Hamiltonian stable-invariant-subspace method (ordered real Schur
-    decomposition), followed by Newton-Kleinman refinement when the residual
-    exceeds 1e-8 * ||Q||_F.  Returns the gain K = R^-1 B' P together with its
-    certificate P.
+    The first P spans the stable invariant subspace of the Hamiltonian,
+    taken from its eigenvectors: P = Z21 Z11^-1 for the n eigenvectors of
+    eigenvalues in the open left half-plane (J. E. Potter, "Matrix quadratic
+    solutions", SIAM J. Appl. Math. 14(3), 1966).  While the residual exceeds
+    1e-8 * ||Q||_F, Newton-Kleinman steps refine it (D. L. Kleinman, "On an
+    iterative technique for Riccati equation computations", IEEE TAC 13(1),
+    1968): each solves the Lyapunov equation Acl' P + P Acl = -(Q + K' R K)
+    of the current gain as one linear system in the n^2 entries of P.
+    Returns the gain K = R^-1 B' P together with its certificate P.
 
     Raises
     ------
@@ -114,33 +117,37 @@ def solve_care(A, B, weights: Weights) -> GainMatrix:
         [A, -B @ RinvBt],
         [-weights.Q, -A.T],
     ])
-    _, Z, sdim = linalg.schur(H, output="real", sort="lhp")
-    if sdim != n:
-        raise ValueError("Hamiltonian has no n-dimensional stable subspace; pair not stabilizable")
-    Z11 = Z[:n, :n]
-    Z21 = Z[n:, :n]
-    try:
-        P = np.linalg.solve(Z11.T, Z21.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("stable subspace is not a Riccati graph; pair not stabilizable") from exc
-    P = 0.5 * (P + P.T)
+    eye = np.eye(n)
+    with np.errstate(all="ignore"):
+        lam, Z = np.linalg.eig(H)
+        stable = lam.real < 0.0
+        if np.count_nonzero(stable) != n:
+            raise ValueError("Hamiltonian has no n-dimensional stable subspace; pair not stabilizable")
+        Z = Z[:, stable]
+        try:
+            P = np.linalg.solve(Z[:n].T, Z[n:].T).T.real
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("stable subspace is not a Riccati graph; pair not stabilizable") from exc
+        P = 0.5 * (P + P.T)
 
-    tol = _CARE_TOL_FACTOR * float(np.linalg.norm(weights.Q, "fro"))
-    for _ in range(_NEWTON_MAX_ITER):
-        if care_residual(A, B, weights, P) <= tol:
-            break
-        # Newton-Kleinman step: Lyapunov solve around the current gain.  A
-        # near-singular step only warns in scipy; the checks below decide.
-        K = RinvBt @ P
-        Acl = A - B @ K
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            P_new = linalg.solve_continuous_lyapunov(Acl.T, -(weights.Q + K.T @ weights.R @ K))
-        P = 0.5 * (P_new + P_new.T)
-    else:
-        raise ValueError(
-            f"CARE residual {care_residual(A, B, weights, P):.3e} above tolerance {tol:.3e}"
-        )
+        tol = _CARE_TOL_FACTOR * float(np.linalg.norm(weights.Q, "fro"))
+        for _ in range(_NEWTON_MAX_ITER):
+            if care_residual(A, B, weights, P) <= tol:
+                break
+            # Newton-Kleinman step.  A singular one ends the refinement; a
+            # near-singular one is left to the residual and the checks below.
+            K = RinvBt @ P
+            Acl = A - B @ K
+            lyap = np.kron(Acl.T, eye) + np.kron(eye, Acl.T)
+            try:
+                P_new = np.linalg.solve(lyap, -(weights.Q + K.T @ weights.R @ K).ravel())
+            except np.linalg.LinAlgError:
+                break
+            P_new = P_new.reshape(n, n)
+            P = 0.5 * (P_new + P_new.T)
+        residual = care_residual(A, B, weights, P)
+    if not residual <= tol:     # NaN too
+        raise ValueError(f"CARE residual {residual:.3e} above tolerance {tol:.3e}")
 
     K = RinvBt @ P
     eigs = np.linalg.eigvals(A - B @ K)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy import linalg
 
 from .orbital import OrbitalParams
 
@@ -162,12 +161,42 @@ class Trajectory:
                             b"," * dim + _END, ends=ends, which=which)
 
 
+# The [13/13] Pade coefficients b_0..b_13 and theta_13 of Higham (2005), Table 2.3.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
 def matrix_exp(M) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants."""
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant: N. J. Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Alg. 2.3
+    at degree 13.  M is halved s times, s the least with ||M||_1 / 2^s <=
+    theta_13, by ``np.ldexp``, which is exact and holds for s past 1023.
+    Non-finite input is a ValueError, a non-finite result an OverflowError."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise ValueError("matrix must be finite")
-    out = linalg.expm(M)
+    n = M.shape[0]
+    with np.errstate(all="ignore"):
+        # The 1-norm of M / 2^e, with 2^e > n so that no column sum overflows.
+        e = n.bit_length()
+        norm = float(np.abs(np.ldexp(M, -e)).sum(axis=0).max())
+        s = max(0, math.ceil(math.log2(norm / _THETA13)) + e) if norm > 0.0 else 0
+        A = np.ldexp(M, -s)
+        b = _PADE13
+        eye = np.eye(n)
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        out = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            out = out @ out
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed")
     return out

@@ -744,13 +744,31 @@ def sample_initial_points(box: Box, count: int) -> np.ndarray:
     corners = list(dict.fromkeys(product(*zip(box.lo, box.hi))))
     pts = [np.array(c) for c in corners[:count]]
     if len(pts) < count:
-        # Imported here: scipy.stats more than doubles the package's import time.
-        from scipy.stats import qmc
-        sampler = qmc.Halton(d=box.dim, scramble=False)
-        sampler.fast_forward(1)
-        extra = sampler.random(count - len(pts))
-        pts.extend(box.lo + extra * (box.hi - box.lo))
+        pts.extend(box.lo + _halton(box.dim, count - len(pts)) * (box.hi - box.lo))
     return np.array(pts)
+
+
+def _halton(d: int, count: int) -> np.ndarray:
+    """Points 1 .. count of the unscrambled Halton sequence in d dimensions,
+    point 0 being the origin: in dimension j the radical inverse of the index
+    in the j-th prime, its digits added from the lowest as scipy's
+    ``qmc.Halton(d, scramble=False)`` adds them, so the points are its bit for
+    bit."""
+    bases: list[int] = []
+    p = 2
+    while len(bases) < d:
+        if all(p % b for b in bases):
+            bases.append(p)
+        p += 1
+    out = np.zeros((count, d))
+    for j, base in enumerate(bases):
+        q = np.arange(1, count + 1)
+        b2r = 1.0 / base
+        while q.any():
+            q, r = np.divmod(q, base)
+            out[:, j] += r * b2r
+            b2r /= base
+    return out
 
 
 def sample_runs(sc: Scenario, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -507,28 +507,35 @@ def test_cli_sample_count_below_one_is_usage_error(tmp_path, capsys, count):
         assert not out.exists()
 
 
-def test_cold_import_leaves_scipy_stats_unloaded(tmp_path):
-    # A one-shot verify never samples, so it must not pay for scipy.stats;
-    # the first draw past the box corners loads it.
+def test_the_cli_runs_with_every_scipy_import_refused(tmp_path):
+    # A finder first on sys.meta_path refuses every scipy module, as if only
+    # numpy were installed: verify, and falsify and simulate past the box
+    # corners into the Halton points, all run and exit normally.
     src = str(Path(rdvsafe.__file__).resolve().parents[1])
     scenario = str(Path(__file__).resolve().parents[1] / "scenarios" / "default.json")
     script = f"""
 import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{{name}} refused")
+
+sys.meta_path.insert(0, NoScipy())
 import rdvsafe, rdvsafe.cli
-loaded = ["scipy.stats" in sys.modules]
-assert rdvsafe.cli.cli_main(["verify", {scenario!r}, "--out", {str(tmp_path / "out")!r}]) == 0
-loaded.append("scipy.stats" in sys.modules)
-box = rdvsafe.default_scenario().init
-rdvsafe.verifier.sample_initial_points(rdvsafe.Box(lo=box.lo[:4], hi=box.hi[:4]), 20)
-loaded.append("scipy.stats" in sys.modules)
-print(loaded)
+for cmd in (["verify"], ["falsify", "--samples", "20"], ["simulate", "--samples", "20"]):
+    out = {str(tmp_path)!r} + "/" + cmd[0]
+    print("@", cmd[0], rdvsafe.cli.cli_main([cmd[0], {scenario!r}, *cmd[1:], "--out", out]))
+print("@", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("@ ")]
+    assert lines == ["@ verify 0", "@ falsify 0", "@ simulate 0", "@ []"], proc.stderr
+    assert len(list((tmp_path / "simulate").glob("trajectory_*.csv"))) == 20
 
 
 def test_abort_window_without_sample_is_rejected(tmp_path):
@@ -652,13 +659,11 @@ def test_cli_step_whose_one_step_map_overflows_is_config_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("cmd", ["simulate", "falsify"])
 def test_cli_sample_count_past_its_bound_is_config_error(tmp_path, capsys, monkeypatch, cmd):
-    # 10^12 samples: counted, never drawn, so no Halton sampler is built.
-    from scipy.stats import qmc
-
+    # 10^12 samples: counted, never drawn, so no Halton point is made.
     def no_sampler(*args, **kwargs):
-        raise AssertionError("a Halton sampler was built")
+        raise AssertionError("Halton points were made")
 
-    monkeypatch.setattr(qmc, "Halton", no_sampler)
+    monkeypatch.setattr(verifier, "_halton", no_sampler)
     _assert_one_error_line(tmp_path, capsys, [cmd, "--samples", str(10 ** 12)], QUICK,
                            "1000000000000 samples exceed the limit of 1000000")
 

@@ -1,10 +1,18 @@
 """Controller design tests: Bryson weights, CARE solve, per-mode gains."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from rdvsafe import OrbitalParams, bryson_weights, cwh_matrices, design_mode_gains, solve_care
-from rdvsafe.lqr import DEFAULT_MAX_INPUT, PROXA_MAX_STATE, Weights, care_residual
+from rdvsafe.lqr import (
+    DEFAULT_MAX_INPUT,
+    PROXA_MAX_STATE,
+    PROXB_MAX_STATE,
+    Weights,
+    care_residual,
+)
 
 
 def test_bryson_far_mode_reference_values():
@@ -63,8 +71,38 @@ def test_care_rejects_unstabilizable_pair():
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
     B = np.array([[0.0], [1.0]])
     w = Weights(Q=np.eye(2), R=np.array([[1.0]]))
-    with pytest.raises((ValueError, RuntimeError)):
-        solve_care(A, B, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            solve_care(A, B, w)
+
+
+def test_care_on_a_one_metre_orbit_is_a_value_error_with_no_warning():
+    # The mean motion is ~2e7 rad/s: no gain meets the residual tolerance.
+    params = OrbitalParams(r=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="CARE residual"):
+            design_mode_gains(params)
+
+
+# The prox_a and prox_b Bryson max states of the bounce workload's scenarios.
+_BOUNCE_MAXIMA = ((1000.0, 1000.0, 2.0, 2.0), (100.0, 100.0, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("maxima", [(PROXA_MAX_STATE, PROXB_MAX_STATE), _BOUNCE_MAXIMA],
+                         ids=["default", "bounce"])
+def test_care_gain_matches_scipy(maxima):
+    from scipy.linalg import solve_continuous_are
+    params = OrbitalParams()
+    model = cwh_matrices(params)
+    B_acc = params.m_c * model.B
+    for max_state in maxima:
+        w = bryson_weights(max_state, DEFAULT_MAX_INPUT)
+        P = solve_continuous_are(model.A, B_acc, w.Q, w.R)
+        want = np.linalg.solve(w.R, B_acc.T @ P)
+        got = solve_care(model.A, B_acc, w).K
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_gain_consistency_and_certificate():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rdvsafe import (
     numsim,
     simulate_nonlinear,
 )
+from rdvsafe.hybrid import VARIANT_EXPLICIT, VARIANT_LIN, VARIANT_TRACKING, build_rendezvous_automaton
 from rdvsafe.numsim import _CSV_BLOCK, _g17, _write_csv_rows
 from rdvsafe.verifier import (
     _mode_index,
@@ -53,6 +55,47 @@ def test_matrix_exp_zero_and_diagonal():
 def test_matrix_exp_nilpotent_terminates_exactly():
     out = matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(out, [[1.0, 1.0], [0.0, 1.0]], rtol=0, atol=1e-15)
+
+
+# The prox_a and prox_b Bryson max states of the bounce workload's scenarios.
+_BOUNCE_MAXIMA = ((1000.0, 1000.0, 2.0, 2.0), (100.0, 100.0, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("maxima", [(), _BOUNCE_MAXIMA], ids=["default", "bounce"])
+@pytest.mark.parametrize("variant", [VARIANT_LIN, VARIANT_TRACKING, VARIANT_EXPLICIT])
+def test_matrix_exp_matches_scipy_on_every_mode_flow(variant, maxima):
+    # scipy's expm is the oracle.  The tracking prox_b flow, ||A||_2 ~ 320,
+    # is halved 11 times at h = 30 s.
+    from scipy.linalg import expm
+    aut = build_rendezvous_automaton(GEO, design_mode_gains(GEO, *maxima), variant)
+    for flow in aut.flows.values():
+        for h in (1.0, 10.0, 30.0):
+            want = expm(flow * h)
+            assert np.linalg.norm(matrix_exp(flow * h) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_matrix_exp_halves_a_norm_past_the_float_range():
+    # ||M||_1 = 9c is past the largest float and takes 1024 halvings.  M's
+    # eigenvalues are -c and -9c, so exp(M) is zero in double precision.
+    # (scipy's expm returns NaN here.)
+    c = 8e307
+    M = -c * (np.eye(8) + np.ones((8, 8)))
+    assert math.isinf(9 * c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(matrix_exp(M), np.zeros((8, 8)))
+
+
+def test_matrix_exp_overflow_and_non_finite_input_raise_with_no_warning():
+    A = cwh_matrices(GEO).A
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (A * 1e300, np.diag([1e3, -1.0])):
+            with pytest.raises(OverflowError, match="matrix exponential overflowed"):
+                matrix_exp(M)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                matrix_exp(np.diag([bad, 0.0]))
 
 
 def test_propagator_identity_and_scalar_decay():

@@ -34,7 +34,7 @@ from rdvsafe import (
 from rdvsafe.hybrid import PROPERTY_DEFAULTS, SafetyProperty
 from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
 from rdvsafe.orbital import FieldError
-from rdvsafe.verifier import Scenario, sample_initial_points, simulate_scenario
+from rdvsafe.verifier import Scenario, _halton, sample_initial_points, simulate_scenario
 
 # Close-range starts that leave and re-enter the guard octagon.  The 2 m/s
 # velocity maxima let the controller tolerate the outward speed long enough
@@ -341,6 +341,14 @@ def test_sample_points_corners_first():
                           (-875.0, -425.0, 0.0, 0.0), (-875.0, -375.0, 0.0, 0.0)}
     for p in pts[4:]:
         assert np.all(p >= box.lo) and np.all(p <= box.hi)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_halton_points_are_scipys_bit_for_bit(d):
+    from scipy.stats import qmc
+    sampler = qmc.Halton(d=d, scramble=False)
+    sampler.fast_forward(1)
+    assert np.array_equal(_halton(d, 20_000), sampler.random(20_000))
 
 
 @pytest.mark.parametrize("v_halfwidth, n_corners", [(1.0, 16), (0.0, 4)])
