@@ -166,6 +166,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+_SPARE_HALVINGS = 16    # the mode flows take at most 12 spare up to h = 1e5 s
 
 
 def matrix_exp(M) -> np.ndarray:
@@ -173,7 +174,10 @@ def matrix_exp(M) -> np.ndarray:
     approximant: N. J. Higham, "The scaling and squaring method for the matrix
     exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Alg. 2.3
     at degree 13.  M is halved s times, s the least with ||M||_1 / 2^s <=
-    theta_13, by ``np.ldexp``, which is exact and holds for s past 1023.
+    theta_13, by ``np.ldexp``, which is exact and holds for s past 1023, but
+    at most ``_SPARE_HALVINGS`` past those eta = max(||M^k||_1^(1/k), k = 8,
+    10) asks for (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3),
+    2009): each squaring costs a bit, and exp([[0, 1e30], [0, 0]]) read 0.
     Non-finite input is a ValueError, a non-finite result an OverflowError."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
@@ -184,12 +188,20 @@ def matrix_exp(M) -> np.ndarray:
         e = n.bit_length()
         norm = float(np.abs(np.ldexp(M, -e)).sum(axis=0).max())
         s = max(0, math.ceil(math.log2(norm / _THETA13)) + e) if norm > 0.0 else 0
-        A = np.ldexp(M, -s)
+        while True:
+            A = np.ldexp(M, -s)
+            A2 = A @ A
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            # eta of A = M / 2^s, 2^-s that of M.
+            eta = max(np.abs(A4 @ A4).sum(axis=0).max() ** 0.125,
+                      np.abs(A4 @ A6).sum(axis=0).max() ** 0.1)
+            fewer = max(0, s + math.ceil(math.log2(eta / _THETA13))) if eta > 0.0 else 0
+            if s - fewer <= _SPARE_HALVINGS:
+                break
+            s = fewer
         b = _PADE13
         eye = np.eye(n)
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
         U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
                  + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
         V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)

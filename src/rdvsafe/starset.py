@@ -53,8 +53,7 @@ def supports(C, V, L) -> np.ndarray:
 
     C is (m, d) and V (m, d, n), or None for the points C.  The generator
     term is one 2-D product whose columns run generator-major, so the sum
-    over generators adds contiguous rows of length m, in generator order, as
-    the block kernel ``verifier._block`` sums its own supports.
+    over generators adds contiguous rows of length m, in generator order.
     """
     vals = C @ L.T
     if V is None:

@@ -1,9 +1,11 @@
 """End-to-end reachability verification of the rendezvous mission.
 
 The reach computation is discrete-time at the sample instants: within a mode
-the star set is advanced by the exact one-step matrix exponential, so the
-sets are exact images of the initial box there.  Over-approximation enters
-only where sets are aggregated: when the urgent guard is crossed, the boxes
+every pipe starts from a box c +/- w, and its set at step k is the exact
+image Φ^k c + Φ^k diag(w) [-1, 1]^n, Φ the one-step matrix exponential.  A
+block of steps reads one table of the rows of Φ^k that every pipe stepped
+in that block shares (:func:`_block`).  Over-approximation enters only
+where sets are aggregated: when the urgent guard is crossed, the boxes
 collected while the set straddles the octagon are hulled and restarted as a
 fresh box in the destination mode, and the passive coast starts from the hull
 of every rendezvous box whose time range meets the abort window.
@@ -22,7 +24,6 @@ import functools
 import math
 import time
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby, product
 from types import MappingProxyType
@@ -217,8 +218,9 @@ class _ModeChecker:
         self.floors = np.where(self.strict, above, self.offsets)[:, None]
 
     def check(self, vals) -> np.ndarray:
-        """The (m, len(names)) hits of m sets from their supports vals in ``normals``."""
-        return np.logical_and.reduce((vals.T >= self.floors)[self.rows], axis=1).T
+        """The (..., m, len(names)) hits of m sets from their (..., m, rows) supports vals."""
+        met = np.swapaxes(vals, -1, -2) >= self.floors
+        return np.swapaxes(np.logical_and.reduce(met[..., self.rows, :], axis=-2), -1, -2)
 
 
 def _power_table(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,18 +235,15 @@ def _power_table(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, P[-1] @ phi
 
 
-def _direction_table(aut: HybridAutomaton, checker: _ModeChecker,
-                     mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows L of the supports that one block of mode needs, and the row
-    of L for each row of mode's checker: [I; -I] for the box, the checker's
-    rows not among these or the guard normals G, and G last (prox modes
-    only).  The collision box and the thrust limits read box rows."""
-    eye, rows = np.eye(aut.dim), checker.normals
+def _direction_table(aut: HybridAutomaton, checker: _ModeChecker, mode: str,
+                     P: np.ndarray) -> np.ndarray:
+    """The table :func:`_block` builds mode's blocks from, as columns: the rows
+    of Φ^i = P[i], i < _BLOCK, in (i, row) order, then those of X Φ^i in
+    (row, i) order, X the rows a block needs besides the box's: mode's
+    checker rows, then the guard normals (prox modes only)."""
     G = aut.guard_normals[:0 if mode == MODE_PASSIVE else None]
-    base = np.vstack([eye, -eye, G])
-    L = np.vstack([eye, -eye, rows[~(rows[:, None] == base).all(axis=2).any(axis=1)], G])
-    # Each checker row reads the first row of L equal to it.
-    return L, (L[:, None] == rows).all(axis=2).argmax(axis=0)
+    X = np.vstack([checker.normals, G])
+    return np.hstack([P.reshape(-1, aut.dim).T, (X @ P).swapaxes(0, 1).reshape(-1, aut.dim).T])
 
 
 def _read_only(obj) -> None:
@@ -266,8 +265,9 @@ class _Model:
     """What a run reads that depends only on its physics: the orbital
     parameters, the automaton, the step h, the filled-in property settings
     and Φ per mode, and derived from them, per mode, the power table
-    (P, Φ^_BLOCK), the direction table (L, cols) and the checker, and per
-    mode index the nonlinear engine's force gain m_c K (None in passive).
+    (P, Φ^_BLOCK), the block table of :func:`_direction_table` and the
+    checker, and per mode index the nonlinear engine's force gain m_c K
+    (None in passive).
 
     One model serves every run of its physics in the process (see
     :func:`_model`), so every array in it is read-only and every table a
@@ -282,12 +282,13 @@ class _Model:
     guard2: np.ndarray = field(init=False)
     checkers: Mapping[str, _ModeChecker] = field(init=False)
     powers: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
-    directions: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
+    directions: Mapping[str, np.ndarray] = field(init=False)
     force_gains: tuple[np.ndarray | None, ...] = field(init=False)
 
     def __post_init__(self):
         aut = replace(self.aut, flows=MappingProxyType(dict(self.aut.flows)))
         checkers = {m: _ModeChecker(aut.properties, m, aut.dim) for m in _MODES}
+        powers = {m: _power_table(phi) for m, phi in self.phis.items()}
         tables = dict(
             aut=aut,
             settings=MappingProxyType(dict(self.settings)),
@@ -295,9 +296,9 @@ class _Model:
             bloat=self.settings["intersample_bloat"],
             guard2=aut.guard_normals[:, :2],
             checkers=MappingProxyType(checkers),
-            powers=MappingProxyType({m: _power_table(phi) for m, phi in self.phis.items()}),
+            powers=MappingProxyType(powers),
             directions=MappingProxyType(
-                {m: _direction_table(aut, checkers[m], m) for m in _MODES}),
+                {m: _direction_table(aut, checkers[m], m, powers[m][0]) for m in _MODES}),
             force_gains=tuple(self.params.m_c * np.asarray(g.K) for g in aut.gains) + (None,),
         )
         for name, value in tables.items():
@@ -353,17 +354,17 @@ def _enter(model: _Model, mode: str, box: Box) -> Box:
 
 def _classes(vals, offsets) -> np.ndarray:
     """Class code of each of m sets against the polytope G x <= offsets, from
-    the (2 g, m) rows vals = [rho(G); -rho(-G)]: 0 inside it (every rho(g)
+    vals = [rho(G), -rho(-G)], each (..., g, m): 0 inside it (every rho(g)
     <= b), 1 outside it (some -rho(-g) > b), 2 straddling it."""
-    above = np.logical_or.reduce(vals.reshape(2, len(offsets), -1) > offsets[:, None], axis=1)
+    above = np.logical_or.reduce(vals > offsets[:, None], axis=-2)
     return np.where(above[0], 2 - above[1], 0)
 
 
 def _classify(c, V, rows, offsets) -> str:
     """Class of the one set c + V [-1, 1]^n, as in :func:`_classes`, rows
     being [G; -G]."""
-    vals = supports(c[None], V[None], rows).T
-    vals[len(offsets):] *= -1.0
+    vals = supports(c[None], V[None], rows).reshape(2, -1, 1)
+    vals[1] *= -1.0
     return ("inside", "outside", "straddle")[_classes(vals, offsets)[0]]
 
 
@@ -377,101 +378,99 @@ def _restart_box(model: _Model, dest: str, lo, hi) -> Box | None:
     return None if hull is None else _enter(model, dest, hull)
 
 
-def _empty_segment(model: _Model, mode: str, n_steps: int,
-                   t_lo0: float, t_hi0: float) -> FlowpipeSegment:
-    names = model.checkers[mode].names
-    return FlowpipeSegment(mode=mode, lo=np.empty((n_steps, model.aut.dim)),
-                           hi=np.empty((n_steps, model.aut.dim)), t_lo0=t_lo0, t_hi0=t_hi0,
-                           h=model.h, names=names, hits=np.zeros((n_steps, len(names)), dtype=bool))
+def _pipe_rows(model: _Model, mode: str, *shape: int) -> tuple[np.ndarray, ...]:
+    """Row storage lo, hi and hits of pipes of mode, of shape (..., steps, .)."""
+    dim, props = model.aut.dim, len(model.checkers[mode].names)
+    return (np.empty((*shape, dim)), np.empty((*shape, dim)),
+            np.zeros((*shape, props), dtype=bool))
+
+
+def _empty_segment(model: _Model, mode: str, n_steps: int, t_lo0: float, t_hi0: float,
+                   rows: tuple[np.ndarray, ...] | None = None) -> FlowpipeSegment:
+    """A pipe of n_steps steps whose rows view rows, fresh when None."""
+    lo, hi, hits = (a[:n_steps] for a in rows or _pipe_rows(model, mode, n_steps))
+    return FlowpipeSegment(mode=mode, lo=lo, hi=hi, t_lo0=t_lo0, t_hi0=t_hi0, h=model.h,
+                           names=model.checkers[mode].names, hits=hits)
+
+
+def _start(box: Box) -> np.ndarray:
+    """The start S = [[c, -w], [c, w]] of a pipe from the box c +/- w."""
+    return np.hstack([[box.mid()] * 2, np.outer((-1.0, 1.0), box.halfwidth())])
 
 
 def _work(model: _Model, mode: str, W: int) -> tuple[np.ndarray, ...]:
-    """Flat scratch arrays for :func:`_block` on up to W pipes of mode, for a
+    """Scratch arrays for :func:`_block` on up to W pipes of mode, for a
     caller to allocate once: fresh arrays per block cost many page faults."""
-    dim, L, m = model.aut.dim, model.directions[mode][0], W * _BLOCK
-    g = 0 if mode == MODE_PASSIVE else len(model.aut.guard_offsets)
-    return (np.empty(m * (dim + 1) * dim), np.empty((2, m * dim)),
-            np.empty(m * (dim + 1) * (len(L) - 2 * dim)), np.empty((len(L) + g, m)))
+    dim, cols = model.aut.dim, model.directions[mode].shape[1]
+    return np.empty((2 * dim, cols)), np.empty((W, 2, cols))
 
 
-def _block(model: _Model, segs: list[FlowpipeSegment], heads: np.ndarray, k0: int,
-           work: tuple) -> tuple[np.ndarray, np.ndarray | None, Exception | None]:
-    """One block of the pipes segs, all of one mode: n = min(_BLOCK, length -
-    k0) steps from step k0, n the same for every pipe, stepped all at once.
+def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, n: int,
+           pipes: tuple[np.ndarray, ...], work: tuple) -> tuple[int, np.ndarray | None,
+                                                                Exception | None]:
+    """Steps k0 .. k0 + n - 1 of the W pipes of mode in pipes, n <= _BLOCK,
+    all at once, from the shared basis Φ^k0.
 
-    heads stacks the pipes' block-head stars [c | V] as (W, dim, dim + 1).
-    One product heads^T P[:n]^T with ``model.powers``' table lays out the W n
-    sets, (pipe, step) order, cut before the first non-finite one: per pipe,
-    c and each generator as an (n, dim) slab.  The box is c +/- |V| 1.  The
-    other rows X of ``model.directions`` take one product with the slabs:
-    a = X c and r = ||X V||_1, summed in generator order as in :func:`supports`,
-    give rho = a + r, and -rho(-G) = a - r on the guard rows G, as rows of m
-    sets.  The opt-in intersample bloat widens them all.  The boxes and hits
-    go into each pipe's rows from k0.
+    pipes holds, pipe first, the starts S of :func:`_start`, (W, 2, 2 dim),
+    and the row storage lo, hi and hits of :func:`_pipe_rows`.  A pipe from
+    the box c +/- w is at step k the set Φ^k c + Φ^k diag(w) [-1, 1]^dim,
+    whose support in a row l is l Φ^k c + |l Φ^k| w.  So the block builds
+    from ``model.directions``' table one table T of the rows Φ^(k0 + i) and
+    X Φ^(k0 + i), i < _BLOCK, that every pipe shares, and per pipe one
+    product S [T; |T|] of one shape whatever W is, so that a pipe's bits do
+    not depend on the pipes stepped with it: lo and hi of its boxes, which
+    go into the row storage from row k0, then -rho(-X) and rho(X), which
+    give the hits and, on the guard rows G, the guard codes.  The opt-in
+    intersample bloat widens them all.
 
-    Returns the next heads Phi^_BLOCK [c | V] of the pipes stepped whole,
-    the :func:`_classes` guard codes of the sets kept (None in passive), and
-    the :class:`InconclusiveError` at the step cut, or None.
+    Returns the number of sets kept, W n but for a cut before the first
+    non-finite one in (pipe, step) order, the :func:`_classes` guard codes
+    of the sets kept (None in passive), and the :class:`InconclusiveError`
+    at the step cut, or None.  Rows past the cut hold no meaning.
     """
-    mode = segs[0].mode
-    (P, phi_block), (L, cols) = model.powers[mode], model.directions[mode]
-    sets, boxes, prod, supp = work
-    # x rows of L off the box, the last g of them guard rows.
-    dim, W, x, g = model.aut.dim, len(segs), len(L) - 2 * model.aut.dim, len(supp) - len(L)
-    n = min(_BLOCK, segs[0].n_steps - k0)
-    m, error = W * n, None
-    Z = sets[:m * (dim + 1) * dim].reshape(W, dim + 1, n, dim)
-    np.matmul(heads.transpose(0, 2, 1), P[:n].reshape(-1, dim).T, out=Z.reshape(W, dim + 1, -1))
-    if not np.isfinite(Z).all():
-        m = int(np.argmin(np.isfinite(Z).all(axis=(1, 3))))
-        where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
-        error = InconclusiveError(f"numerical overflow in {where} at step {k0 + m % n}")
-        # Zeroed, the sets dropped keep the arithmetic below finite.
-        Z[m // n, :, m % n:] = 0.0
-        Z[m // n + 1:] = 0.0
-    # vals: the supports, a row per row of L, then one per row of -rho(-G).
-    vals = supp[:, :W * n]
-    if x:
-        Q = prod[:W * (dim + 1) * x * n].reshape(W, dim + 1, x, n)
-        np.matmul(L[2 * dim:], Z.transpose(0, 1, 3, 2), out=Q)
-        rows, V = vals[2 * dim:].reshape(-1, W, n).transpose(1, 0, 2), Q[:, 1:]
-        # r = ||X V||_1, as reach below: |.| in place, summed in generator order.
-        r = np.add.reduce(np.abs(V, out=V), axis=1, out=rows[:, :x])
-        np.subtract(Q[:, 0, x - g:], r[:, x - g:], out=rows[:, x:])
-        np.add(Q[:, 0], r, out=r)
-    hi, nlo = box = boxes[:, :W * n * dim].reshape(2, W, n, dim)
-    reach = np.add.reduce(np.abs(V := Z[:, 1:], out=V), axis=1, out=nlo)
-    np.add(Z[:, 0], reach, out=hi)
-    np.subtract(reach, Z[:, 0], out=nlo)
+    table, (starts, lo, hi, hits) = model.directions[mode], pipes
+    W, dim, checker = len(starts), model.aut.dim, model.checkers[mode]
+    nb, m, error = _BLOCK * dim, W * n, None     # nb: the box's columns of the table
+    x, xc = table.shape[1] // _BLOCK - dim, len(checker.offsets)  # X: xc checker rows, then G
+    TT, sup = work[0], work[1][:W]
+    np.matmul(basis.T, table, out=TT[:dim])
+    np.abs(TT[:dim], out=TT[dim:])
+    np.matmul(starts, TT, out=sup)
+    box = sup[:, :, :n * dim].reshape(W, 2, n, dim)
+    # -rho(-X) and rho(X), a row of X at a time: (2, W, x, n).
+    sx = sup[:, :, nb:].reshape(W, 2, x, _BLOCK)[..., :n].swapaxes(0, 1)
     if model.bloat:
-        # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo) exactly,
-        # widens each row l's support by |l| w; the heads stay unwidened.
-        w = model.h * (np.maximum(hi, nlo).reshape(-1, dim) @ np.abs(model.aut.flows[mode]).T)
-        box += w.reshape(hi.shape)
-        bw = np.abs(L[2 * dim:]) @ w.T
-        vals[2 * dim:] += np.vstack([bw, -bw[x - g:]])
-    vals[:2 * dim].reshape(2, dim, -1)[:] = box.reshape(2, -1, dim).transpose(0, 2, 1)
-    hits = model.checkers[mode].check(vals[cols, :m].T)
-    # 0 - x, not -x: a zero lower bound stays +0, as c - reach gives it.
-    lo, hi = np.subtract(0.0, nlo, out=nlo).reshape(-1, dim)[:m], hi.reshape(-1, dim)[:m]
-    for seg, i in zip(segs, range(0, m, n)):
-        j = k0 + min(n, m - i)
-        seg.lo[k0:j], seg.hi[k0:j], seg.hits[k0:j] = lo[i:i + n], hi[i:i + n], hits[i:i + n]
-    codes = _classes(vals[len(L) - g:], model.aut.guard_offsets)[:m] if g else None
-    return np.matmul(phi_block, heads[:m // n]), codes, error
+        # w = h |A| (|c| + reach), with |c| + reach = max(hi, -lo), widens
+        # each row l's support by |l| w.
+        w = model.h * (np.maximum(box[:, 1], -box[:, 0]) @ np.abs(model.aut.flows[mode]).T)
+        box += np.stack([-w, w], axis=1)
+        bw = np.abs(table[:, nb::_BLOCK]).T @ w.transpose(0, 2, 1)
+        sx += [-bw, bw]
+    # Columns past step n - 1 are no set's: only a set's own supports cut it.
+    if not np.isfinite(sup).all():
+        finite = np.isfinite(box).all(axis=(1, 3)) & np.isfinite(sx).all(axis=(0, 2))
+        if not finite.all():
+            m = int(np.argmin(finite))
+            where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
+            error = InconclusiveError(f"numerical overflow in {where} at step {k0 + m % n}")
+    lo[:, k0:k0 + n], hi[:, k0:k0 + n] = box[:, 0], box[:, 1]
+    hits[:, k0:k0 + n] = checker.check(sx[1, :, :xc].swapaxes(1, 2))
+    codes = _classes(sx[::-1, :, xc:], model.aut.guard_offsets).ravel()[:m] if x > xc else None
+    return m, codes, error
 
 
 def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
-    """Step the box's star through seg's prox mode one :func:`_block` at a time,
+    """Step the box through seg's prox mode one :func:`_block` at a time,
     yielding ``(k0, codes)``, the guard codes of steps k0 on (a caller stopping
     inside a block drops its later rows); resuming past a cut block raises its error."""
-    heads = np.column_stack([box.mid(), np.diag(box.halfwidth())])[None]
-    work = _work(model, seg.mode, 1)
+    pipes = (_start(box)[None], seg.lo[None], seg.hi[None], seg.hits[None])
+    work, basis = _work(model, seg.mode, 1), np.eye(model.aut.dim)
     for k0 in range(0, seg.n_steps, _BLOCK):
-        heads, codes, error = _block(model, [seg], heads, k0, work)
+        _, codes, error = _block(model, seg.mode, basis, k0, min(_BLOCK, seg.n_steps - k0), pipes, work)
         yield k0, codes
         if error is not None:
             raise error
+        basis = model.powers[seg.mode][1] @ basis
 
 
 def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
@@ -565,61 +564,64 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
     start by the last window's end, so each pipe but the last steps alone,
     in window order, through the blocks that hold those steps.  Then every
     pipe steps its remaining blocks in lockstep with the others, one
-    :func:`_block` call per block and block length.  The pipes and their
+    :func:`_block` call on the one basis Φ^k0 per block and block length,
+    writing one row storage that the pipes' rows view.  The pipes and their
     rows are those of stepping one window at a time, bit for bit, and so is
     an error: the first window whose hull fails or whose pipe overflows
     raises, once every earlier pipe has run to its end.
     """
-    t_end, W = windows[-1][1], len(windows)
-    work = _work(model, MODE_PASSIVE, W)
+    t_end, W, dim = windows[-1][1], len(windows), model.aut.dim
+    sizes = [steps_within(horizon - a, model.h) + 1 for a, _ in windows]
+    pipes = (np.empty((W, 2, 2 * dim)), *_pipe_rows(model, MODE_PASSIVE, W, sizes[0]))
+    work, bases = _work(model, MODE_PASSIVE, W), [np.eye(dim)]
+    while len(bases) * _BLOCK < sizes[0]:
+        bases.append(model.powers[MODE_PASSIVE][1] @ bases[-1])   # Φ^k0, block k0
     timed = [_timed(seg) for seg in segments]
-    pipes: list[FlowpipeSegment] = []
-    heads, done = [], []        # per pipe: its next block head, and the steps stepped
+    out: list[FlowpipeSegment] = []
+    done = []                   # per pipe: the rows it steps alone, in whole blocks
     failed: Exception | None = None
-    for i, (a, b) in enumerate(windows):
+    for i, ((a, b), n_steps) in enumerate(zip(windows, sizes)):
         try:
             boxes = _collect_window_boxes(timed, a, b)
             if not boxes:
                 raise ValueError(f"abort window [{a}, {b}] covers no reachable sample")
             box = _enter(model, MODE_PASSIVE, hull_boxes(boxes))
-            seg = _empty_segment(model, MODE_PASSIVE, steps_within(horizon - a, model.h) + 1,
-                                 a, b)
-            head, k0 = np.column_stack([box.mid(), np.diag(box.halfwidth())])[None], 0
+            pipes[0][i] = _start(box)
+            seg = _empty_segment(model, MODE_PASSIVE, n_steps, a, b, [r[i] for r in pipes[1:]])
+            need = 0
             if i < W - 1:
                 # The rows that a later window's hull reads: those that start
                 # by t_end.  Their times alone give every later window's rows.
                 times_lo, times_hi = seg.times_lo(), seg.times_hi()
                 need = np.searchsorted(times_lo, t_end + _TIME_EPS, side="right")
                 timed.append((seg, times_lo[:need].copy(), times_hi[:need].copy()))
-            else:
-                need = 0
-            while k0 < need:
-                head, _, error = _block(model, [seg], head, k0, work)
+            for k0 in range(0, need, _BLOCK):
+                _, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0,
+                                     min(_BLOCK, n_steps - k0), [p[i:i + 1] for p in pipes], work)
                 if error is not None:
                     raise error
-                k0 += _BLOCK
         except (ValueError, InconclusiveError) as exc:
             failed = exc
             break
-        pipes.append(seg)
-        heads.append(head[0])
-        done.append(k0)
-    heads = np.array(heads)
-    stop = len(pipes)           # pipes from stop on are dropped: an earlier one failed
-    for k0 in range(0, max((seg.n_steps for seg in pipes), default=0), _BLOCK):
-        live = [j for j in range(stop) if done[j] <= k0 < pipes[j].n_steps]
-        # n_steps falls with the window's start, so each block length is a run.
-        for _, run in groupby(live, key=lambda j: min(_BLOCK, pipes[j].n_steps - k0)):
+        out.append(seg)
+        done.append(need)
+    stop = len(out)             # pipes from stop on are dropped: an earlier one failed
+    for k0 in range(0, sizes[0] if out else 0, _BLOCK):
+        # done falls and n_steps falls with the window's start, so the pipes
+        # live in a block are a run, and so is each block length.
+        live = [j for j in range(stop) if done[j] <= k0 < sizes[j]]
+        for n, run in groupby(live, key=lambda j: min(_BLOCK, sizes[j] - k0)):
             group = list(run)
-            nxt, _, error = _block(model, [pipes[j] for j in group], heads[group], k0, work)
-            heads[group[:len(nxt)]] = nxt
+            j0 = group[0]
+            m, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0, n,
+                                 tuple(p[j0:group[-1] + 1] for p in pipes), work)
             if error is not None:
                 # The later runs hold only later windows.
-                stop, failed = group[len(nxt)], error
+                stop, failed = j0 + m // n, error
                 break
     if failed is not None:
         raise failed
-    return pipes
+    return out
 
 
 def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
@@ -1017,6 +1019,8 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
     tasks = [(sc, a, float(radius), t_grid) for a in angles]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here, so that importing the package loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]

@@ -538,6 +538,20 @@ print("@", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
     assert len(list((tmp_path / "simulate").glob("trajectory_*.csv"))) == 20
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a pooled sweep (jobs > 1) starts worker processes, so a fresh
+    # import of the CLI loads neither multiprocessing nor the process pool.
+    src = str(Path(rdvsafe.__file__).resolve().parents[1])
+    script = ("import sys, rdvsafe.cli; print(sorted(m for m in sys.modules if m in"
+              " ('multiprocessing', 'concurrent.futures.process')))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_abort_window_without_sample_is_rejected(tmp_path):
     # No sample of step 0.3 s lies in [2.2, 2.3] s: every command refuses the
     # window, where falsify and simulate used to abort at 2.1 s.

@@ -21,6 +21,7 @@ from rdvsafe import (
     simulate_nonlinear,
 )
 from rdvsafe.hybrid import VARIANT_EXPLICIT, VARIANT_LIN, VARIANT_TRACKING, build_rendezvous_automaton
+from rdvsafe import numsim
 from rdvsafe.numsim import _CSV_BLOCK, _g17, _write_csv_rows
 from rdvsafe.verifier import (
     _mode_index,
@@ -72,6 +73,32 @@ def test_matrix_exp_matches_scipy_on_every_mode_flow(variant, maxima):
         for h in (1.0, 10.0, 30.0):
             want = expm(flow * h)
             assert np.linalg.norm(matrix_exp(flow * h) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("maxima", [(), _BOUNCE_MAXIMA], ids=["default", "bounce"])
+@pytest.mark.parametrize("variant", [VARIANT_LIN, VARIANT_TRACKING, VARIANT_EXPLICIT])
+def test_matrix_exp_keeps_its_halvings_on_every_mode_flow(monkeypatch, variant, maxima):
+    # No mode flow is halved past the spare halvings, so every one-step map
+    # is bit for bit that of the 1-norm scaling alone.
+    aut = build_rendezvous_automaton(GEO, design_mode_gains(GEO, *maxima), variant)
+    for flow in aut.flows.values():
+        for h in (0.5, 1.0, 5.0, 10.0, 20.0, 30.0, 60.0):
+            got = matrix_exp(flow * h)
+            with monkeypatch.context() as m:
+                m.setattr(numsim, "_SPARE_HALVINGS", math.inf)
+                assert np.array_equal(got, matrix_exp(flow * h))
+
+
+@pytest.mark.parametrize("c", [1e6, 1e30])
+def test_matrix_exp_of_a_nilpotent_matrix_is_i_plus_m(c):
+    # ||M||_1 = c asks for ~log2(c) halvings, but M^2 = 0: squaring the
+    # Pade value's diagonal, 1 - 2^-53, that often left 0.99999999997 at
+    # c = 1e6 and 0 at c = 1e30.  exp(M) = I + M, and exp(M - I) = (I + M) / e.
+    N = np.array([[0.0, c], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(matrix_exp(N), np.eye(2) + N, rtol=2.0 ** -52, atol=0.0)
+        assert np.allclose(matrix_exp(N - np.eye(2)), (np.eye(2) + N) / math.e, rtol=1e-12, atol=0.0)
 
 
 def test_matrix_exp_halves_a_norm_past_the_float_range():

@@ -502,7 +502,7 @@ class _RecordingPool:
 
 
 def test_sweep_pool_has_at_most_one_worker_per_angle(monkeypatch, quick):
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
     args = (quick, [180.0, 230.0], 950.0, [600.0])
     rows = sweep_passive_time(*args, jobs=64)
@@ -703,28 +703,30 @@ def _stepwise_row(model, seg, k, c, V):
                      1 if np.any(G @ c - spread > g) else 2])
 
 
-def _stepwise_block(model, segs, heads, k0, work):
-    """Reference for ``verifier._block``: each pipe's block one sample at a
-    time by the Φ recurrence from its head, which comes back stepped sample
-    by sample, so a pipe's sets never pass through Φ^_BLOCK.  Stepping stops
-    at the first non-finite set in (pipe, step) order, with the rows and
-    codes before it kept."""
-    mode, dim = segs[0].mode, model.aut.dim
-    phi, out, codes, error = model.phis[mode], [], [], None
-    for seg, head in zip(segs, heads):
-        c, V = head[:, 0], head[:, 1:]
-        for k in range(k0, min(k0 + verifier._BLOCK, seg.n_steps)):
+def _stepwise_block(model, mode, basis, k0, n, pipes, work):
+    """Reference for ``verifier._block``: each pipe's set at step k0 is the
+    basis applied to its start box c0 +/- w0, c = basis c0 and V = basis
+    diag(w0), stepped one sample at a time by the Φ recurrence, so its sets
+    never pass through a block table.  Stepping stops at the first
+    non-finite set in (pipe, step) order, with the rows and codes before it
+    kept."""
+    phi, kept, codes, error = model.phis[mode], 0, [], None
+    for start, *rows in zip(*pipes):
+        seg = verifier._empty_segment(model, mode, k0 + n, 0.0, 0.0, rows)
+        c0, w0 = np.split(start[1], 2)
+        c, V = basis @ c0, basis @ np.diag(w0)
+        for k in range(k0, k0 + n):
             if not (np.isfinite(c).all() and np.isfinite(V).all()):
                 where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
                 error = verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
                 break
             codes.append(_stepwise_row(model, seg, k, c, V))
+            kept += 1
             c, V = phi @ c, phi @ V
         if error is not None:
             break
-        out.append(np.column_stack([c, V]))
     codes = None if mode == MODE_PASSIVE else np.concatenate([np.empty(0, int)] + codes)
-    return np.reshape(out, (len(out), dim, dim + 1)), codes, error
+    return kept, codes, error
 
 
 def _stepwise(monkeypatch, run):
@@ -826,6 +828,38 @@ def test_blocked_pipe_keeps_nothing_past_a_mid_block_crossing(monkeypatch, edit_
     assert rep.verdict == "safe"
 
 
+def _assert_boxes_match_power_oracle(rep):
+    """Every box of rep against the brute-force oracle: a pipe's step k box is
+    c_k +/- |Φ^k| w0, with Φ^k from ``np.linalg.matrix_power`` applied to the
+    pipe's start box c0 +/- w0, within 1e-12 of each column's scale."""
+    model = verifier._model_of(rep.scenario)
+    longest = {seg.mode: seg.n_steps for seg in sorted(rep.segments, key=lambda s: s.n_steps)}
+    powers = {mode: np.array([np.linalg.matrix_power(model.phis[mode], k) for k in range(n)])
+              for mode, n in longest.items()}
+    for seg in rep.segments:
+        c0, w0 = 0.5 * (seg.lo[0] + seg.hi[0]), 0.5 * (seg.hi[0] - seg.lo[0])
+        Pk = powers[seg.mode][:seg.n_steps]
+        c, r = Pk @ c0, np.abs(Pk) @ w0
+        scale = np.maximum(1.0, np.maximum(np.abs(seg.lo), np.abs(seg.hi)).max(axis=0))
+        assert np.all(np.abs(seg.lo - (c - r)) <= 1e-12 * scale)
+        assert np.all(np.abs(seg.hi - (c + r)) <= 1e-12 * scale)
+
+
+def test_every_box_of_the_shipped_mission_matches_the_power_oracle():
+    sc = cli.scenario_from_dict(json.loads(
+        (Path(__file__).resolve().parents[1] / "scenarios" / "default.json").read_text()))
+    for w in (math.inf, 60.0, 20.0, 5.0):
+        rep = verify_windowed(sc, w)
+        assert rep.verdict == "safe"
+        _assert_boxes_match_power_oracle(rep)
+        if w in (20.0, 5.0):
+            assert monte_carlo_containment(rep, 100)["violations"] == 0
+    rep = verify(cli.scenario_from_dict(GRAZE))
+    assert [seg.mode for seg in rep.segments] == [MODE_PROX_B, MODE_PROX_A, MODE_PROX_B,
+                                                  MODE_PASSIVE]
+    _assert_boxes_match_power_oracle(rep)
+
+
 def test_checker_reads_either_layout_as_a_per_row_test():
     """``_ModeChecker.check`` gives the same hits for C-ordered (m, rows)
     supports and for the transposed view of C-ordered (rows, m) ones, as
@@ -895,12 +929,19 @@ def test_block_ties_match_stepwise_reference(quick, bloat, tie, code):
     aut = replace(base.aut, guard_normals=_TIE_G, guard_offsets=b, properties=tuple(props),
                   flows={**base.aut.flows, MODE_PROX_B: flow, MODE_PASSIVE: flow})
     model = replace(base, aut=aut, settings={**base.settings, "intersample_bloat": bloat})
-    head = np.column_stack([_TIE_C, _TIE_V])
+    # The star is the basis _TIE_V applied to the box c0 +/- 1, V c0 = _TIE_C.
+    c0 = np.linalg.solve(_TIE_V, _TIE_C)
+    assert np.array_equal(_TIE_V @ c0, _TIE_C)
     for mode, W in ((MODE_PROX_B, 1), (MODE_PASSIVE, 2)):
         runs = []
         for kernel in (verifier._block, _stepwise_block):
-            segs = [verifier._empty_segment(model, mode, 1, 0.0, 0.0) for _ in range(W)]
-            _, codes, _ = kernel(model, segs, np.array([head] * W), 0, verifier._work(model, mode, W))
+            rows = verifier._pipe_rows(model, mode, W, 1)
+            segs = [verifier._empty_segment(model, mode, 1, 0.0, 0.0, [r[i] for r in rows])
+                    for i in range(W)]
+            _, codes, _ = kernel(model, mode, _TIE_V, 0, 1,
+                                 (np.array([np.hstack([[c0, c0], [-np.ones(4), np.ones(4)]])] * W),
+                                  *rows),
+                                 verifier._work(model, mode, W))
             runs.append((codes, segs))
         (codes, segs), (ref_codes, ref_segs) = runs
         for seg, ref in zip(segs, ref_segs):
@@ -1209,10 +1250,10 @@ def _cached_arrays(model):
     for p in aut.properties:
         arrays.update({f"{p.name}.normals": p.normals, f"{p.name}.offsets": p.offsets})
     for m in verifier._MODES:
-        (P, phi_block), (L, cols), checker = model.powers[m], model.directions[m], model.checkers[m]
+        (P, phi_block), checker = model.powers[m], model.checkers[m]
         arrays.update({f"flows[{m}]": aut.flows[m], f"phis[{m}]": model.phis[m],
-                       f"P[{m}]": P, f"phi_block[{m}]": phi_block, f"L[{m}]": L,
-                       f"cols[{m}]": cols, f"{m}.normals": checker.normals,
+                       f"P[{m}]": P, f"phi_block[{m}]": phi_block,
+                       f"directions[{m}]": model.directions[m], f"{m}.normals": checker.normals,
                        f"{m}.offsets": checker.offsets, f"{m}.strict": checker.strict,
                        f"{m}.rows": checker.rows})
     return arrays
