@@ -47,11 +47,12 @@ _POINTERS = dict(r="r_orbit", t1="t1_s", t2="t2_s", horizon="horizon_s", h="step
 
 
 class ScenarioError(ValueError):
-    """Scenario file problem, carrying a JSON pointer to the offending field."""
+    """Scenario file problem, carrying a JSON pointer to the offending field.
+    The message names the root, pointer "", by the file's path when given."""
 
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
+    def __init__(self, pointer: str, message: str, path: str = ""):
+        super().__init__(f"{pointer or path}: {message}")
+        self.pointer, self.message = pointer, message
 
 
 def _fmt(x: float) -> str:
@@ -121,8 +122,13 @@ def load_scenario(path: str) -> Scenario:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ScenarioError("", f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+            raise ScenarioError("", f"invalid JSON: {exc}", path) from exc
+    try:
+        return scenario_from_dict(doc)
+    except ScenarioError as exc:
+        if exc.pointer:
+            raise
+        raise ScenarioError("", exc.message, path) from exc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -530,6 +536,8 @@ def _cmd_sweep(args) -> int:
         print(f"cannot parse --angles {args.angles!r}; expected start:stop:step",
               file=sys.stderr)
         return 2
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"--angles {args.angles!r} must be finite start:stop:step degrees")
     # ceil((b - a) / step) angles, compared without the ceil, which overflows.
     if step and (b - a) / step > _MAX_ANGLES:
         raise ValueError(f"--angles {args.angles!r} selects over {_MAX_ANGLES} angles")

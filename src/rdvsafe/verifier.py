@@ -159,9 +159,6 @@ class FlowpipeSegment:
     def times_lo(self) -> np.ndarray:
         return self.t_lo0 + self.h * np.arange(self.n_steps)
 
-    def times_hi(self) -> np.ndarray:
-        return self.t_hi0 + self.h * np.arange(self.n_steps)
-
 
 @dataclass
 class Violation:
@@ -405,20 +402,22 @@ def _work(model: _Model, mode: str, W: int) -> tuple[np.ndarray, ...]:
     return np.empty((2 * dim, cols)), np.empty((W, 2, cols))
 
 
-def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, n: int,
+def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, ends: list[int],
            pipes: tuple[np.ndarray, ...], work: tuple) -> tuple[int, np.ndarray | None,
                                                                 Exception | None]:
-    """Steps k0 .. k0 + n - 1 of the W pipes of mode in pipes, n <= _BLOCK,
-    all at once, from the shared basis Φ^k0.
+    """Steps k0 .. k0 + n - 1 of the W pipes of mode in pipes, all at once,
+    from the shared basis Φ^k0, where n = min(_BLOCK, ends[0] - k0) and
+    ends, nonincreasing, holds each pipe's number of steps.
 
     pipes holds, pipe first, the starts S of :func:`_start`, (W, 2, 2 dim),
-    and the row storage lo, hi and hits of :func:`_pipe_rows`.  A pipe from
-    the box c +/- w is at step k the set Φ^k c + Φ^k diag(w) [-1, 1]^dim,
-    whose support in a row l is l Φ^k c + |l Φ^k| w.  So the block builds
+    and the row storage lo, hi and hits of :func:`_pipe_rows`, with room for
+    rows k0 .. k0 + n - 1 of every pipe.  A pipe from the box c +/- w is at
+    step k the set Φ^k c + Φ^k diag(w) [-1, 1]^dim, whose support in a row
+    l is l Φ^k c + |l Φ^k| w.  So the block builds
     from ``model.directions``' table one table T of the rows Φ^(k0 + i) and
     X Φ^(k0 + i), i < _BLOCK, that every pipe shares, and per pipe one
-    product S [T; |T|] of one shape whatever W is, so that a pipe's bits do
-    not depend on the pipes stepped with it: lo and hi of its boxes, which
+    product S [T; |T|] of one shape whatever W or n is, so that a pipe's bits
+    do not depend on the pipes stepped with it: lo and hi of its boxes, which
     go into the row storage from row k0, then -rho(-X) and rho(X), which
     give the hits and, on the guard rows G, the guard codes.  The opt-in
     intersample bloat widens them all.
@@ -426,10 +425,12 @@ def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, n: int,
     Returns the number of sets kept, W n but for a cut before the first
     non-finite one in (pipe, step) order, the :func:`_classes` guard codes
     of the sets kept (None in passive), and the :class:`InconclusiveError`
-    at the step cut, or None.  Rows past the cut hold no meaning.
+    at the step cut, or None.  A pipe's rows past its end count as finite;
+    they and the rows past the cut hold no meaning.
     """
     table, (starts, lo, hi, hits) = model.directions[mode], pipes
     W, dim, checker = len(starts), model.aut.dim, model.checkers[mode]
+    n = min(_BLOCK, ends[0] - k0)
     nb, m, error = _BLOCK * dim, W * n, None     # nb: the box's columns of the table
     x, xc = table.shape[1] // _BLOCK - dim, len(checker.offsets)  # X: xc checker rows, then G
     TT, sup = work[0], work[1][:W]
@@ -448,7 +449,8 @@ def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, n: int,
         sx += [-bw, bw]
     # Columns past step n - 1 are no set's: only a set's own supports cut it.
     if not np.isfinite(sup).all():
-        finite = np.isfinite(box).all(axis=(1, 3)) & np.isfinite(sx).all(axis=(0, 2))
+        finite = ((np.isfinite(box).all(axis=(1, 3)) & np.isfinite(sx).all(axis=(0, 2)))
+                  | (k0 + np.arange(n) >= np.array(ends)[:, None]))
         if not finite.all():
             m = int(np.argmin(finite))
             where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
@@ -466,7 +468,7 @@ def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
     pipes = (_start(box)[None], seg.lo[None], seg.hi[None], seg.hits[None])
     work, basis = _work(model, seg.mode, 1), np.eye(model.aut.dim)
     for k0 in range(0, seg.n_steps, _BLOCK):
-        _, codes, error = _block(model, seg.mode, basis, k0, min(_BLOCK, seg.n_steps - k0), pipes, work)
+        _, codes, error = _block(model, seg.mode, basis, k0, [seg.n_steps], pipes, work)
         yield k0, codes
         if error is not None:
             raise error
@@ -535,19 +537,27 @@ def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
     return segments
 
 
-def _timed(seg: FlowpipeSegment) -> tuple[FlowpipeSegment, np.ndarray, np.ndarray]:
-    """seg with its steps' start and end times, both nondecreasing."""
-    return seg, seg.times_lo(), seg.times_hi()
+def _count_below(t0: float, h: float, n: int, t: float) -> int:
+    """How many of the n step times t0 + h k, k < n, lie below t: the place
+    ``np.searchsorted(t0 + h * np.arange(n), t)`` gives t, found without
+    building the times."""
+    k = min(max(math.ceil((t - t0) / h), 0), n)
+    while k > 0 and t0 + h * (k - 1) >= t:
+        k -= 1
+    while k < n and t0 + h * k < t:
+        k += 1
+    return k
 
 
-def _collect_window_boxes(timed, t1: float, t2: float) -> list[Box]:
-    """Per pipe of timed, :func:`_timed` triples, the hull of its boxes whose
-    time range meets [t1, t2].  As both time arrays are sorted, those boxes
-    are the rows from the first that ends by t1 to the last that starts by t2."""
+def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float) -> list[Box]:
+    """Per pipe of segments, the hull of its boxes whose time range meets
+    [t1, t2]: the rows from the first that ends by t1 to the last that starts
+    by t2, as both step times rise with the step."""
     boxes: list[Box] = []
-    for seg, times_lo, times_hi in timed:
-        rows = slice(np.searchsorted(times_hi, t1 - _TIME_EPS),
-                     np.searchsorted(times_lo, t2 + _TIME_EPS, side="right"))
+    last = math.nextafter(t2 + _TIME_EPS, math.inf)     # below it: at or before t2 + eps
+    for seg in segments:
+        rows = slice(_count_below(seg.t_hi0, seg.h, seg.n_steps, t1 - _TIME_EPS),
+                     _count_below(seg.t_lo0, seg.h, seg.n_steps, last))
         if rows.start < rows.stop:
             boxes.append(Box(lo=seg.lo[rows].min(axis=0), hi=seg.hi[rows].max(axis=0)))
     return boxes
@@ -560,65 +570,51 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
 
     Window i's pipe starts from the hull of every box whose time range meets
     the window: the boxes of segments and of the pipes of windows 0..i-1.
-    An earlier pipe's boxes that a later window meets lie in its steps that
-    start by the last window's end, so each pipe but the last steps alone,
-    in window order, through the blocks that hold those steps.  Then every
-    pipe steps its remaining blocks in lockstep with the others, one
-    :func:`_block` call on the one basis Φ^k0 per block and block length,
-    writing one row storage that the pipes' rows view.  The pipes and their
-    rows are those of stepping one window at a time, bit for bit, and so is
-    an error: the first window whose hull fails or whose pipe overflows
-    raises, once every earlier pipe has run to its end.
+    Those of an earlier pipe lie in its rows that start by the last window's
+    end t_end, and window 0's pipe has the most such rows.  So the schedule
+    is fixed: each window's pipe in turn steps alone through the blocks that
+    hold window 0's count of those rows, then every pipe still running steps
+    the later blocks together, one :func:`_block` call on the one basis
+    Φ^k0 per block, writing one row storage that the pipes' rows view.
+    The pipes and their rows are those of stepping one window at a time, bit
+    for bit, and so is an error: the first window whose hull fails or whose
+    pipe overflows raises, once every earlier pipe has run to its end.
     """
-    t_end, W, dim = windows[-1][1], len(windows), model.aut.dim
-    sizes = [steps_within(horizon - a, model.h) + 1 for a, _ in windows]
-    pipes = (np.empty((W, 2, 2 * dim)), *_pipe_rows(model, MODE_PASSIVE, W, sizes[0]))
+    t_end, W, dim, h = windows[-1][1], len(windows), model.aut.dim, model.h
+    ends = [steps_within(horizon - a, h) + 1 for a, _ in windows]    # nonincreasing
+    pipes = (np.empty((W, 2, 2 * dim)), *_pipe_rows(model, MODE_PASSIVE, W, ends[0]))
     work, bases = _work(model, MODE_PASSIVE, W), [np.eye(dim)]
-    while len(bases) * _BLOCK < sizes[0]:
+    while len(bases) * _BLOCK < ends[0]:
         bases.append(model.powers[MODE_PASSIVE][1] @ bases[-1])   # Φ^k0, block k0
-    timed = [_timed(seg) for seg in segments]
+    # Window 0's rows that start by t_end: each pipe steps their blocks alone.
+    alone = _count_below(windows[0][0], h, ends[0], math.nextafter(t_end + _TIME_EPS, math.inf))
     out: list[FlowpipeSegment] = []
-    done = []                   # per pipe: the rows it steps alone, in whole blocks
     failed: Exception | None = None
-    for i, ((a, b), n_steps) in enumerate(zip(windows, sizes)):
+    for i, (a, b) in enumerate(windows):
         try:
-            boxes = _collect_window_boxes(timed, a, b)
+            boxes = _collect_window_boxes(segments + out, a, b)
             if not boxes:
                 raise ValueError(f"abort window [{a}, {b}] covers no reachable sample")
-            box = _enter(model, MODE_PASSIVE, hull_boxes(boxes))
-            pipes[0][i] = _start(box)
-            seg = _empty_segment(model, MODE_PASSIVE, n_steps, a, b, [r[i] for r in pipes[1:]])
-            need = 0
-            if i < W - 1:
-                # The rows that a later window's hull reads: those that start
-                # by t_end.  Their times alone give every later window's rows.
-                times_lo, times_hi = seg.times_lo(), seg.times_hi()
-                need = np.searchsorted(times_lo, t_end + _TIME_EPS, side="right")
-                timed.append((seg, times_lo[:need].copy(), times_hi[:need].copy()))
-            for k0 in range(0, need, _BLOCK):
-                _, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0,
-                                     min(_BLOCK, n_steps - k0), [p[i:i + 1] for p in pipes], work)
+            pipes[0][i] = _start(_enter(model, MODE_PASSIVE, hull_boxes(boxes)))
+            for k0 in range(0, min(alone, ends[i]), _BLOCK):
+                _, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0, ends[i:i + 1],
+                                     [p[i:i + 1] for p in pipes], work)
                 if error is not None:
                     raise error
         except (ValueError, InconclusiveError) as exc:
             failed = exc
             break
-        out.append(seg)
-        done.append(need)
-    stop = len(out)             # pipes from stop on are dropped: an earlier one failed
-    for k0 in range(0, sizes[0] if out else 0, _BLOCK):
-        # done falls and n_steps falls with the window's start, so the pipes
-        # live in a block are a run, and so is each block length.
-        live = [j for j in range(stop) if done[j] <= k0 < sizes[j]]
-        for n, run in groupby(live, key=lambda j: min(_BLOCK, sizes[j] - k0)):
-            group = list(run)
-            j0 = group[0]
-            m, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0, n,
-                                 tuple(p[j0:group[-1] + 1] for p in pipes), work)
-            if error is not None:
-                # The later runs hold only later windows.
-                stop, failed = j0 + m // n, error
-                break
+        out.append(_empty_segment(model, MODE_PASSIVE, ends[i], a, b, [r[i] for r in pipes[1:]]))
+    live = len(out)             # the pipes still running, a prefix as ends falls
+    for k0 in range(-(-alone // _BLOCK) * _BLOCK, ends[0], _BLOCK):
+        live = sum(end > k0 for end in ends[:live])
+        if not live:
+            break
+        m, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0, ends[:live],
+                             tuple(p[:live] for p in pipes), work)
+        if error is not None:
+            # Pipes from the one that overflowed on are dropped.
+            live, failed = m // min(_BLOCK, ends[0] - k0), error
     if failed is not None:
         raise failed
     return out
@@ -712,9 +708,10 @@ def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     own passive pipe, started from the hull of every box whose time range meets
     the subwindow.  Those boxes come from the rendezvous pipes and from the
     passive pipes of the earlier subwindows.  One :func:`_passive_segment`
-    call builds every subwindow's pipe, stepping them in lockstep through
-    the one block kernel :func:`_block`.  The verdict is the conjunction, so
-    a single subwindow reproduces :func:`verify` exactly.
+    call builds every subwindow's pipe through the one block kernel
+    :func:`_block`: each alone over the rows a later hull reads, then all
+    together, one call per block.  The verdict is the conjunction, so a
+    single subwindow reproduces :func:`verify` exactly.
     """
     t0 = time.perf_counter()
     _require_reach_variant(sc)
@@ -957,46 +954,37 @@ def _sweep_one(args) -> tuple[float, float, float]:
         return (angle_deg, radius, -1.0)
     first_flag = min((v.time_s for v in _first_violations(segments)), default=None)
 
-    window_safe: dict[tuple[float, float], bool] = {}
-
+    @functools.cache
     def is_window_safe(a: float, b: float) -> bool:
-        key = (a, b)
-        if key not in window_safe:
-            try:
-                pseg, = _passive_segment(model, segments, [(a, b)], sc_a.horizon)
-                window_safe[key] = not pseg.hits.any()
-            except InconclusiveError:
-                window_safe[key] = False
-        return window_safe[key]
+        try:
+            pseg, = _passive_segment(model, segments, [(a, b)], sc_a.horizon)
+        except InconclusiveError:
+            return False
+        return not pseg.hits.any()
 
     best = -1.0
     for T in t_grid:
-        if T > sc.horizon + _TIME_EPS:
-            break
         if first_flag is not None and first_flag <= T + _TIME_EPS:
             break
-        windows = partition_window(0.0, float(T), sc.window_width)
-        ok = all(is_window_safe(a, b) for (a, b) in windows)
-        if not ok:
+        if not all(is_window_safe(a, b) for a, b in partition_window(0.0, T, sc.window_width)):
             break
-        best = float(T)
+        best = T
     return (angle_deg, radius, best)
 
 
-def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
+def sweep_passive_time(sc: Scenario, angles_deg, radius: float,
                        jobs: int = 1) -> list[tuple[float, float, float]]:
     """Largest safe abort deadline per initial bearing.
 
     For each angle the initial box is re-centered at radius * (cos, sin) with
-    the base half-widths and zero velocity, and the largest T in the grid with
-    ``verify_windowed`` safe on the abort window [0, T], split at the
-    scenario's window width, is recorded; -1 means no tested T was safe.
-    Rows come back in the input angle order.  With jobs > 1 the angles run
-    in a pool of at most one worker per angle.  The default grid is every
-    multiple of 600 s up to the horizon, refused past ``_MAX_SWEEP_TIMES``
-    entries.  The grid's length, the width on [0, T] for the largest grid T
-    within the horizon, and the variant for reach are checked before any
-    angle runs.
+    the base half-widths and zero velocity, and the largest T on the grid of
+    every multiple of 600 s up to the horizon with ``verify_windowed`` safe
+    on the abort window [0, T], split at the scenario's window width, is
+    recorded; -1 means no tested T was safe.  Rows come back in the input
+    angle order.  With jobs > 1 the angles run in a pool of at most one
+    worker per angle.  The grid's length, refused past ``_MAX_SWEEP_TIMES``
+    entries, the width on [0, T] for the largest grid T, and the variant for
+    reach are checked before any angle runs.
     """
     _require_reach_variant(sc)
     angles = [float(a) for a in angles_deg]
@@ -1007,15 +995,12 @@ def sweep_passive_time(sc: Scenario, angles_deg, radius: float, t_grid=None,
         raise ValueError("sweep radius must be positive")
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    if t_grid is None:
-        if sc.horizon / _SWEEP_T_STEP > _MAX_SWEEP_TIMES:
-            raise ValueError(f"horizon {sc.horizon} s needs over {_MAX_SWEEP_TIMES} deadlines "
-                             f"on the sweep's {_SWEEP_T_STEP:g} s grid")
-        t_grid = np.arange(_SWEEP_T_STEP, sc.horizon + _TIME_EPS, _SWEEP_T_STEP)
-    t_grid = sorted(float(t) for t in t_grid)
-    reachable = [T for T in t_grid if T <= sc.horizon + _TIME_EPS]
-    if reachable:
-        partition_window(0.0, reachable[-1], sc.window_width)
+    if sc.horizon / _SWEEP_T_STEP > _MAX_SWEEP_TIMES:
+        raise ValueError(f"horizon {sc.horizon} s needs over {_MAX_SWEEP_TIMES} deadlines "
+                         f"on the sweep's {_SWEEP_T_STEP:g} s grid")
+    t_grid = np.arange(_SWEEP_T_STEP, sc.horizon + _TIME_EPS, _SWEEP_T_STEP).tolist()
+    if t_grid:
+        partition_window(0.0, t_grid[-1], sc.window_width)
     tasks = [(sc, a, float(radius), t_grid) for a in angles]
     workers = min(jobs, len(tasks))
     if workers > 1:

@@ -93,9 +93,8 @@ def test_criterion_4_robustness_sweep_shape():
     # on every bearing, which would make any ordering check vacuous.
     sc = default_scenario(bryson={"prox_a": {"max_state": [1000.0, 1000.0, 0.15, 0.15]}})
     angles = [135.0, 150.0, 165.0, 180.0, 195.0, 230.0]
-    t_grid = list(np.arange(600.0, 16200.0 + 1.0, 600.0))
     t0 = time.perf_counter()
-    rows = sweep_passive_time(sc, angles, 950.0, t_grid=t_grid)
+    rows = sweep_passive_time(sc, angles, 950.0)
     wall = time.perf_counter() - t0
     by_angle = {a: t for a, _r, t in rows}
     expected = [14400.0, 15000.0, 16200.0, 14400.0, -1.0, -1.0]

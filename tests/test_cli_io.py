@@ -102,6 +102,20 @@ def test_scenario_errors_carry_json_pointers(tmp_path, doc, pointer):
     assert err.value.pointer == pointer
 
 
+@pytest.mark.parametrize("text, message", [('{"t1_s": 7200,', "invalid JSON: "),
+                                           ("[1, 2]", "expected an object")])
+def test_cli_root_level_scenario_error_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli_main(["verify", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(path))
+    assert exc.value.pointer == ""
+
+
 def _echo_paths(doc, prefix=()):
     """Every key path of the echo, recursing into objects and taking lists whole."""
     for key, val in doc.items():
@@ -427,6 +441,99 @@ def test_plot_rectangles_invert_to_flowpipe_boxes(tmp_path, quick_report):
             assert err.min() <= atol
 
 
+def _svg_to_data(root):
+    """Maps of SVG x and y back to plane coordinates, from the data-* attributes."""
+    x0, x1, y0, y1 = (float(root.get(f"data-{k}")) for k in ("xmin", "xmax", "ymin", "ymax"))
+    left, right, top, bottom = (float(root.get(f"data-{k}"))
+                                for k in ("left", "right", "top", "bottom"))
+    return (lambda px: x0 + (px - left) * (x1 - x0) / (right - left),
+            lambda py: y1 - (py - top) * (y1 - y0) / (bottom - top))
+
+
+@pytest.fixture(scope="module")
+def tracking_report():
+    return verify(default_scenario(h=30.0, variant="lin_prox_th_tracking"))
+
+
+def test_plot_velocity_plane_draws_the_velocity_bound(tmp_path, tracking_report):
+    path = tmp_path / "vxvy.svg"
+    _emit_plot(tracking_report, "vxvy", path)
+    root = ET.parse(path).getroot()
+    inv_x, inv_y = _svg_to_data(root)
+    polygon, = [p for p in root if p.tag.endswith("polygon")]
+    assert polygon.find("{*}title").text == "velocity bound"
+    pts = [tuple(map(float, pt.split(","))) for pt in polygon.get("points").split()]
+    lim = PROPERTY_DEFAULTS["velocity_limit_mps"]
+    # An octagon of circumradius lim with vertices at 22.5 + 45 k degrees.
+    want = [(lim * math.cos(math.radians(22.5 + 45 * k)),
+             lim * math.sin(math.radians(22.5 + 45 * k))) for k in range(8)]
+    got = [(inv_x(x), inv_y(y)) for x, y in pts]
+    assert np.allclose(got, want, rtol=0, atol=1e-9 * lim)
+    assert len([g for g in root if g.tag.endswith("g")]) == len(tracking_report.segments)
+
+
+def test_plot_thrust_plane_draws_the_thrust_limits(tmp_path, tracking_report):
+    path = tmp_path / "uxuy.svg"
+    _emit_plot(tracking_report, "uxuy", path)
+    root = ET.parse(path).getroot()
+    inv_x, inv_y = _svg_to_data(root)
+    lines = [el for el in root if el.tag.endswith("line")]
+    lim = PROPERTY_DEFAULTS["thrust_limit_n"]
+    # Per sign, one vertical line at ux = +/-lim and one horizontal at uy = +/-lim.
+    assert len(lines) == 4
+    xs = sorted(inv_x(float(el.get("x1"))) for el in lines if el.get("x1") == el.get("x2"))
+    ys = sorted(inv_y(float(el.get("y1"))) for el in lines if el.get("y1") == el.get("y2"))
+    assert np.allclose(xs, [-lim, lim], rtol=0, atol=1e-9 * lim)
+    assert np.allclose(ys, [-lim, lim], rtol=0, atol=1e-9 * lim)
+    # The limits lie inside the plotted range, and so do the thrust boxes.
+    assert float(root.get("data-xmin")) < -lim and lim < float(root.get("data-xmax"))
+    seg = tracking_report.segments[0]
+    assert float(root.get("data-xmin")) <= seg.lo[:, 4].min()
+
+
+def test_cli_plot_thrust_plane_of_a_four_dim_report_is_refused(tmp_path, capsys):
+    sc = _write(tmp_path, "sc.json", QUICK)
+    out = tmp_path / "out"
+    assert cli_main(["verify", sc, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["plot", str(out / "report.json"), "--plane", "uxuy"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: plane 'uxuy' unavailable for a 4-dimensional flowpipe"]
+    assert not (out / "plot_uxuy.svg").exists()
+
+
+def _sweep_cells(path):
+    """(title, fill, angular span in degrees) of each cell of a sweep SVG."""
+    root = ET.parse(path).getroot()
+    cx, cy = float(root.get("width")) / 2.0, float(root.get("height")) / 2.0
+    cells = []
+    for el in root:
+        if el.tag.endswith("polygon"):
+            pts = [tuple(map(float, pt.split(","))) for pt in el.get("points").split()]
+            angles = [math.degrees(math.atan2(cy - y, x - cx)) for x, y in pts]
+            cells.append((el.find("{*}title").text, el.get("fill"), max(angles) - min(angles)))
+    return cells
+
+
+def test_sweep_svg_colours_safe_deadlines_by_their_share_of_the_horizon(tmp_path):
+    path = tmp_path / "sweep.svg"
+    cli._emit_sweep_svg([(150.0, 950.0, 16200.0), (160.0, 950.0, 8100.0),
+                         (170.0, 950.0, -1.0)], 16200.0, path)
+    cells = _sweep_cells(path)
+    assert [(title, fill) for title, fill, _span in cells] == [
+        ("150 deg: 16200 s", "#28f050"), ("160 deg: 8100 s", "#37968c"),
+        ("170 deg: never", "#202020")]
+    assert all(span == pytest.approx(10.0) for _t, _f, span in cells)
+
+
+def test_sweep_svg_of_a_single_row_draws_a_five_degree_cell(tmp_path):
+    path = tmp_path / "sweep.svg"
+    cli._emit_sweep_svg([(90.0, 950.0, 0.0)], 16200.0, path)
+    (title, fill, span), = _sweep_cells(path)
+    assert (title, fill) == ("90 deg: 0 s", "#463cc8")
+    assert span == pytest.approx(5.0)
+
+
 def test_cli_verify_safe_exit_zero(tmp_path, capsys):
     sc = _write(tmp_path, "sc.json", QUICK)
     out = tmp_path / "out"
@@ -721,6 +828,17 @@ def test_cli_sweep_empty_angle_grid_is_usage_error(tmp_path, capsys, angles):
     assert cli_main(["sweep", sc, "--angles", angles, "--out", str(tmp_path / "w")]) == 2
     assert "selects no angle" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("angles", ["inf:360:5", "-inf:360:5", "0:inf:5", "0:360:nan",
+                                    "nan:360:5", "0:360:inf"])
+def test_cli_sweep_non_finite_angles_are_usage_errors(tmp_path, capsys, monkeypatch, angles):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep_passive_time", no_sweep)
+    # One token, so that argparse takes "-inf:..." as the value, not an option.
+    _assert_one_error_line(tmp_path, capsys, ["sweep", f"--angles={angles}"], QUICK, "--angles")
 
 
 def test_cli_sweep_angle_grid_too_large_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdvsafe
@@ -413,23 +413,20 @@ def test_containment_of_bounce_starts(radius, bearing, speed, hw_x, hw_y, t2):
     assert monte_carlo_containment(report, 30)["violations"] == 0
 
 
-def test_sweep_ordering_and_grid_order_invariance(quick):
-    angles = [180.0, 230.0]
-    grid = [600.0, 1200.0]
-    rows = sweep_passive_time(quick, angles, 950.0, t_grid=grid)
+def test_sweep_rows_follow_the_input_angle_order(quick):
+    angles = [230.0, 180.0]
+    rows = sweep_passive_time(quick, angles, 950.0)
     assert [r[0] for r in rows] == angles
-    t180, t230 = rows[0][2], rows[1][2]
+    t230, t180 = rows[0][2], rows[1][2]
     assert t180 >= t230
-    rows_rev = sweep_passive_time(quick, angles, 950.0, t_grid=list(reversed(grid)))
-    assert rows == rows_rev
 
 
 def test_sweep_worker_pool_matches_serial():
     # Slower far-range gains give one bearing a safe deadline and one none.
     sc = default_scenario(h=10.0, bryson={"prox_a": {"max_state": [1000.0, 1000.0, 0.1, 0.1]}})
-    args = (sc, [180.0, 230.0], 950.0, [600.0, 2400.0, 9600.0])
+    args = (sc, [180.0, 230.0], 950.0)
     rows = sweep_passive_time(*args, jobs=1)
-    assert [t for _a, _r, t in rows] == [9600.0, -1.0]
+    assert [t for _a, _r, t in rows] == [16200.0, -1.0]
     assert sweep_passive_time(*args, jobs=2) == rows
 
 
@@ -448,8 +445,7 @@ def test_sweep_checks_window_width_before_any_angle_runs(monkeypatch, quick):
 
     monkeypatch.setattr(verifier, "_rendezvous_pipes", no_reach)
     with pytest.raises(ValueError, match="window width 1e-13"):
-        sweep_passive_time(replace(quick, window_width=1e-13), [180.0, 230.0], 950.0,
-                           t_grid=[600.0])
+        sweep_passive_time(replace(quick, window_width=1e-13), [180.0, 230.0], 950.0)
 
 
 class _AngleRan(Exception):
@@ -479,8 +475,7 @@ def test_sweep_rejects_nonlinear_variant_before_any_angle_runs(monkeypatch, quic
 
     monkeypatch.setattr(verifier, "_rendezvous_pipes", no_reach)
     with pytest.raises(ValueError, match="simulation-only"):
-        sweep_passive_time(replace(quick, variant="nlin_prox"), [180.0, 230.0], 950.0,
-                           t_grid=[600.0])
+        sweep_passive_time(replace(quick, variant="nlin_prox"), [180.0, 230.0], 950.0)
 
 
 class _RecordingPool:
@@ -504,11 +499,11 @@ class _RecordingPool:
 def test_sweep_pool_has_at_most_one_worker_per_angle(monkeypatch, quick):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
-    args = (quick, [180.0, 230.0], 950.0, [600.0])
+    args = (quick, [180.0, 230.0], 950.0)
     rows = sweep_passive_time(*args, jobs=64)
     assert _RecordingPool.made == [2]
     assert rows == sweep_passive_time(*args, jobs=1)
-    sweep_passive_time(quick, [180.0], 950.0, [600.0], jobs=64)
+    sweep_passive_time(quick, [180.0], 950.0, jobs=64)
     assert _RecordingPool.made == [2]
 
 
@@ -547,8 +542,8 @@ def test_nonlinear_run_approaches_and_enters_close_range():
 
 
 def test_passive_hull_contains_every_collected_box(quick, quick_report):
-    from rdvsafe.verifier import _collect_window_boxes, _timed
-    rendezvous = [_timed(s) for s in quick_report.segments if s.mode != MODE_PASSIVE]
+    from rdvsafe.verifier import _collect_window_boxes
+    rendezvous = [s for s in quick_report.segments if s.mode != MODE_PASSIVE]
     passive = quick_report.segments[-1]
     hull_lo, hull_hi = passive.lo[0], passive.hi[0]
     boxes = _collect_window_boxes(rendezvous, quick.t1, quick.t2)
@@ -703,19 +698,21 @@ def _stepwise_row(model, seg, k, c, V):
                      1 if np.any(G @ c - spread > g) else 2])
 
 
-def _stepwise_block(model, mode, basis, k0, n, pipes, work):
+def _stepwise_block(model, mode, basis, k0, ends, pipes, work):
     """Reference for ``verifier._block``: each pipe's set at step k0 is the
     basis applied to its start box c0 +/- w0, c = basis c0 and V = basis
     diag(w0), stepped one sample at a time by the Φ recurrence, so its sets
-    never pass through a block table.  Stepping stops at the first
-    non-finite set in (pipe, step) order, with the rows and codes before it
-    kept."""
+    never pass through a block table.  Each pipe steps the block's
+    n = min(_BLOCK, ends[0] - k0) rows up to its own end, the rows past it
+    counted as kept.  Stepping stops at the first non-finite set in (pipe,
+    step) order, with the rows and codes before it kept."""
     phi, kept, codes, error = model.phis[mode], 0, [], None
-    for start, *rows in zip(*pipes):
+    n = min(verifier._BLOCK, ends[0] - k0)
+    for start, end, *rows in zip(pipes[0], ends, *pipes[1:]):
         seg = verifier._empty_segment(model, mode, k0 + n, 0.0, 0.0, rows)
         c0, w0 = np.split(start[1], 2)
         c, V = basis @ c0, basis @ np.diag(w0)
-        for k in range(k0, k0 + n):
+        for k in range(k0, min(end, k0 + n)):
             if not (np.isfinite(c).all() and np.isfinite(V).all()):
                 where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
                 error = verifier.InconclusiveError(f"numerical overflow in {where} at step {k}")
@@ -725,6 +722,7 @@ def _stepwise_block(model, mode, basis, k0, n, pipes, work):
             c, V = phi @ c, phi @ V
         if error is not None:
             break
+        kept += max(0, k0 + n - end)
     codes = None if mode == MODE_PASSIVE else np.concatenate([np.empty(0, int)] + codes)
     return kept, codes, error
 
@@ -938,7 +936,7 @@ def test_block_ties_match_stepwise_reference(quick, bloat, tie, code):
             rows = verifier._pipe_rows(model, mode, W, 1)
             segs = [verifier._empty_segment(model, mode, 1, 0.0, 0.0, [r[i] for r in rows])
                     for i in range(W)]
-            _, codes, _ = kernel(model, mode, _TIE_V, 0, 1,
+            _, codes, _ = kernel(model, mode, _TIE_V, 0, [1] * W,
                                  (np.array([np.hstack([[c0, c0], [-np.ones(4), np.ones(4)]])] * W),
                                   *rows),
                                  verifier._work(model, mode, W))
@@ -1034,13 +1032,13 @@ def test_windowed_start_hull_takes_in_earlier_passive_boxes(quick):
     # Window i's hull reads the passive boxes of windows 0..i-1 as well as the
     # rendezvous boxes, which widens the later windows' start boxes.
     rep = verify_windowed(quick, 100.0)
-    rendezvous = [verifier._timed(s) for s in rep.segments if s.mode != MODE_PASSIVE]
+    rendezvous = [s for s in rep.segments if s.mode != MODE_PASSIVE]
     passive = [s for s in rep.segments if s.mode == MODE_PASSIVE]
     assert len(passive) == 3
     widths, alone = [], []
     for i, seg in enumerate(passive):
-        timed = rendezvous + [verifier._timed(s) for s in passive[:i]]
-        hull = verifier.hull_boxes(verifier._collect_window_boxes(timed, seg.t_lo0, seg.t_hi0))
+        segments = rendezvous + passive[:i]
+        hull = verifier.hull_boxes(verifier._collect_window_boxes(segments, seg.t_lo0, seg.t_hi0))
         assert np.allclose(seg.lo[0], hull.lo, rtol=0, atol=1e-9)
         assert np.allclose(seg.hi[0], hull.hi, rtol=0, atol=1e-9)
         widths.append(seg.hi[0, 0] - seg.lo[0, 0])
@@ -1100,6 +1098,49 @@ def test_overflow_with_several_windows_names_the_first_window_that_overflows(edi
     for a, b in zip(rep.segments[-2:],
                     _window_at_a_time(model, rendezvous, windows, short.horizon)):
         assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(t0=st.floats(-2e4, 2e4), h=st.sampled_from([0.3, 1.0, 3.7, 10.0]),
+       n=st.integers(0, 2000), k=st.integers(-3, 2003), ulps=st.sampled_from([-1, 0, 1]))
+@example(t0=7200.0, h=0.3, n=0, k=0, ulps=0)
+@example(t0=7200.0, h=3.7, n=0, k=5, ulps=-1)
+def test_count_below_is_searchsorted_on_the_step_times(t0, h, n, k, ulps):
+    # t is the step time t0 + h k as the times array rounds it, or one ulp
+    # either side; k may lie past either end of the n steps.
+    t = t0 + h * k
+    t = math.nextafter(t, ulps * math.inf) if ulps else t
+    assert verifier._count_below(t0, h, n, t) == np.searchsorted(t0 + h * np.arange(n), t)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_block_ignores_an_overflow_past_a_short_pipes_end(quick):
+    # Passive sets grow 16-fold a step.  Of two pipes stepped in one block,
+    # the second starts at 2^400 and overflows past step 100; cut to 100
+    # steps, inside the first pipe's 200, it keeps its rows and nothing raises.
+    base = verifier._model_of(quick)
+    model = replace(base, phis={**base.phis, MODE_PASSIVE: 16.0 * np.eye(4)})
+    starts = [verifier._start(Box(lo=np.full(4, c), hi=np.full(4, 2.0 * c)))
+              for c in (1.0, 2.0 ** 400)]
+
+    def run(ends, which=slice(None)):
+        rows = [r[which] for r in verifier._pipe_rows(model, MODE_PASSIVE, 2, 200)]
+        kept, codes, error = verifier._block(model, MODE_PASSIVE, np.eye(4), 0, ends,
+                                             (np.array(starts)[which], *rows),
+                                             verifier._work(model, MODE_PASSIVE, 2))
+        assert codes is None
+        return kept, error, rows
+
+    kept, error, _ = run([200, 200])
+    step = int(str(error).rsplit(" ", 1)[1])
+    assert 100 < step < 200 and kept == 200 + step
+    kept, error, rows = run([200, 100])
+    assert (kept, error) == (400, None)
+    _, error, alone = run([100], slice(1, 2))
+    assert error is None
+    for both, one in zip(rows, alone):
+        assert np.array_equal(both[1, :100], one[0, :100])
 
 
 # ---------------------------------------------------------------------------
