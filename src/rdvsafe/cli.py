@@ -21,8 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .hybrid import GUARD_RADIUS_M, property_settings
-from .lqr import bryson_maxima
+from .hybrid import GUARD_RADIUS_M
 from .numsim import _END, _MODE, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _write_csv_rows
 from .orbital import FieldError, OrbitalParams
 from .starset import Box
@@ -48,10 +47,11 @@ _POINTERS = dict(r="r_orbit", t1="t1_s", t2="t2_s", horizon="horizon_s", h="step
 
 class ScenarioError(ValueError):
     """Scenario file problem, carrying a JSON pointer to the offending field.
-    The message names the root, pointer "", by the file's path when given."""
+    The message names the file's path, when given, then the pointer, unless
+    it is the root's, ""."""
 
     def __init__(self, pointer: str, message: str, path: str = ""):
-        super().__init__(f"{pointer or path}: {message}")
+        super().__init__(": ".join([part for part in (path, pointer) if part] + [message]))
         self.pointer, self.message = pointer, message
 
 
@@ -133,7 +133,6 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical fully-populated form of a scenario (the config echo)."""
-    prox_a, prox_b, max_input = bryson_maxima(sc.bryson)
     return {
         "variant": sc.variant,
         "mu": sc.params.mu,
@@ -148,11 +147,11 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "window_width_s": sc.window_width,
         "seed": sc.seed,
         "bryson": {
-            "prox_a": {"max_state": [float(v) for v in prox_a]},
-            "prox_b": {"max_state": [float(v) for v in prox_b]},
-            "max_input": [float(v) for v in max_input],
+            "prox_a": {"max_state": list(sc.maxima[0])},
+            "prox_b": {"max_state": list(sc.maxima[1])},
+            "max_input": list(sc.maxima[2]),
         },
-        "properties": property_settings(sc.property_overrides),
+        "properties": dict(sc.settings),
     }
 
 
@@ -278,7 +277,7 @@ _MAX_RECTS_PER_PIPE = 2000
 
 
 def _plane_overlays(plane: str, sc: Scenario):
-    props = property_settings(sc.property_overrides)
+    props = sc.settings
     shapes = []
     if plane == "xy":
         verts = [(GUARD_RADIUS_M * math.cos(math.radians(45 * k)),
@@ -533,9 +532,8 @@ def _cmd_sweep(args) -> int:
     try:
         a, b, step = (float(x) for x in args.angles.split(":"))
     except ValueError:
-        print(f"cannot parse --angles {args.angles!r}; expected start:stop:step",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse --angles {args.angles!r};"
+                         " expected start:stop:step") from None
     if not all(map(math.isfinite, (a, b, step))):
         raise ValueError(f"--angles {args.angles!r} must be finite start:stop:step degrees")
     # ceil((b - a) / step) angles, compared without the ceil, which overflows.
@@ -543,9 +541,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--angles {args.angles!r} selects over {_MAX_ANGLES} angles")
     angles = list(np.arange(a, b, step)) if step else []
     if not angles:
-        print(f"--angles {args.angles!r} selects no angle; the step must be nonzero"
-              " and lead from start toward stop", file=sys.stderr)
-        return 2
+        raise ValueError(f"--angles {args.angles!r} selects no angle; the step must be"
+                         " nonzero and lead from start toward stop")
     rows = sweep_passive_time(sc, angles, args.radius, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     _emit_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
@@ -560,13 +557,16 @@ def _cmd_plot(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "config" not in doc:
-        print("report is not a JSON object with a config; nothing to plot", file=sys.stderr)
-        return 2
-    sc = scenario_from_dict(doc["config"])
+        raise ValueError(f"{args.report}: report is not a JSON object with a config;"
+                         " nothing to plot")
+    try:
+        sc = scenario_from_dict(doc["config"])
+    except ScenarioError as exc:
+        raise ScenarioError(f"/config{exc.pointer}", exc.message, args.report) from exc
     csv_name = doc.get("flowpipe_csv")
     if not isinstance(csv_name, str) or not csv_name:
-        print("report carries no flowpipe reference; nothing to plot", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.report}: report carries no flowpipe reference;"
+                         " nothing to plot")
     csv_path = os.path.join(os.path.dirname(os.path.abspath(args.report)), csv_name)
     segments = load_flowpipe_csv(csv_path)
     out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.report)),

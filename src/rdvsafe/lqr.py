@@ -70,8 +70,9 @@ def bryson_weights(max_state, max_input) -> Weights:
 
 def bryson_maxima(bryson: dict | None = None) -> tuple:
     """The three Bryson vectors of a scenario's ``bryson`` settings, defaults
-    filled in: (prox_a max state, prox_b max state, max input).  A maximum
-    that is not strictly positive is a FieldError naming it: ``max_input/0``."""
+    filled in, as tuples of floats: (prox_a max state, prox_b max state, max
+    input).  A maximum that is not strictly positive is a FieldError naming
+    it: ``max_input/0``."""
     br = bryson or {}
     maxima = {"prox_a/max_state": br.get("prox_a", {}).get("max_state", PROXA_MAX_STATE),
               "prox_b/max_state": br.get("prox_b", {}).get("max_state", PROXB_MAX_STATE),
@@ -79,7 +80,7 @@ def bryson_maxima(bryson: dict | None = None) -> tuple:
     bad = [f"{name}/{i}" for name, vec in maxima.items() for i, v in enumerate(vec) if not v > 0.0]
     if bad:
         raise FieldError(bad[0], "Bryson maxima must be strictly positive")
-    return tuple(maxima.values())
+    return tuple(tuple(map(float, vec)) for vec in maxima.values())
 
 
 def care_residual(A, B, weights: Weights, P) -> float:

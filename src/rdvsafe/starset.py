@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,26 @@ def clip_box_to_halfspaces(box: Box, A, b) -> Box | None:
     Where the box meets a half-space in a face, rounding may put the box's
     least a.x past b_i or a tightened bound an ulp past the opposite bound:
     the box counts as empty only beyond the rounding of a.x, and a bound
-    stops at the opposite bound, so the face is kept, not dropped or inverted."""
-    lo, hi = box.lo.copy(), box.hi.copy()
-    for a, b_i in zip(np.asarray(A, dtype=float), b):
+    stops at the opposite bound, so the face is kept, not dropped or inverted.
+
+    The pass runs on Python floats, as the boxes it serves are small.  Its
+    sums add left to right from +0.0, as numpy's ``sum`` adds fewer than
+    eight terms, so the bounds are those of the same pass on arrays."""
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    for a, b_i in zip(np.asarray(A, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
         # Minimum of a.x over the box, split per coordinate contribution.
-        mins = np.where(a >= 0.0, a * lo, a * hi)
-        total_min = mins.sum()
+        mins = [a_d * (l_d if a_d >= 0.0 else h_d) for a_d, l_d, h_d in zip(a, lo, hi)]
+        total_min = abs_sum = 0.0
+        for m_d in mins:
+            total_min += m_d
+            abs_sum += abs(m_d)
         # Empty only past the rounding of the n-term sum, at most n eps sum|mins|.
-        if total_min > b_i and total_min - b_i > len(mins) * _EPS * np.abs(mins).sum():
+        if total_min > b_i and total_min - b_i > len(mins) * _EPS * abs_sum:
             return None
-        for d in np.nonzero(a)[0]:
+        for d, a_d in enumerate(a):
             budget = b_i - (total_min - mins[d])
-            if a[d] > 0.0:
-                hi[d] = max(min(hi[d], budget / a[d]), lo[d])
-            else:
-                lo[d] = min(max(lo[d], budget / a[d]), hi[d])
+            if a_d > 0.0:
+                hi[d] = max(min(hi[d], budget / a_d), lo[d])
+            elif a_d < 0.0:
+                lo[d] = min(max(lo[d], budget / a_d), hi[d])
     return Box(lo=lo, hi=hi)

@@ -53,7 +53,7 @@ from .numsim import (
     steps_within,
 )
 from .orbital import FieldError, OrbitalParams
-from .starset import Box, clip_box_to_halfspaces, hull_boxes, supports
+from .starset import Box, clip_box_to_halfspaces, supports
 
 DEFAULT_INIT_CENTER = (-900.0, -400.0, 0.0, 0.0)
 DEFAULT_INIT_HALFWIDTH = (25.0, 25.0, 0.0, 0.0)
@@ -88,7 +88,12 @@ class InconclusiveError(RuntimeError):
 @dataclass(frozen=True)
 class Scenario:
     """Full configuration of one verification run.  A value that breaks a rule,
-    its own or property_settings' or bryson_maxima's, is a FieldError naming it."""
+    its own or property_settings' or bryson_maxima's, is a FieldError naming it.
+
+    The filled-in values those two rules give are kept, as ``settings`` (the
+    property_settings dict) and ``maxima`` (bryson_maxima's three vectors),
+    outside ``__init__``, ``==`` and ``repr``: ``dataclasses.replace``
+    derives them afresh, and :func:`_model_of` keys its model by them."""
 
     params: OrbitalParams = OrbitalParams()
     variant: str = VARIANT_LIN
@@ -104,6 +109,8 @@ class Scenario:
     bryson: dict | None = None
     property_overrides: dict | None = None
     seed: int = 0
+    settings: dict = field(init=False, compare=False, repr=False)
+    maxima: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -128,9 +135,10 @@ class Scenario:
         if self.init.dim not in dims:
             raise FieldError("init", f"initial box dim {self.init.dim} incompatible with variant"
                                      f" {self.variant}, which takes {' or '.join(map(str, dims))}")
-        for name, rules in (("property_overrides", property_settings), ("bryson", bryson_maxima)):
+        for name, kept, rules in (("property_overrides", "settings", property_settings),
+                                  ("bryson", "maxima", bryson_maxima)):
             try:
-                rules(getattr(self, name))
+                object.__setattr__(self, kept, rules(getattr(self, name)))
             except FieldError as exc:
                 raise FieldError(f"{name}/{exc.field}", str(exc)) from exc
 
@@ -261,10 +269,11 @@ def _read_only(obj) -> None:
 class _Model:
     """What a run reads that depends only on its physics: the orbital
     parameters, the automaton, the step h, the filled-in property settings
-    and Φ per mode, and derived from them, per mode, the power table
-    (P, Φ^_BLOCK), the block table of :func:`_direction_table` and the
-    checker, and per mode index the nonlinear engine's force gain m_c K
-    (None in passive).
+    and Φ per mode, and derived from them the guard normals' position
+    columns G₂ and the rows [G₂; -G₂] that classify a box, per mode the
+    power table (P, Φ^_BLOCK), the block table of :func:`_direction_table`
+    and the checker, and per mode index the nonlinear engine's force gain
+    m_c K (None in passive).
 
     One model serves every run of its physics in the process (see
     :func:`_model`), so every array in it is read-only and every table a
@@ -277,6 +286,7 @@ class _Model:
     phis: Mapping[str, np.ndarray]
     bloat: bool = field(init=False)
     guard2: np.ndarray = field(init=False)
+    guard_rows: np.ndarray = field(init=False)
     checkers: Mapping[str, _ModeChecker] = field(init=False)
     powers: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
     directions: Mapping[str, np.ndarray] = field(init=False)
@@ -292,6 +302,7 @@ class _Model:
             phis=MappingProxyType(dict(self.phis)),
             bloat=self.settings["intersample_bloat"],
             guard2=aut.guard_normals[:, :2],
+            guard_rows=np.vstack([aut.guard_normals[:, :2], -aut.guard_normals[:, :2]]),
             checkers=MappingProxyType(checkers),
             powers=MappingProxyType(powers),
             directions=MappingProxyType(
@@ -319,17 +330,16 @@ def _model(params: OrbitalParams, variant: str, h: float, bryson: tuple,
 
 def _model_of(sc: Scenario) -> _Model:
     """The shared model of sc's physics, keyed by (params, variant, h, the
-    three Bryson vectors, the filled-in property settings), all hashable."""
-    bryson = tuple(tuple(float(v) for v in vec) for vec in bryson_maxima(sc.bryson))
-    settings = tuple(property_settings(sc.property_overrides).items())
-    return _model(sc.params, sc.variant, float(sc.h), bryson, settings)
+    three Bryson vectors, the filled-in property settings), all hashable:
+    the values sc kept when it checked them, so no rule runs again."""
+    return _model(sc.params, sc.variant, float(sc.h), sc.maxima, tuple(sc.settings.items()))
 
 
 def _initial(model: _Model, box: Box) -> tuple[str, Box]:
     """The mode whose region holds the box's position part, and the box in
     that mode's state space; a box straddling the guard is an error."""
-    cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]),
-                    np.vstack([model.guard2, -model.guard2]), model.aut.guard_offsets)
+    cls = _classify(box.mid()[:2], np.diag(box.halfwidth()[:2]), model.guard_rows,
+                    model.aut.guard_offsets)
     if cls == "straddle":
         raise ValueError("initial box straddles the guard octagon; split the scenario")
     mode = MODE_PROX_B if cls == "inside" else MODE_PROX_A
@@ -392,7 +402,9 @@ def _empty_segment(model: _Model, mode: str, n_steps: int, t_lo0: float, t_hi0: 
 
 def _start(box: Box) -> np.ndarray:
     """The start S = [[c, -w], [c, w]] of a pipe from the box c +/- w."""
-    return np.hstack([[box.mid()] * 2, np.outer((-1.0, 1.0), box.halfwidth())])
+    c, w, S = box.mid(), box.halfwidth(), np.empty((2, 2 * box.dim))
+    S[:, :box.dim], S[0, box.dim:], S[1, box.dim:] = c, -w, w
+    return S
 
 
 def _work(model: _Model, mode: str, W: int) -> tuple[np.ndarray, ...]:
@@ -420,7 +432,8 @@ def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, ends: list[int]
     do not depend on the pipes stepped with it: lo and hi of its boxes, which
     go into the row storage from row k0, then -rho(-X) and rho(X), which
     give the hits and, on the guard rows G, the guard codes.  The opt-in
-    intersample bloat widens them all.
+    intersample bloat widens them all.  A mode with no checker rows (prox_a
+    in lin_prox) takes no check: its hits stay the zeros of :func:`_pipe_rows`.
 
     Returns the number of sets kept, W n but for a cut before the first
     non-finite one in (pipe, step) order, the :func:`_classes` guard codes
@@ -456,7 +469,8 @@ def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, ends: list[int]
             where = "passive pipe" if mode == MODE_PASSIVE else f"mode {mode}"
             error = InconclusiveError(f"numerical overflow in {where} at step {k0 + m % n}")
     lo[:, k0:k0 + n], hi[:, k0:k0 + n] = box[:, 0], box[:, 1]
-    hits[:, k0:k0 + n] = checker.check(sx[1, :, :xc].swapaxes(1, 2))
+    if xc:
+        hits[:, k0:k0 + n] = checker.check(sx[1, :, :xc].swapaxes(1, 2))
     codes = _classes(sx[::-1, :, xc:], model.aut.guard_offsets).ravel()[:m] if x > xc else None
     return m, codes, error
 
@@ -478,7 +492,12 @@ def _advance(model: _Model, seg: FlowpipeSegment, box: Box):
 def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
                       t_end: float) -> list[FlowpipeSegment]:
     """Run every rendezvous-mode pipe from start, a (mode, box) pair at time 0
-    as :func:`_initial` gives it, up to covered time t_end (the clock bound)."""
+    as :func:`_initial` gives it, up to covered time t_end (the clock bound).
+
+    A pipe's guard codes are scanned block by block for the steps where the
+    set enters or leaves its own region.  A block whose codes all read its
+    own region while no collection is open changes nothing, and is skipped
+    unscanned."""
     h = model.h
     segments: list[FlowpipeSegment] = []
     worklist: list[tuple[str, Box, float, float]] = [(*start, 0.0, 0.0)]
@@ -504,7 +523,7 @@ def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
         # it back would bounce ghost sets between the modes forever.  So grazes
         # and clock bounds restart only when collect_k0 > 0.
         collect_k0: int | None = None
-        k = n_steps - 1
+        k, crossed = n_steps - 1, False
 
         def restart(stop: int, k: int):
             """Restart the hull of rows collect_k0..stop-1 in the other mode,
@@ -514,8 +533,10 @@ def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
                 worklist.append((other, start, t_lo0 + collect_k0 * h, t_hi0 + k * h))
 
         for k0, codes in _advance(model, seg, box):
-            crossed = np.flatnonzero(codes == 1 - own_code)
-            own = codes[:crossed[0] + 1 if crossed.size else None] == own_code
+            if collect_k0 is None and (codes == own_code).all():
+                continue        # a quiet block: the set stays in its own region
+            across = np.flatnonzero(codes == 1 - own_code)
+            own = codes[:across[0] + 1 if across.size else None] == own_code
             # Only the steps where the set enters or leaves its own region.
             was_own = np.append(collect_k0 is None, own[:-1])
             for i in np.flatnonzero(own != was_own).tolist():
@@ -524,13 +545,13 @@ def _rendezvous_pipes(model: _Model, start: tuple[str, Box],
                     # crossed, keep going in this mode.
                     restart(k0 + i, k0 + i)
                 collect_k0 = None if own[i] else k0 + i
-            if crossed.size:
-                k = k0 + int(crossed[0])
+            if across.size:
+                k, crossed = k0 + int(across[0]), True
                 break
 
         seg.lo, seg.hi, seg.hits = seg.lo[:k + 1], seg.hi[:k + 1], seg.hits[:k + 1]
         segments.append(seg)
-        if crossed.size or (collect_k0 or 0) > 0:
+        if crossed or (collect_k0 or 0) > 0:
             # The set fully crossed, or the clock bound stops the pipe
             # mid-collection; both restart from the aggregated hull.
             restart(k + 1, k)
@@ -549,18 +570,19 @@ def _count_below(t0: float, h: float, n: int, t: float) -> int:
     return k
 
 
-def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float) -> list[Box]:
-    """Per pipe of segments, the hull of its boxes whose time range meets
-    [t1, t2]: the rows from the first that ends by t1 to the last that starts
-    by t2, as both step times rise with the step."""
-    boxes: list[Box] = []
+def _collect_window_boxes(segments: list[FlowpipeSegment], t1: float, t2: float) -> Box | None:
+    """The hull of every box of segments whose time range meets [t1, t2], or
+    None if there is none: per pipe, the rows from the first that ends by t1
+    to the last that starts by t2, as both step times rise with the step."""
+    los, his = [], []
     last = math.nextafter(t2 + _TIME_EPS, math.inf)     # below it: at or before t2 + eps
     for seg in segments:
         rows = slice(_count_below(seg.t_hi0, seg.h, seg.n_steps, t1 - _TIME_EPS),
                      _count_below(seg.t_lo0, seg.h, seg.n_steps, last))
         if rows.start < rows.stop:
-            boxes.append(Box(lo=seg.lo[rows].min(axis=0), hi=seg.hi[rows].max(axis=0)))
-    return boxes
+            los.append(seg.lo[rows].min(axis=0))
+            his.append(seg.hi[rows].max(axis=0))
+    return Box(lo=np.min(los, axis=0), hi=np.max(his, axis=0)) if los else None
 
 
 def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
@@ -592,10 +614,10 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
     failed: Exception | None = None
     for i, (a, b) in enumerate(windows):
         try:
-            boxes = _collect_window_boxes(segments + out, a, b)
-            if not boxes:
+            hull = _collect_window_boxes(segments + out, a, b)
+            if hull is None:
                 raise ValueError(f"abort window [{a}, {b}] covers no reachable sample")
-            pipes[0][i] = _start(_enter(model, MODE_PASSIVE, hull_boxes(boxes)))
+            pipes[0][i] = _start(_enter(model, MODE_PASSIVE, hull))
             for k0 in range(0, min(alone, ends[i]), _BLOCK):
                 _, _, error = _block(model, MODE_PASSIVE, bases[k0 // _BLOCK], k0, ends[i:i + 1],
                                      [p[i:i + 1] for p in pipes], work)
@@ -621,11 +643,14 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
 
 
 def _first_violations(segments: list[FlowpipeSegment]) -> list[Violation]:
+    """Each property's earliest hit over segments, in time order: per pipe,
+    its first row meeting each of its properties, from one argmax."""
     best: dict[str, Violation] = {}
     for seg in segments:
-        for j in np.flatnonzero(seg.hits.any(axis=0)).tolist():
-            name, k = seg.names[j], int(seg.hits[:, j].argmax())
-            t = seg.t_lo0 + k * seg.h
+        for j, k in enumerate(seg.hits.argmax(axis=0).tolist()):
+            if not seg.hits[k, j]:
+                continue
+            name, t = seg.names[j], seg.t_lo0 + k * seg.h
             if name not in best or t < best[name].time_s:
                 best[name] = Violation(
                     property=name, mode=seg.mode, time_s=t, step=k,

@@ -830,6 +830,38 @@ def test_cli_sweep_empty_angle_grid_is_usage_error(tmp_path, capsys, angles):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("angles,message", [
+    ("nonsense", "cannot parse --angles 'nonsense'"),
+    ("0:360:0", "--angles '0:360:0' selects no angle"),
+])
+def test_cli_sweep_angle_grid_refusals_print_one_error_line(tmp_path, capsys, angles, message):
+    _assert_one_error_line(tmp_path, capsys, ["sweep", f"--angles={angles}"], QUICK, message)
+
+
+@pytest.mark.parametrize("report,message", [
+    ([1, 2], "report is not a JSON object with a config"),
+    ({"flowpipe_csv": "f.csv"}, "report is not a JSON object with a config"),
+    ({"config": {}}, "report carries no flowpipe reference"),
+])
+def test_cli_plot_refusals_print_one_error_line(tmp_path, capsys, report, message):
+    path = _write(tmp_path, "report.json", report)
+    assert cli_main(["plot", path, "--plane", "xy", "--out", str(tmp_path / "p.svg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: {message}; nothing to plot"]
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("config,where", [
+    ([], "/config: expected an object"),
+    ({"t1_s": 9000.0, "t2_s": 8000.0}, "/config/t1_s: need 0 <= t1 <= t2"),
+])
+def test_cli_plot_bad_config_names_the_report_and_the_key(tmp_path, capsys, config, where):
+    path = _write(tmp_path, "report.json", {"config": config, "flowpipe_csv": "f.csv"})
+    assert cli_main(["plot", path, "--plane", "xy"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {where}")
+
+
 @pytest.mark.parametrize("angles", ["inf:360:5", "-inf:360:5", "0:inf:5", "0:360:nan",
                                     "nan:360:5", "0:360:inf"])
 def test_cli_sweep_non_finite_angles_are_usage_errors(tmp_path, capsys, monkeypatch, angles):

@@ -277,6 +277,69 @@ def test_clip_by_many_rows_is_one_row_clips_in_turn():
     assert empty > 50 and two_rows > 10
 
 
+def _clip_on_arrays(box, A, b):
+    """clip_box_to_halfspaces as it ran on numpy arrays, whose sums its
+    float pass must reproduce: the oracle of the test below."""
+    lo, hi = box.lo.copy(), box.hi.copy()
+    for a, b_i in zip(np.asarray(A, dtype=float), b):
+        mins = np.where(a >= 0.0, a * lo, a * hi)
+        total_min = mins.sum()
+        slack = len(mins) * np.finfo(float).eps * np.abs(mins).sum()
+        if total_min > b_i and total_min - b_i > slack:
+            return None
+        for d in np.nonzero(a)[0]:
+            budget = b_i - (total_min - mins[d])
+            if a[d] > 0.0:
+                hi[d] = max(min(hi[d], budget / a[d]), lo[d])
+            else:
+                lo[d] = min(max(lo[d], budget / a[d]), hi[d])
+    return Box(lo=lo, hi=hi)
+
+
+def test_clip_matches_its_array_version_bit_for_bit():
+    """On seeded boxes of 2, 4 and 6 coordinates, against dense rows, rows
+    with zero entries and the guard octagon in the position columns, with
+    offsets that clip, touch a face or a corner, cut a one-ulp sliver or
+    empty the box, the float pass gives the array version's bits."""
+    rng = np.random.default_rng(30)
+    octagon, radius = octagon_halfspaces(100.0)
+    kinds = {"clipped": 0, "touch": 0, "sliver": 0, "empty": 0}
+    for trial in range(3000):
+        dim = (2, 4, 6)[trial % 3]
+        center = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=dim)
+        hw = rng.uniform(0.0, 40.0, size=dim) * (rng.uniform(size=dim) < 0.9)
+        lo, hi = center - hw, center + hw
+        sliver = trial % 7 == 0
+        if sliver:
+            hi = np.nextafter(lo, np.inf)
+        lo[rng.uniform(size=dim) < 0.1] = rng.choice([0.0, -0.0])
+        box = Box(lo=lo, hi=np.maximum(lo, hi))
+        touch = trial % 5 == 1 and trial % 4 != 0
+        if trial % 4 == 0:
+            A, b = np.zeros((8, dim)), radius.copy()
+            A[:, :2] = octagon
+        else:
+            A = rng.normal(size=(8, dim)) * (rng.uniform(size=(8, dim)) < (1.0, 0.6)[trial % 2])
+            lows = np.where(A >= 0.0, A * box.lo, A * box.hi).sum(axis=1)
+            highs = np.where(A >= 0.0, A * box.hi, A * box.lo).sum(axis=1)
+            b = lows + rng.uniform(-0.2, 1.2, size=8) * (highs - lows)
+            if touch:
+                # A face or corner touch: an offset at the box's least a.x.
+                j = rng.integers(0, 8)
+                b[j] = lows[j]
+        got, want = clip_box_to_halfspaces(box, A, b), _clip_on_arrays(box, A, b)
+        if want is None:
+            assert got is None
+            kinds["empty"] += 1
+        else:
+            assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
+            kinds["clipped"] += not (np.array_equal(want.lo, box.lo)
+                                     and np.array_equal(want.hi, box.hi))
+            kinds["sliver"] += sliver
+            kinds["touch"] += touch
+    assert min(kinds.values()) > 20, kinds
+
+
 def test_clip_keeps_the_faces_rounding_would_drop_or_invert():
     """Points and 1e-12-wide boxes on the guard octagon's edges, moved by
     0 or 1e-14 per axis, meet the half-spaces in a point or a sliver: no clip

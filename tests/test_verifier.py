@@ -31,8 +31,9 @@ from rdvsafe import (
     verify,
     verify_windowed,
 )
-from rdvsafe.hybrid import PROPERTY_DEFAULTS, SafetyProperty
-from rdvsafe.numsim import MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
+from rdvsafe.hybrid import PROPERTY_DEFAULTS, SafetyProperty, property_settings
+from rdvsafe.lqr import bryson_maxima
+from rdvsafe.numsim import _TIME_EPS, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, steps_within
 from rdvsafe.orbital import FieldError
 from rdvsafe.verifier import Scenario, _halton, sample_initial_points, simulate_scenario
 
@@ -545,11 +546,17 @@ def test_passive_hull_contains_every_collected_box(quick, quick_report):
     from rdvsafe.verifier import _collect_window_boxes
     rendezvous = [s for s in quick_report.segments if s.mode != MODE_PASSIVE]
     passive = quick_report.segments[-1]
-    hull_lo, hull_hi = passive.lo[0], passive.hi[0]
-    boxes = _collect_window_boxes(rendezvous, quick.t1, quick.t2)
-    assert boxes
-    for b in boxes:
-        assert np.all(hull_lo <= b.lo + 1e-12) and np.all(hull_hi >= b.hi - 1e-12)
+    hull = _collect_window_boxes(rendezvous, quick.t1, quick.t2)
+    assert hull is not None
+    assert np.all(passive.lo[0] <= hull.lo + 1e-12) and np.all(passive.hi[0] >= hull.hi - 1e-12)
+    collected = 0
+    for seg in rendezvous:
+        k = np.arange(seg.n_steps)
+        meets = ((seg.t_lo0 + seg.h * k <= quick.t2 + _TIME_EPS)
+                 & (seg.t_hi0 + seg.h * k >= quick.t1 - _TIME_EPS))
+        collected += int(meets.sum())
+        assert np.all(hull.lo <= seg.lo[meets]) and np.all(hull.hi >= seg.hi[meets])
+    assert collected
 
 
 def test_intersample_bloat_option_runs():
@@ -1038,12 +1045,12 @@ def test_windowed_start_hull_takes_in_earlier_passive_boxes(quick):
     widths, alone = [], []
     for i, seg in enumerate(passive):
         segments = rendezvous + passive[:i]
-        hull = verifier.hull_boxes(verifier._collect_window_boxes(segments, seg.t_lo0, seg.t_hi0))
+        hull = verifier._collect_window_boxes(segments, seg.t_lo0, seg.t_hi0)
         assert np.allclose(seg.lo[0], hull.lo, rtol=0, atol=1e-9)
         assert np.allclose(seg.hi[0], hull.hi, rtol=0, atol=1e-9)
         widths.append(seg.hi[0, 0] - seg.lo[0, 0])
         own = verifier._collect_window_boxes(rendezvous, seg.t_lo0, seg.t_hi0)
-        alone.append(verifier.hull_boxes(own).halfwidth()[0] * 2)
+        alone.append(own.halfwidth()[0] * 2)
     assert np.allclose(widths[0], alone[0])
     assert widths[2] > widths[1] > widths[0] > alone[1] > alone[2]
 
@@ -1285,7 +1292,7 @@ def _cached_arrays(model):
     """Every array of a model, by name."""
     aut = model.aut
     arrays = {"guard_normals": aut.guard_normals, "guard_offsets": aut.guard_offsets,
-              "guard2": model.guard2}
+              "guard2": model.guard2, "guard_rows": model.guard_rows}
     for i, gain in enumerate(aut.gains):
         arrays.update({f"gains[{i}].K": gain.K, f"gains[{i}].P": gain.P})
     for p in aut.properties:
@@ -1362,3 +1369,94 @@ def test_scenarios_of_one_physics_share_a_model(fresh_models, field):
     base, sc = default_scenario(h=10.0), replace(default_scenario(h=10.0), **_SHARED_CHANGES[field])
     assert verifier._model_of(sc) is verifier._model_of(base)
     assert fresh_models.cache_info().currsize == 1
+
+
+def test_scenario_keeps_the_values_its_rules_filled_in(fresh_models):
+    overrides = {"velocity_limit_mps": 0.5, "intersample_bloat": True}
+    sc = default_scenario(property_overrides=overrides, bryson=BOUNCE_BRYSON)
+    assert sc.settings == property_settings(overrides)
+    assert sc.maxima == bryson_maxima(BOUNCE_BRYSON)
+    # dataclasses.replace derives them afresh.
+    back = replace(sc, property_overrides=None, bryson=None)
+    assert back.settings == property_settings(None)
+    assert back.maxima == bryson_maxima(None)
+    # They enter neither == nor repr.
+    twin = replace(back)
+    object.__setattr__(twin, "settings", {})
+    object.__setattr__(twin, "maxima", ())
+    assert twin == back
+    assert "settings=" not in repr(sc) and "maxima=" not in repr(sc)
+    # Equal physics, spelled differently, keys one model.
+    twin = replace(sc, seed=3, property_overrides={
+        **overrides, "thrust_limit_n": PROPERTY_DEFAULTS["thrust_limit_n"]})
+    assert twin.settings == sc.settings and verifier._model_of(twin) is verifier._model_of(sc)
+
+
+def _first_hits_by_column(segments):
+    """Each property's earliest hit over segments, a column and a row at a
+    time, as (property, mode, time, step, witness bytes), in time order."""
+    best = {}
+    for seg in segments:
+        for j, name in enumerate(seg.names):
+            for k in range(seg.n_steps):
+                if seg.hits[k, j]:
+                    t = seg.t_lo0 + k * seg.h
+                    if name not in best or t < best[name][2]:
+                        best[name] = (name, seg.mode, t, k, seg.lo[k].tobytes(),
+                                      seg.hi[k].tobytes())
+                    break
+    return sorted(best.values(), key=lambda v: (v[2], v[0]))
+
+
+def test_first_violations_match_a_column_by_column_scan():
+    rng = np.random.default_rng(29)
+    pool = ["los_range", "velocity_000", "thrust_x_max", "separation"]
+
+    def pipe(n, names, hits):
+        lo = rng.normal(size=(n, 4))
+        return verifier.FlowpipeSegment(
+            mode=str(rng.choice(verifier._MODES)), lo=lo, hi=lo + 1.0,
+            t_lo0=float(rng.integers(0, 20)), t_hi0=20.0, h=float(rng.choice([0.5, 1.0, 3.0])),
+            names=tuple(names), hits=hits)
+
+    found = 0
+    for trial in range(300):
+        segments = []
+        for _ in range(rng.integers(0, 4)):
+            n, names = int(rng.integers(1, 40)), list(rng.permutation(pool)[:rng.integers(1, 5)])
+            segments.append(pipe(n, names, rng.uniform(size=(n, len(names))) < rng.choice([0.02, 0.2])))
+        row0 = np.zeros((5, 2), dtype=bool)
+        row0[0, rng.integers(0, 2)] = True
+        segments += [pipe(7, [], np.zeros((7, 0), dtype=bool)),            # no property columns
+                     pipe(6, pool[:3], np.zeros((6, 3), dtype=bool)),      # no hits
+                     pipe(5, rng.permutation(pool)[:2], row0)]             # a hit on row 0
+        segments = [segments[i] for i in rng.permutation(len(segments))]
+        got = [(v.property, v.mode, v.time_s, v.step, v.witness_lo.tobytes(),
+                v.witness_hi.tobytes()) for v in verifier._first_violations(segments)]
+        want = _first_hits_by_column(segments)
+        assert got == want
+        found += len(got)
+    assert found > 600
+
+
+# A prox_a pipe whose set first leaves its region at step 255, the last row
+# of its first block, or at step 256, the first row of its second block after
+# a block spent wholly in its own region; the prox_b pipe restarted from it
+# starts collecting at that step.
+_FIRST_STRADDLE = {
+    255: (139.74, [(MODE_PROX_A, 0.0, 0.0, 278), (MODE_PROX_B, 255.0, 277.0, 646),
+                   (MODE_PASSIVE, 900.0, 900.0, 101)]),
+    256: (139.94, [(MODE_PROX_A, 0.0, 0.0, 279), (MODE_PROX_B, 256.0, 278.0, 645),
+                   (MODE_PASSIVE, 900.0, 900.0, 101)]),
+}
+
+
+@pytest.mark.parametrize("step", sorted(_FIRST_STRADDLE))
+def test_pipes_of_a_first_straddle_at_a_block_edge(step):
+    radius, pipes = _FIRST_STRADDLE[step]
+    sc = cli.scenario_from_dict({
+        "init_center": [-radius, 0.0, 0.0, 0.0], "init_halfwidth": [2.0, 2.0, 0.0, 0.0],
+        "t1_s": 900.0, "t2_s": 900.0, "horizon_s": 1000.0, "step_s": 1.0,
+        "bryson": BOUNCE_BRYSON})
+    report = verify(sc)
+    assert [(s.mode, s.t_lo0, s.t_hi0, s.n_steps) for s in report.segments] == pipes
