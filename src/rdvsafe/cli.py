@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .hybrid import GUARD_RADIUS_M
-from .numsim import _END, _MODE, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _write_csv_rows
+from .numsim import _CSV_BLOCK, _END, _MODE, MODE_PASSIVE, MODE_PROX_A, MODE_PROX_B, _write_csv_rows
 from .orbital import FieldError, OrbitalParams
 from .starset import Box
 from .verifier import (
@@ -198,7 +198,9 @@ def emit_report(report: VerificationReport, path: str, flowpipe_csv: str | None 
 def emit_flowpipe(report: VerificationReport, path: str) -> None:
     """Write every pipe's per-step boxes: step,time_s,mode,lo_*,hi_*,flags, with
     `_write_csv_rows`: the step is a float cell, the mode replaces the
-    separator after time_s, and the flags end each row as its `_END` separator."""
+    separator after time_s, and the flags end each row as its `_END` separator.
+    The cells are stacked a `_CSV_BLOCK` of rows at a time, so no copy of a
+    whole pipe is made."""
     dim = report.segments[0].dim if report.segments else 0
     header = (
         ["step", "time_s", "mode"]
@@ -215,9 +217,12 @@ def emit_flowpipe(report: VerificationReport, path: str) -> None:
             labels = [";".join(sorted(n for j, n in enumerate(seg.names) if code >> j & 1))
                       for code in found.tolist()]
             ends = [b",%s\n" % label.encode() for label in labels]
-            steps = np.arange(seg.n_steps, dtype=float)
-            _write_csv_rows(fh, np.column_stack((steps, seg.times_lo(), seg.lo, seg.hi)), seps,
-                            b",%s," % seg.mode.encode(), ends, which)
+            times, mode = seg.times_lo(), b",%s," % seg.mode.encode()
+            for a in range(0, seg.n_steps, _CSV_BLOCK):
+                rows = slice(a, a + _CSV_BLOCK)
+                X = np.column_stack((np.arange(a, min(a + _CSV_BLOCK, seg.n_steps), dtype=float),
+                                     times[rows], seg.lo[rows], seg.hi[rows]))
+                _write_csv_rows(fh, X, seps, mode, ends, which[rows])
 
 
 def load_flowpipe_csv(path: str) -> list[FlowpipeSegment]:

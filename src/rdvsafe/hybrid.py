@@ -181,20 +181,6 @@ def property_settings(overrides: dict | None = None) -> dict:
     return s
 
 
-def default_properties(variant: str, dim: int, overrides: dict | None = None):
-    s = property_settings(overrides)
-    los_n, los_b = los_halfspaces(s["los_base_x_m"], s["los_half_angle_deg"])
-    vel_n, vel_b = velocity_polytope(s["velocity_limit_mps"])
-    props = _halfspaces(("los_range", "los_cone_upper", "los_cone_lower"), (MODE_PROX_B,),
-                        _embed(los_n, (0, 1), dim), los_b, strict=True)
-    props += _halfspaces([f"velocity_{45 * k:03d}" for k in range(8)], (MODE_PROX_B,),
-                         _embed(vel_n, (2, 3), dim), vel_b, strict=True)
-    if variant in (VARIANT_TRACKING, VARIANT_EXPLICIT):
-        props += thrust_properties(s["thrust_limit_n"])
-    props.append(separation_property(dim, s["separation_halfwidth_m"]))
-    return tuple(props)
-
-
 def initial_thrust_box(K: GainMatrix, m_c: float, init: Box) -> Box:
     """Interval image of the commanded thrust F = -m_c K x over a 4-dim state box."""
     if init.dim != 4:
@@ -246,6 +232,17 @@ def build_rendezvous_automaton(
             flow_b = np.block([[A4, Bf], [-kf_b @ A4, -kf_b @ Bf]])
         flow_p = np.block([[A4, zeros], [np.zeros((2, 6))]])
 
+    s = property_settings(property_overrides)
+    los_n, los_b = los_halfspaces(s["los_base_x_m"], s["los_half_angle_deg"])
+    vel_n, vel_b = velocity_polytope(s["velocity_limit_mps"])
+    props = _halfspaces(("los_range", "los_cone_upper", "los_cone_lower"), (MODE_PROX_B,),
+                        _embed(los_n, (0, 1), dim), los_b, strict=True)
+    props += _halfspaces([f"velocity_{45 * k:03d}" for k in range(8)], (MODE_PROX_B,),
+                         _embed(vel_n, (2, 3), dim), vel_b, strict=True)
+    if variant in (VARIANT_TRACKING, VARIANT_EXPLICIT):
+        props += thrust_properties(s["thrust_limit_n"])
+    props.append(separation_property(dim, s["separation_halfwidth_m"]))
+
     oct2_n, oct_b = octagon_halfspaces(GUARD_RADIUS_M)
     return HybridAutomaton(
         dim=dim,
@@ -253,5 +250,5 @@ def build_rendezvous_automaton(
         flows={MODE_PROX_A: flow_a, MODE_PROX_B: flow_b, MODE_PASSIVE: flow_p},
         guard_normals=_embed(oct2_n, (0, 1), dim),
         guard_offsets=oct_b,
-        properties=default_properties(variant, dim, property_overrides),
+        properties=tuple(props),
     )

@@ -36,6 +36,13 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    def __eq__(self, other):
+        """Equal bounds, entry for entry; the dataclass ``==`` would ask an
+        array comparison for its truth value, which raises."""
+        if not isinstance(other, Box):
+            return NotImplemented
+        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
     @property
     def dim(self) -> int:
         return self.lo.shape[0]

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import sys
+import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -145,7 +148,11 @@ class Scenario:
 
 @dataclass
 class FlowpipeSegment:
-    """One mode pipe: per-step reach boxes and property hits, plus its step-0 time range."""
+    """One mode pipe: per-step reach boxes and property hits, plus its step-0 time range.
+
+    The passive pipes of a windowed verify view storage that the process
+    reuses (see :class:`_RowStore`): a later call writes it only once no
+    array views it, so rows stay as they are while anything holds them."""
 
     mode: str
     lo: np.ndarray          # (steps, dim)
@@ -392,6 +399,72 @@ def _pipe_rows(model: _Model, mode: str, *shape: int) -> tuple[np.ndarray, ...]:
             np.zeros((*shape, props), dtype=bool))
 
 
+# Buffers of this many bytes or more ask for transparent huge pages, as numpy
+# asks for its own arrays: fewer faults on first touch.  A smaller buffer
+# stays on 4 KB pages, as a huge page in it may hold more than it touches.
+_HUGE_PAGES_FROM = 1 << 22
+
+
+class _RowStore:
+    """Storage kept per process for the rows of windowed verifies' passive
+    pipes: one buffer per dtype, handed out again to every later call once
+    nothing views it, so that a call writes pages the previous one already
+    touched rather than faulting in fresh ones.
+
+    Reuse is safe: numpy gives every view of a view the array that holds the
+    buffer as its base, so that array's reference count is the store's own
+    plus one per live view, rows of a report or a caller's slice alike.  A
+    buffer still viewed is not handed out; the call gets a fresh one of
+    exactly its size, which the store keeps instead, so a live report's rows
+    never change.  Beyond the buffers live reports hold, the store retains
+    one per dtype, no larger than the largest storage one call needed:
+    ~175 MB after a 1 s window width on the default mission.  Each buffer is
+    its own anonymous mapping, not a block of the malloc heap, so a kept
+    buffer pins no heap memory around it and a dropped one goes back to the
+    system at once.  The store is module state, like :func:`_model`'s cache,
+    because the public entry points take no workspace; a lock makes the
+    check and the hand-out one step for threads.
+
+    A call of one window (``verify``, a ``sweep`` window) takes fresh rows
+    instead.  A kept buffer stays resident through every later call, so it
+    adds the largest storage any call needed to the peak of calls that need
+    less: kept for plain verifies, it raised the peak resident size of
+    perfbench's ``mission`` runs by ~2 MB (5%)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._kept: dict[type, np.ndarray] = {}
+        # The count an unviewed buffer bound to a local name reads, taken the
+        # way _take() reads it, as interpreters differ in what a call borrows.
+        probe = np.empty(0)
+        self._unviewed = sys.getrefcount(probe)
+
+    def rows(self, model: _Model, W: int, n: int) -> tuple[np.ndarray, ...]:
+        """Row storage lo, hi and hits of W passive pipes of n steps, as
+        :func:`_pipe_rows` shapes it; uninitialised when W > 1."""
+        if W == 1:
+            return _pipe_rows(model, MODE_PASSIVE, W, n)
+        box = self._take(float, (2, W, n, model.aut.dim))
+        return box[0], box[1], self._take(bool, (W, n, len(model.checkers[MODE_PASSIVE].names)))
+
+    def _take(self, dtype: type, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        with self._lock:
+            buf = self._kept.pop(dtype, None)
+            if buf is None or buf.size < size or sys.getrefcount(buf) > self._unviewed:
+                buf = None      # a free buffer goes before its successor is allocated
+                nbytes = size * np.dtype(dtype).itemsize
+                mem = mmap.mmap(-1, nbytes, mmap.MAP_PRIVATE)
+                if nbytes >= _HUGE_PAGES_FROM and hasattr(mmap, "MADV_HUGEPAGE"):
+                    mem.madvise(mmap.MADV_HUGEPAGE)
+                buf = np.frombuffer(mem, dtype)
+            self._kept[dtype] = buf
+            return buf[:size].reshape(shape)
+
+
+_PASSIVE_ROWS = _RowStore()
+
+
 def _empty_segment(model: _Model, mode: str, n_steps: int, t_lo0: float, t_hi0: float,
                    rows: tuple[np.ndarray, ...] | None = None) -> FlowpipeSegment:
     """A pipe of n_steps steps whose rows view rows, fresh when None."""
@@ -422,10 +495,10 @@ def _block(model: _Model, mode: str, basis: np.ndarray, k0: int, ends: list[int]
     ends, nonincreasing, holds each pipe's number of steps.
 
     pipes holds, pipe first, the starts S of :func:`_start`, (W, 2, 2 dim),
-    and the row storage lo, hi and hits of :func:`_pipe_rows`, with room for
-    rows k0 .. k0 + n - 1 of every pipe.  A pipe from the box c +/- w is at
-    step k the set Φ^k c + Φ^k diag(w) [-1, 1]^dim, whose support in a row
-    l is l Φ^k c + |l Φ^k| w.  So the block builds
+    and the row storage lo, hi and hits, shaped as :func:`_pipe_rows` shapes
+    them, with room for rows k0 .. k0 + n - 1 of every pipe.  A pipe from
+    the box c +/- w is at step k the set Φ^k c + Φ^k diag(w) [-1, 1]^dim,
+    whose support in a row l is l Φ^k c + |l Φ^k| w.  So the block builds
     from ``model.directions``' table one table T of the rows Φ^(k0 + i) and
     X Φ^(k0 + i), i < _BLOCK, that every pipe shares, and per pipe one
     product S [T; |T|] of one shape whatever W or n is, so that a pipe's bits
@@ -598,13 +671,18 @@ def _passive_segment(model: _Model, segments: list[FlowpipeSegment],
     hold window 0's count of those rows, then every pipe still running steps
     the later blocks together, one :func:`_block` call on the one basis
     Φ^k0 per block, writing one row storage that the pipes' rows view.
-    The pipes and their rows are those of stepping one window at a time, bit
-    for bit, and so is an error: the first window whose hull fails or whose
-    pipe overflows raises, once every earlier pipe has run to its end.
+    For several windows that storage comes from the process's passive row
+    store (see :class:`_RowStore`), so it may hold an earlier call's rows,
+    and a later call writes it again once nothing views it.  It is not
+    cleared, as :func:`_block` writes every row a pipe keeps, its hits too:
+    the passive properties (the separation box) have rows.  The pipes and
+    their rows are those of stepping one window at a time, bit for bit, and
+    so is an error: the first window whose hull fails or whose pipe
+    overflows raises, once every earlier pipe has run to its end.
     """
     t_end, W, dim, h = windows[-1][1], len(windows), model.aut.dim, model.h
     ends = [steps_within(horizon - a, h) + 1 for a, _ in windows]    # nonincreasing
-    pipes = (np.empty((W, 2, 2 * dim)), *_pipe_rows(model, MODE_PASSIVE, W, ends[0]))
+    pipes = (np.empty((W, 2, 2 * dim)), *_PASSIVE_ROWS.rows(model, W, ends[0]))
     work, bases = _work(model, MODE_PASSIVE, W), [np.eye(dim)]
     while len(bases) * _BLOCK < ends[0]:
         bases.append(model.powers[MODE_PASSIVE][1] @ bases[-1])   # Φ^k0, block k0
@@ -736,7 +814,9 @@ def verify_windowed(sc: Scenario, w: float) -> VerificationReport:
     call builds every subwindow's pipe through the one block kernel
     :func:`_block`: each alone over the rows a later hull reads, then all
     together, one call per block.  The verdict is the conjunction, so a
-    single subwindow reproduces :func:`verify` exactly.
+    single subwindow reproduces :func:`verify` exactly.  With several
+    subwindows the passive pipes' rows view storage that later calls reuse
+    once nothing views it, so a held report's rows never change.
     """
     t0 = time.perf_counter()
     _require_reach_variant(sc)

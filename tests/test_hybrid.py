@@ -23,13 +23,17 @@ from rdvsafe.hybrid import (
     MODE_PASSIVE,
     MODE_PROX_A,
     MODE_PROX_B,
-    default_properties,
     property_settings,
 )
 from rdvsafe.verifier import simulate_scenario
 
 GEO = OrbitalParams()
 GAINS = design_mode_gains(GEO)
+
+
+def _properties(variant, overrides=None):
+    """The properties the automaton of variant registers."""
+    return build_rendezvous_automaton(GEO, GAINS, variant, overrides).properties
 
 
 def _in_box(box, point, slack):
@@ -98,7 +102,7 @@ def test_los_region_membership():
 
 
 def test_los_properties_fire_exactly_one():
-    props = [p for p in default_properties("lin_prox", 4) if p.name.startswith("los")]
+    props = [p for p in _properties("lin_prox") if p.name.startswith("los")]
     assert len(props) == 3
     assert [p.name for p in props if _hit(p, [-50.0, 30.0, 0.0, 0.0])] == ["los_cone_upper"]
     assert [p.name for p in props if _hit(p, np.zeros(4))] == []
@@ -140,17 +144,17 @@ def test_separation_property_geometry():
 
 
 def test_property_inventory_counts():
-    assert len(default_properties("lin_prox", 4)) == 12
-    assert len(default_properties("nlin_prox", 4)) == 12
-    assert len(default_properties("lin_prox_th_tracking", 6)) == 16
-    assert len(default_properties("lin_prox_th_explicit", 6)) == 16
+    assert len(_properties("lin_prox")) == 12
+    assert len(_properties("nlin_prox")) == 12
+    assert len(_properties("lin_prox_th_tracking")) == 16
+    assert len(_properties("lin_prox_th_explicit")) == 16
 
 
 def test_unknown_property_setting_is_rejected():
     with pytest.raises(ValueError, match="bogus"):
         property_settings({"bogus": 1})
     with pytest.raises(ValueError, match="bogus"):
-        default_properties("lin_prox", 4, {"bogus": 1})
+        _properties("lin_prox", {"bogus": 1})
 
 
 def test_bool_setting_rejects_a_non_bool():
@@ -188,7 +192,7 @@ def test_unsafe_sets_exclude_nominal_target_state():
     # The origin with zero velocity violates nothing except the collision box,
     # which contains the target by construction.
     for variant, dim in (("lin_prox", 4), ("lin_prox_th_tracking", 6)):
-        for p in default_properties(variant, dim):
+        for p in _properties(variant):
             assert _hit(p, np.zeros(dim)) == (p.name == "separation"), p.name
 
 

@@ -126,6 +126,23 @@ def test_scenario_validation():
             default_scenario(**overrides)
 
 
+def test_scenarios_and_boxes_compare_by_value():
+    sc = default_scenario()
+    assert sc == default_scenario() and not sc != default_scenario()
+    # A new box of equal bounds, not the same object.
+    twin = replace(sc, init=Box(lo=sc.init.lo.copy(), hi=sc.init.hi.copy()))
+    assert twin.init is not sc.init and twin == sc and not twin != sc
+    wider = replace(sc, init=Box(lo=sc.init.lo - [1.0, 0, 0, 0], hi=sc.init.hi))
+    assert wider != sc and not wider == sc
+    track = default_scenario(variant="lin_prox_th_tracking")
+    six = replace(track, init=Box(lo=np.append(sc.init.lo, [0.0, 0.0]),
+                                  hi=np.append(sc.init.hi, [0.0, 0.0])))
+    assert six != track and not six == track
+    assert six.init != track.init and not six.init == track.init
+    assert sc.init != (sc.init.lo, sc.init.hi) and sc.init == Box(lo=[-925, -425, 0, 0],
+                                                                  hi=[-875, -375, 0, 0])
+
+
 @pytest.mark.parametrize("overrides,field", [
     ({"property_overrides": {"bogus": 1}}, "property_overrides/bogus"),
     ({"property_overrides": {"thrust_limit_n": True}}, "property_overrides/thrust_limit_n"),
